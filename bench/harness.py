@@ -3,11 +3,12 @@
 Every workload runs against the public ``corules`` API on boards of the
 tic-tac-toe endgame table, drawn from the ``--seed`` the run is given:
 
-* ``machine-50``: machine-mode training (default ``Params``) on ten
-  50-row draws; pricing is nearly all of the time.  Many small draws keep
-  the run steady across seeds: at 80 rows and more, a draw whose final
-  MIP needs hundreds of nodes can cost as much as five others.
-* ``soft-100``: soft-mode training with the eight true rules on sixteen
+* ``machine-50``: machine-mode training (default ``Params`` apart from
+  the node cap below) on seeded 50-row draws; pricing is nearly all of
+  the time.  Many small draws keep the run steady across seeds: at 80 rows
+  and more, a draw whose final MIP needs hundreds of nodes can cost as
+  much as five others.
+* ``soft-100``: soft-mode training with the eight true rules on seeded
   100-row draws at budgets 24 and 15; the master LP and the final MIP are
   most of the time.  The final MIP's node count moves with the draw and
   has a long tail, so many small draws keep the run time steadier than a
@@ -16,8 +17,10 @@ tic-tac-toe endgame table, drawn from the ``--seed`` the run is given:
   ``dataset.apply_columns``, predicted by the bound eight rules and scored
   with ``metrics``; binarization is most of the time.
 
-A run sets up several times, then processes every seeded draw once (a
-*round*) and repeats rounds while the time allows, reporting medians.
+A run sets up several times, then processes a workload's first draws, and
+further draws from the same seeded stream while the time allows.  The time
+per draw is averaged over every draw processed; the quality figures come
+from the first draws only, so they do not depend on how fast the run is.
 Every output is checked with ``corules.metrics``; a failed check counts as
 a failed operation and never stops the run.  A traced run wraps the names the
 library looks up (see :func:`install_trace`) and turns the spans into
@@ -26,6 +29,7 @@ per-layer metrics.
 
 from __future__ import annotations
 
+import itertools
 import math
 import resource
 import statistics
@@ -54,8 +58,12 @@ OR (cell_r0_c2 == x AND cell_r1_c1 == x AND cell_r2_c0 == x)
 
 SETUP_REPEATS = 3
 
+# branch-and-bound node cap of every training: ten times the most nodes
+# seen in one training, so that a rare draw cannot hold a run for minutes
+MIP_NODE_LIMIT = 2000
+
 END_TO_END = {
-    "run_s": "s",
+    "draw_s": "s",
     "setup_s": "s",
     "peak_rss_mb": "MB",
     "ok_share": "ratio",
@@ -90,7 +98,7 @@ PER_LAYER = {
     "ruledsl.covers_rows": "count",
     "metrics.self_s": "s",
     "score_rows_per_s": "rows/s",
-    "trace.run_s": "s",
+    "trace.draw_s": "s",
 }
 
 
@@ -172,7 +180,11 @@ def apply_columns(tracer: Tracer, raw: dataset.RawTable, columns) -> dataset.Bin
 
 @dataclass(frozen=True)
 class TrainingWorkload:
-    """Train on seeded draws, one model per draw and ``Params``."""
+    """Train on seeded draws, one model per draw and ``Params``.
+
+    ``draws`` is how many draws every run processes; further draws come
+    from the same seeded stream while the time allows.
+    """
 
     name: str
     rows: int
@@ -181,10 +193,13 @@ class TrainingWorkload:
     with_truth: bool = False       # give the eight rules as human input
     exact_budget: int | None = None  # budget that must give back the eight rules
 
-    def setup(self, seed: int, tracer: Tracer) -> list:
+    def setup(self, seed: int, tracer: Tracer):
+        """The first ``draws`` units, and an endless stream of later ones."""
         base = base_setup(tracer)
         rng = np.random.default_rng(seed)
-        return [(base, draw_split(rng, base.full, self.rows)) for _ in range(self.draws)]
+        first = [(base, draw_split(rng, base.full, self.rows)) for _ in range(self.draws)]
+        later = ((base, draw_split(rng, base.full, self.rows)) for _ in itertools.count())
+        return first, later
 
     def run_draw(self, unit, tracer: Tracer, tally: Tally) -> DrawResult:
         base, draw = unit
@@ -260,13 +275,15 @@ class ScoringWorkload:
     name: str
     rows: int
 
-    def setup(self, seed: int, tracer: Tracer) -> list:
+    def setup(self, seed: int, tracer: Tracer):
+        """One drawn sample, scored once and then again while the time allows."""
         base = base_setup(tracer)
         rng = np.random.default_rng(seed)
         with tracer.span("ruledsl.bind"):
             bound, _ = ruledsl.bind(base.truth, base.full)
         sample = base.raw.subset(rng.integers(0, base.raw.n_rows, self.rows).tolist())
-        return [(bound, base.full.columns, sample)]
+        unit = (bound, base.full.columns, sample)
+        return [unit], itertools.repeat(unit)
 
     def run_draw(self, unit, tracer: Tracer, tally: Tally) -> DrawResult:
         out = DrawResult()
@@ -299,17 +316,23 @@ class ScoringWorkload:
 WORKLOADS = {
     w.name: w
     for w in (
-        TrainingWorkload("machine-50", rows=50, draws=10, params=(colgen.Params(),)),
+        TrainingWorkload(
+            "machine-50",
+            rows=50,
+            draws=8,
+            params=(colgen.Params(mip_node_limit=MIP_NODE_LIMIT),),
+        ),
         TrainingWorkload(
             "soft-100",
             rows=100,
-            draws=16,
+            draws=8,
             params=tuple(
                 colgen.Params(
                     complexity_budget=budget,
                     mode=colgen.MODE_SOFT,
                     human_weight=0.05,
                     max_degree=2,
+                    mip_node_limit=MIP_NODE_LIMIT,
                 )
                 for budget in (24, 15)
             ),
@@ -434,7 +457,7 @@ def layer_metrics(tracer: Tracer, results: list[DrawResult]) -> dict[str, float]
             for i, sp in enumerate(tracer.spans) if sp.name.startswith("metrics.")
         ),
         "score_rows_per_s": rows_scored / score_seconds if score_seconds else 0.0,
-        "trace.run_s": sum(r.seconds for r in results),
+        "trace.draw_s": _mean([r.seconds for r in results]),
     }
 
 
@@ -459,19 +482,22 @@ def _timed_draw(workload, unit, tracer: Tracer, tally: Tally) -> DrawResult:
 def run(workload, seed: int, seconds: float, trace: bool, import_seconds: float = 0.0) -> dict:
     """Run one workload and return the result object the harness prints.
 
-    Untraced: set up ``SETUP_REPEATS`` times, then run rounds while the
-    next one is expected to end within ``seconds`` (at least one).
-    Traced: one traced set-up and one traced round; the per-layer metrics
-    come from their spans.  ``trace.run_s`` over the untraced ``run_s`` of
-    the same seed is the tracing overhead.
+    Untraced: set up ``SETUP_REPEATS`` times, process the workload's first
+    draws, then further draws while the next one is expected to end within
+    ``seconds`` of the start.  ``draw_s`` is the mean time of a draw over
+    all of them; ``holdout_accuracy`` comes from the first draws only.
+    Traced: one traced set-up and the first draws, traced; the per-layer
+    metrics come from their spans.  ``trace.draw_s`` over the ``draw_s``
+    of an untraced run of the same seed with ``seconds=0`` (the same draws)
+    is the tracing overhead.
     """
     tally = Tally()
     if trace:
         tracer = Tracer()
         install_trace(tracer)
         try:
-            units = workload.setup(seed, tracer)
-            results = [_timed_draw(workload, unit, tracer, tally) for unit in units]
+            first, _ = workload.setup(seed, tracer)
+            results = [_timed_draw(workload, unit, tracer, tally) for unit in first]
         finally:
             tracer.restore()
         tally.run("trace self-check", lambda: check_trace(tracer))
@@ -482,20 +508,20 @@ def run(workload, seed: int, seconds: float, trace: bool, import_seconds: float 
         setups = []
         for _ in range(SETUP_REPEATS):
             t0 = time.perf_counter()
-            units = workload.setup(seed, off)
+            first, later = workload.setup(seed, off)
             setups.append(time.perf_counter() - t0)
         start = time.perf_counter()
-        first = [_timed_draw(workload, unit, off, tally) for unit in units]
-        rounds = [sum(r.seconds for r in first)]
-        while time.perf_counter() - start + _median(rounds) <= seconds:
-            again = [_timed_draw(workload, unit, off, tally) for unit in units]
-            rounds.append(sum(r.seconds for r in again))
+        results = [_timed_draw(workload, unit, off, tally) for unit in first]
+        while time.perf_counter() - start + _mean([r.seconds for r in results]) <= seconds:
+            results.append(_timed_draw(workload, next(later), off, tally))
         values = {
-            "run_s": _median(rounds),
+            "draw_s": _mean([r.seconds for r in results]),
             "setup_s": import_seconds + _median(setups),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "ok_share": 1.0 - tally.failed / tally.attempted,
-            "holdout_accuracy": _mean([a for r in first for a in r.holdout_accuracy]),
+            "holdout_accuracy": _mean(
+                [a for r in results[:len(first)] for a in r.holdout_accuracy]
+            ),
         }
         names = END_TO_END
     return {

@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 bench/run.py --workload soft-100 --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload soft-100 --seed 1 --seconds 40 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 ones.  The last line of standard output is one JSON object with the keys

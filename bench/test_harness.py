@@ -56,7 +56,7 @@ def test_toy_run_emits_every_metric(workload, trace):
         value = result["metrics"][metric["name"]]
         assert value["unit"] == metric["unit"]
         assert math.isfinite(value["value"])
-        if not trace or metric["name"] in USED[workload.name] + ("trace.run_s",):
+        if not trace or metric["name"] in USED[workload.name] + ("trace.draw_s",):
             assert value["value"] > 0, metric["name"]
 
 
@@ -73,3 +73,13 @@ def test_trace_check_catches_a_bypassed_wrapper():
     problems = harness.check_trace(tracer)
     assert any("1 price spans for 2 rounds" in p for p in problems)
     assert any("child spans take" in p for p in problems)
+
+
+def test_later_draws_time_but_leave_quality_alone():
+    machine = TOY[0]
+    short = harness.run(machine, seed=3, seconds=0, trace=False)
+    longer = harness.run(machine, seed=3, seconds=1.0, trace=False)
+    assert short["attempted"] == machine.draws
+    assert longer["correct"] and longer["attempted"] > machine.draws
+    quality = [r["metrics"]["holdout_accuracy"]["value"] for r in (short, longer)]
+    assert quality[0] == quality[1]
