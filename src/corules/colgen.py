@@ -20,12 +20,14 @@ search for out-of-pool conjunctions whose reduced cost
            + lambda * degree(k)            [+ template-distance penalty]
 
 is negative under the LP duals (mu on covering rows, lambda on the
-budget).  The pricing search is an exhaustive depth-first walk over
-literal sets up to a degree cap with an admissible pruning bound (the
-false-positive term is nonnegative, the mu term only shrinks as literals
-are added, and the degree term grows), so an empty result certifies that
-no bounded-degree conjunction can improve the relaxation.  The loop ends
-with one binary solve restricted to the generated pool.
+budget).  The pricing search is exhaustive over literal sets up to a
+degree cap.  It evaluates the children of a whole block of search nodes
+with two matrix products (mu mass and false positives) and prunes with an
+admissible bound (the false-positive term is nonnegative, the mu term only
+shrinks as literals are added, and the degree term grows).  Every node
+that passes the bound is expanded, so an empty result certifies that no
+bounded-degree conjunction can improve the relaxation.  The loop ends with
+one binary solve restricted to the generated pool.
 
 Expert knowledge enters three ways, chosen by ``Params.mode``:
 
@@ -41,7 +43,7 @@ Expert knowledge enters three ways, chosen by ``Params.mode``:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,17 +109,7 @@ class Params:
             raise ValueError("columns per round must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "complexity_budget": self.complexity_budget,
-            "human_weight": self.human_weight,
-            "template_weight": self.template_weight,
-            "max_degree": self.max_degree,
-            "mode": self.mode,
-            "max_cg_rounds": self.max_cg_rounds,
-            "columns_per_round": self.columns_per_round,
-            "tolerance": self.tolerance,
-            "mip_node_limit": self.mip_node_limit,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -330,6 +322,26 @@ class PricedCandidate:
     reduced_cost: float
 
 
+class PricedCandidates(list):
+    """The candidates :func:`price` returns, most negative first.
+
+    ``found`` counts the out-of-pool conjunctions whose reduced cost is
+    below ``-tolerance``, before ``limit`` keeps the most negative ones.
+    """
+
+    def __init__(self, candidates: Iterable[PricedCandidate] = (), found: int = 0):
+        super().__init__(candidates)
+        self.found = found
+
+
+# Most search nodes that pricing evaluates with one matrix product.  A
+# block's covers are built only when it is taken off the stack, and the
+# stack keeps at most one parent block per depth alive, so the covers
+# pricing holds stay near max_degree * _PRICE_BLOCK * n bools whatever the
+# data size.
+_PRICE_BLOCK = 2048
+
+
 def price(
     duals: tuple[np.ndarray, float],
     dataset: BinaryDataset,
@@ -337,60 +349,137 @@ def price(
     templates: Sequence[Template] = (),
     exclude: set[frozenset[int]] | frozenset = frozenset(),
     limit: int | None = None,
-) -> list[PricedCandidate]:
+) -> PricedCandidates:
     """Exhaustive bounded-degree search for negative-reduced-cost conjunctions.
 
-    Walks literal sets in index order; a subtree is cut only when even its
-    best imaginable descendant (zero false positives, the current mu mass,
-    one more literal of degree cost) cannot reach below ``-tolerance``, so
-    an empty return certifies there is nothing to add within the degree cap.
+    A search node is a literal set in increasing column order; its
+    children add one column after its last.  Nodes are evaluated in blocks
+    of at most ``_PRICE_BLOCK``: with the block's covers as bool rows, one
+    product with the mu-weighted positive bits gives every child's mu mass
+    and one with the negative bits its false positives (exact integers in
+    float64).  A child is a candidate when its reduced cost is below
+    ``-tolerance``, and is searched further when its best imaginable
+    descendant (zero false positives, the same mu mass, one more literal of
+    degree cost) could still get there.  That bound is admissible (false
+    positives are nonnegative, the mu mass only shrinks as literals are
+    added and the degree term grows), and every node that passes it is
+    expanded, so the search visits the same nodes as a one-node-at-a-time
+    depth-first walk and an empty return certifies there is nothing to add
+    within the degree cap.  Only the summation order of the mu mass
+    differs, so reduced costs agree with a one-by-one evaluation to
+    rounding.
+
     In templates mode the weighted template distance is computed only for
-    a node whose template-free reduced cost is already below
+    a candidate whose template-free reduced cost is already below
     ``-tolerance``.  That is exact: the distance is nonnegative, so no
     other node could qualify, and the descent bound never uses it.  Such a
     node covers a positive sample (its mu mass is positive), so its
     literals are consistent and form a valid conjunction; contradictory
     literal sets such as ``a == x AND a == o`` are never built.
-    Conjunctions already in the pool are skipped.
+    Conjunctions in ``exclude`` (the pool) are skipped.  The result is
+    sorted by reduced cost, ties by column tuple, and cut to ``limit``.
     """
     mu, lam = duals
     mu = np.maximum(np.asarray(mu, dtype=float), 0.0)
     lam = max(float(lam), 0.0)
     eps = params.tolerance
-    max_deg = params.max_degree
-    pos = dataset.P
-    neg = dataset.Z
-    mu_full = np.zeros(dataset.n)
-    mu_full[pos] = mu
-    cols_bits = [np.ascontiguousarray(dataset.matrix[:, j]) for j in range(dataset.n_columns)]
-    lits = [literal_for_column(meta) for meta in dataset.columns]
-    cp = params.template_weight if params.mode == MODE_TEMPLATES else 0.0
-    exclude = set(exclude)
+    m = dataset.n_columns
+    depth = min(params.max_degree, m)
+    if depth == 0:
+        return PricedCandidates()
+    bits_p = dataset.matrix[dataset.P]
+    bits_z = dataset.matrix[dataset.Z]
+    mass = mu[:, None] * bits_p
+    fp_bits = bits_z.astype(float)
+    col_bits_p = np.ascontiguousarray(bits_p.T)
+    col_bits_z = np.ascontiguousarray(bits_z.T)
+    col_index = np.arange(m)
 
-    found: list[tuple[float, tuple[int, ...]]] = []
+    # A literal set is coded by its digits j + 1 in base m + 1, padded with
+    # zeros to ``depth`` digits, so codes order like column tuples.  Codes
+    # that outgrow int64 stay exact as Python ints.
+    radix = m + 1
+    code_type = np.int64 if radix**depth < 2**63 else object
+    pad = [radix ** (depth - d) for d in range(depth + 1)]
 
-    def walk(start: int, cols: tuple[int, ...], cov_p, cov_z, depth: int):
-        for j in range(start, dataset.n_columns):
-            bits = cols_bits[j]
-            child_p = cov_p[bits[cov_p]]
-            mu_sum = float(mu_full[child_p].sum())
-            child_z = cov_z[bits[cov_z]]
-            degree = depth + 1
-            rc = child_z.size - mu_sum + lam * degree
-            new_cols = cols + (j,)
-            if rc < -eps and cp > 0.0:
-                conj = Conjunction(frozenset(lits[i] for i in new_cols))
-                rc += cp * template_distance(conj, templates)
-            if rc < -eps and frozenset(new_cols) not in exclude:
-                found.append((rc, new_cols))
-            if degree < max_deg and lam * (degree + 1) - mu_sum < -eps:
-                walk(j + 1, new_cols, child_p, child_z, degree)
+    def encode(cols) -> int:
+        code = 0
+        for j in sorted(cols):
+            code = code * radix + j + 1
+        return code * pad[len(cols)]
 
-    walk(0, (), pos, neg, 0)
-    found.sort(key=lambda item: (item[0], item[1]))
-    if limit is not None:
-        found = found[:limit]
-    return [PricedCandidate(frozenset(cols), rc) for rc, cols in found]
+    def decode(code: int) -> frozenset[int]:
+        cols = []
+        while code:
+            code, digit = divmod(code, radix)
+            if digit:
+                cols.append(digit - 1)
+        return frozenset(cols)
+
+    found_rc: list[np.ndarray] = []
+    found_code: list[np.ndarray] = []
+    # an entry is a block not yet built: its parents' codes and covers,
+    # the rows of those parents and the column each child adds
+    stack: list[tuple[np.ndarray, ...]] = []
+
+    def expand(degree, codes, cov_p, cov_z, last):
+        mu_sum = cov_p.astype(float) @ mass
+        rc = cov_z.astype(float) @ fp_bits - mu_sum + lam * degree
+        fresh = col_index > last[:, None]
+        rows, js = np.nonzero(fresh & (rc < -eps))
+        found_rc.append(rc[rows, js])
+        found_code.append((codes[rows] * radix + js + 1) * pad[degree])
+        if degree < depth:
+            rows, js = np.nonzero(fresh & (lam * (degree + 1) - mu_sum < -eps))
+            for s in range(0, rows.size, _PRICE_BLOCK):
+                part = slice(s, s + _PRICE_BLOCK)
+                stack.append((degree + 1, codes, cov_p, cov_z, rows[part], js[part]))
+
+    expand(
+        1,
+        np.zeros(1, dtype=code_type),
+        np.ones((1, bits_p.shape[0]), dtype=bool),
+        np.ones((1, bits_z.shape[0]), dtype=bool),
+        np.array([-1]),
+    )
+    while stack:
+        degree, codes, cov_p, cov_z, rows, js = stack.pop()
+        expand(
+            degree,
+            codes[rows] * radix + js + 1,
+            cov_p[rows] & col_bits_p[js],
+            cov_z[rows] & col_bits_z[js],
+            js,
+        )
+
+    rc = np.concatenate(found_rc)
+    codes = np.concatenate(found_code)
+    pool = [encode(key) for key in exclude if len(key) <= depth]
+    if pool and rc.size:
+        keep = ~np.isin(codes, np.array(pool, dtype=code_type))
+        rc, codes = rc[keep], codes[keep]
+    if params.mode == MODE_TEMPLATES and params.template_weight > 0.0 and rc.size:
+        lits = [literal_for_column(meta) for meta in dataset.columns]
+        distance = np.array([
+            template_distance(
+                Conjunction(frozenset(lits[j] for j in decode(code))), templates
+            )
+            for code in codes.tolist()
+        ])
+        rc = rc + params.template_weight * distance
+        keep = rc < -eps
+        rc, codes = rc[keep], codes[keep]
+
+    found = int(rc.size)
+    if limit is not None and limit < found:
+        # everything tied with the limit-th smallest reduced cost competes
+        keep = rc <= np.partition(rc, limit - 1)[limit - 1]
+        rc, codes = rc[keep], codes[keep]
+    order = np.lexsort((codes, rc))[:limit]
+    return PricedCandidates(
+        (PricedCandidate(decode(int(codes[i])), float(rc[i])) for i in order),
+        found=found,
+    )
 
 
 def predict(rule_set: BoundRuleSet, sample: np.ndarray) -> bool:
@@ -427,26 +516,7 @@ class TrainReport:
     train_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_samples": self.n_samples,
-            "params": self.params.to_dict(),
-            "lp_objectives": self.lp_objectives,
-            "rounds": self.rounds,
-            "mip_status": self.mip_status,
-            "mip_nodes": self.mip_nodes,
-            "mip_objective": self.mip_objective,
-            "objective": self.objective,
-            "hamming": self.hamming,
-            "template_penalty": self.template_penalty,
-            "human_rules": self.human_rules,
-            "human_selected": self.human_selected,
-            "unselected_human_count": self.unselected_human_count,
-            "pricing_exact_within_degree": self.pricing_exact_within_degree,
-            "warnings": self.warnings,
-            "train_accuracy": self.train_accuracy,
-            "train_seconds": self.train_seconds,
-        }
+        return asdict(self)
 
 
 def _lex_key(conj: Conjunction) -> tuple:
@@ -513,6 +583,7 @@ def train(
             )
             break
         report.lp_objectives.append(msol.objective)
+        t_price = time.perf_counter()
         candidates = price(
             (msol.mu, msol.lam),
             dataset,
@@ -528,6 +599,8 @@ def train(
                 "pool_size": len(pool),
                 "columns_added": len(candidates),
                 "min_reduced_cost": candidates[0].reduced_cost if candidates else 0.0,
+                "price_seconds": time.perf_counter() - t_price,
+                "price_candidates": candidates.found,
             }
         )
         if not candidates:

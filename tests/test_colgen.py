@@ -1,6 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from corules import colgen
 from corules.colgen import (
     MODE_HARD,
     MODE_MACHINE,
@@ -11,6 +15,7 @@ from corules.colgen import (
     HumanInput,
     NoPositivesError,
     Params,
+    TrainReport,
     build_master,
     predict,
     predict_all,
@@ -137,6 +142,10 @@ class TestPrice:
         out = price((mu, 0.0), ttt_dataset, Params())
         assert out == []
 
+    def test_no_columns_yield_nothing(self):
+        ds = BinaryDataset((), np.zeros((3, 0), dtype=bool), np.array([1, 0, 1], bool))
+        assert price((np.ones(2), 0.0), ds, Params()) == []
+
     def test_single_positive_negative_reduced_cost(self):
         # one positive sample with mu=2; a degree-1 literal covering it and
         # no negatives prices at -2
@@ -213,6 +222,51 @@ class TestPrice:
             for cand in got:
                 assert cand.reduced_cost == pytest.approx(want[cand.cols], abs=1e-9)
 
+    def test_degree_four_limit_matches_brute_force(self):
+        rng = np.random.default_rng(808)
+        params = Params(max_degree=4)
+        for _ in range(12):
+            ds = random_dataset(rng, n_cols=8, n_rows=int(rng.integers(15, 40)))
+            mu_full = np.zeros(ds.n)
+            mu_full[ds.P] = rng.random(ds.P.size) * 3
+            lam = float(rng.random() * 0.5)
+            oracle = brute_force_reduced_costs(
+                ds.matrix, ds.labels, mu_full, lam, params.max_degree
+            )
+            want = sorted(rc for rc in oracle.values() if rc < -params.tolerance)
+            got = price((mu_full[ds.P], lam), ds, params, limit=7)
+            assert got.found == len(want)
+            assert len(got) == min(7, len(want))
+            for cand, rc in zip(got, want):
+                assert cand.reduced_cost == pytest.approx(rc, abs=1e-9)
+                assert cand.reduced_cost == pytest.approx(oracle[cand.cols], abs=1e-9)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_split_blocks_match_brute_force(self, monkeypatch, block):
+        monkeypatch.setattr(colgen, "_PRICE_BLOCK", block)
+        self.test_matches_brute_force_on_random_instances()
+        self.test_templates_mode_matches_brute_force()
+        self.test_degree_four_limit_matches_brute_force()
+
+    def test_codes_beyond_int64_match_brute_force(self):
+        # 16 columns at degree 16 code literal sets as 16-digit base-17
+        # numbers, past the int64 range
+        rng = np.random.default_rng(99)
+        ds = random_dataset(rng, n_cols=16, n_rows=10)
+        ds = BinaryDataset(ds.columns, rng.random((10, 16)) < 0.8, ds.labels)
+        params = Params(max_degree=16)
+        mu_full = np.zeros(ds.n)
+        mu_full[ds.P] = rng.random(ds.P.size) + 1.0
+        oracle = brute_force_reduced_costs(
+            ds.matrix, ds.labels, mu_full, 0.01, params.max_degree
+        )
+        want = {cols: rc for cols, rc in oracle.items() if rc < -params.tolerance}
+        assert max(len(cols) for cols in want) >= 12
+        got = price((mu_full[ds.P], 0.01), ds, params)
+        assert {c.cols for c in got} == set(want)
+        for cand in got:
+            assert cand.reduced_cost == pytest.approx(want[cand.cols], abs=1e-9)
+
     def test_excluded_pool_members_not_returned(self):
         matrix = np.array([[1], [0]], dtype=bool)
         labels = np.array([1, 0], dtype=bool)
@@ -253,6 +307,18 @@ class TestTrain:
         params = Params(max_degree=3)
         rs, report = train(ds, None, params)
         assert "round limit" not in " ".join(report.warnings)
+        for row in report.rounds:
+            assert row["price_seconds"] >= 0.0
+            assert row["price_candidates"] >= row["columns_added"]
+        assert report.rounds[-1]["price_candidates"] == 0
+
+    def test_report_to_dict_is_json(self, ttt_dataset):
+        ds = ttt_dataset.subset(np.arange(0, ttt_dataset.n, 20))
+        _, report = train(ds, None, Params(max_degree=2))
+        out = report.to_dict()
+        json.dumps(out)
+        assert list(out) == [f.name for f in dataclasses.fields(TrainReport)]
+        assert list(out["params"]) == [f.name for f in dataclasses.fields(Params)]
 
     def test_budget_always_respected(self, ttt_dataset):
         rng = np.random.default_rng(3)
