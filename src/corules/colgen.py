@@ -482,16 +482,6 @@ def price(
     )
 
 
-def predict(rule_set: BoundRuleSet, sample: np.ndarray) -> bool:
-    """True iff some conjunction of the bound rule set holds on the sample."""
-    sample = np.asarray(sample, dtype=bool).reshape(1, -1)
-    return bool(rule_set.predict(sample)[0])
-
-
-def predict_all(rule_set: BoundRuleSet, matrix: np.ndarray) -> np.ndarray:
-    return rule_set.predict(np.asarray(matrix, dtype=bool))
-
-
 @dataclass
 class TrainReport:
     """Everything observable about one training run."""

@@ -6,13 +6,15 @@ categoricals are one-hot encoded (optionally with negated one-hots), numerics
 are split at quantile thresholds into ``<= t`` / ``> t`` pairs.  Each binary
 column remembers the condition it tests (:class:`ColumnMeta`), so any bit can
 be re-derived from the originating raw cell and new data can be binarized
-against a trained model's columns.
+against a trained model's columns.  Bits are computed feature by feature:
+:func:`feature_values` converts one feature's cells once and
+:func:`column_bits` evaluates a condition on that array, for every caller.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -120,7 +122,15 @@ def parse_label_value(value) -> bool:
 
 
 def label_bools(table: RawTable) -> np.ndarray:
-    return np.array([parse_label_value(v) for v in table.column(table.label)])
+    """Parse each distinct label cell once (``1``, ``1.0``, ``True`` kept apart)."""
+    parsed: dict = {}
+    bits = []
+    for value in table.column(table.label):
+        key = value if isinstance(value, bool) else str(value)
+        if key not in parsed:
+            parsed[key] = parse_label_value(value)
+        bits.append(parsed[key])
+    return np.array(bits, dtype=bool)
 
 
 def _as_float(value, feature: str, row: int) -> float:
@@ -149,18 +159,6 @@ class ColumnMeta:
     value: object
     origin: str = ORIGIN_BINNED
 
-    def evaluate(self, cell) -> bool:
-        if self.op == OP_EQ:
-            return str(cell) == str(self.value)
-        if self.op == OP_NE:
-            return str(cell) != str(self.value)
-        x = _as_float(cell, self.feature, -1)
-        if self.op == OP_LE:
-            return x <= self.value
-        if self.op == OP_GT:
-            return x > self.value
-        raise DataError(f"unknown column operator {self.op!r}")
-
     def key(self) -> tuple:
         value = self.value
         if isinstance(value, float):
@@ -170,6 +168,29 @@ class ColumnMeta:
 
     def describe(self) -> str:
         return f"{self.feature} {self.op} {self.value}"
+
+
+def feature_values(raw: RawTable, feature: str, numeric: bool) -> np.ndarray:
+    """One feature's cells as an array: floats if ``numeric``, else ``str`` values."""
+    cells = raw.column(feature)
+    if numeric:
+        return np.array(
+            [_as_float(c, feature, r) for r, c in enumerate(cells)], dtype=float
+        )
+    return np.array([str(c) for c in cells], dtype=str)
+
+
+def column_bits(meta: ColumnMeta, values: np.ndarray) -> np.ndarray:
+    """Evaluate one column condition on its feature's :func:`feature_values`."""
+    if meta.op == OP_EQ:
+        return values == str(meta.value)
+    if meta.op == OP_NE:
+        return values != str(meta.value)
+    if meta.op == OP_LE:
+        return values <= meta.value
+    if meta.op == OP_GT:
+        return values > meta.value
+    raise DataError(f"unknown column operator {meta.op!r}")
 
 
 @dataclass(frozen=True)
@@ -224,13 +245,8 @@ class BinaryDataset:
         """Evaluate a column condition on the raw cells (synthesis path)."""
         if self.raw is None:
             raise DataError("dataset has no raw table to synthesize columns from")
-        cells = self.raw.column(meta.feature)
-        if meta.op in (OP_LE, OP_GT):
-            vals = np.array(
-                [_as_float(c, meta.feature, r) for r, c in enumerate(cells)]
-            )
-            return vals <= meta.value if meta.op == OP_LE else vals > meta.value
-        return np.array([meta.evaluate(c) for c in cells])
+        numeric = meta.op in (OP_LE, OP_GT)
+        return column_bits(meta, feature_values(self.raw, meta.feature, numeric))
 
     def verify_against_raw(self) -> bool:
         """Full-matrix audit: every bit equals its condition on the raw cell."""
@@ -286,56 +302,45 @@ def binarize(
     for name, kind in zip(raw.names, raw.kinds):
         if name == raw.label:
             continue
-        cells = raw.column(name)
-        if kind == CATEGORICAL:
-            svals = np.array([str(c) for c in cells])
-            distinct = sorted(set(svals.tolist()))
+        values = feature_values(raw, name, kind == NUMERIC)
+        if kind == NUMERIC:
+            cuts = quantile_thresholds(values, bins)
+            block = [ColumnMeta(name, op, t) for t in cuts for op in (OP_LE, OP_GT)]
+        else:
+            distinct = sorted(set(values.tolist()))
             if len(distinct) < 2:
                 continue
-            for value in distinct:
-                metas.append(ColumnMeta(name, OP_EQ, value))
-                bit_cols.append(svals == value)
-            if include_negations:
-                for value in distinct:
-                    metas.append(ColumnMeta(name, OP_NE, value))
-                    bit_cols.append(svals != value)
-        else:
-            vals = np.array([_as_float(c, name, r) for r, c in enumerate(cells)])
-            for t in quantile_thresholds(vals, bins):
-                metas.append(ColumnMeta(name, OP_LE, t))
-                bit_cols.append(vals <= t)
-                metas.append(ColumnMeta(name, OP_GT, t))
-                bit_cols.append(vals > t)
+            ops = (OP_EQ, OP_NE) if include_negations else (OP_EQ,)
+            block = [ColumnMeta(name, op, v) for op in ops for v in distinct]
+        metas += block
+        bit_cols += [column_bits(meta, values) for meta in block]
 
     if not metas:
         raise DataError("no usable features")
-    matrix = np.column_stack(bit_cols)
-    return BinaryDataset(tuple(metas), matrix, labels, raw)
+    return BinaryDataset(tuple(metas), np.column_stack(bit_cols), labels, raw)
 
 
 def apply_columns(raw: RawTable, columns: Sequence[ColumnMeta]) -> BinaryDataset:
-    """Binarize new raw data against an existing column vocabulary."""
+    """Binarize new raw data against an existing column vocabulary.
+
+    Feature by feature: each feature's cells are converted once with
+    :func:`feature_values`, and every column on that feature is evaluated on
+    the converted array into a column-major bool matrix.
+    """
     if raw.n_rows == 0:
         raise DataError("empty table")
     labels = label_bools(raw)
     features = set(raw.schema.feature_names)
-    bit_cols = []
-    for meta in columns:
+    values: dict[tuple[str, bool], np.ndarray] = {}
+    matrix = np.empty((raw.n_rows, len(columns)), dtype=bool, order="F")
+    for j, meta in enumerate(columns):
         if meta.feature not in features:
             raise DataError(f"data has no feature {meta.feature!r}")
-        cells = raw.column(meta.feature)
-        if meta.op in (OP_LE, OP_GT):
-            vals = np.array(
-                [_as_float(c, meta.feature, r) for r, c in enumerate(cells)]
-            )
-            bits = vals <= meta.value if meta.op == OP_LE else vals > meta.value
-        else:
-            svals = np.array([str(c) for c in cells])
-            bits = svals == str(meta.value)
-            if meta.op == OP_NE:
-                bits = ~bits
-        bit_cols.append(bits)
-    return BinaryDataset(tuple(columns), np.column_stack(bit_cols), labels, raw)
+        key = (meta.feature, meta.op in (OP_LE, OP_GT))
+        if key not in values:
+            values[key] = feature_values(raw, *key)
+        matrix[:, j] = column_bits(meta, values[key])
+    return BinaryDataset(tuple(columns), matrix, labels, raw)
 
 
 # --- tic-tac-toe endgame -------------------------------------------------

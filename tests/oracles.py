@@ -78,6 +78,24 @@ def enumerate_conjunctions(n_columns, max_degree):
     return out
 
 
+def cell_condition(meta, cell):
+    """Whether one raw cell meets a column condition, cell by cell.
+
+    ``==``/``!=`` compare the cell's text with the value's text, so ``1``,
+    ``1.0`` and ``True`` are three different categories; ``<=``/``>`` read the
+    cell as a real number.
+    """
+    if meta.op == "==":
+        return str(cell) == str(meta.value)
+    if meta.op == "!=":
+        return str(cell) != str(meta.value)
+    if meta.op == "<=":
+        return float(cell) <= meta.value
+    if meta.op == ">":
+        return float(cell) > meta.value
+    raise ValueError(f"unknown operator {meta.op!r}")
+
+
 def conjunction_cover(matrix, cols):
     """Bool vector: rows where every column in ``cols`` is 1."""
     cov = np.ones(matrix.shape[0], dtype=bool)

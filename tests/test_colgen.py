@@ -17,15 +17,13 @@ from corules.colgen import (
     Params,
     TrainReport,
     build_master,
-    predict,
-    predict_all,
     price,
     solve_master,
     train,
 )
 from corules.dataset import BinaryDataset, ColumnMeta, binarize, generate_tictactoe
 from corules.metrics import accuracy, hamming_loss, ruleset_similarity
-from corules.ruledsl import bind, parse_rules, parse_templates
+from corules.ruledsl import RuleError, bind, parse_rules, parse_templates
 
 from oracles import (
     brute_force_best_rule_set,
@@ -438,25 +436,25 @@ class TestPredict:
         diag_cols = [0, 4, 8]
         for i in range(ds.n):
             if all(ds.raw.rows[i][j] == "x" for j in diag_cols):
-                assert predict(bound, ds.matrix[i])
+                assert bound.predict(ds.matrix[i : i + 1])[0]
                 break
         else:
             pytest.fail("no diagonal board found")
 
     def test_empty_rule_set_predicts_false(self, ttt_dataset):
         bound, ds = bind(parse_rules("FALSE"), ttt_dataset)
-        assert not predict(bound, ds.matrix[0])
-        assert not predict_all(bound, ds.matrix).any()
+        assert not bound.predict(ds.matrix[:1])[0]
+        assert not bound.predict(ds.matrix).any()
 
     def test_full_evaluation_matches_generator_labels(self, ttt_dataset, eight_rules):
         bound, ds = bind(eight_rules, ttt_dataset)
-        preds = predict_all(bound, ds.matrix)
+        preds = bound.predict(ds.matrix)
         assert np.array_equal(preds, ds.labels)
 
     def test_column_mismatch_raises(self, ttt_dataset, eight_rules):
         bound, ds = bind(eight_rules, ttt_dataset)
-        with pytest.raises(Exception, match="column"):
-            predict(bound, ds.matrix[0, :10])
+        with pytest.raises(RuleError, match="column"):
+            bound.predict(ds.matrix[:1, :10])
 
 
 def test_pool_audit_and_dedup(ttt_dataset):

@@ -13,12 +13,14 @@ from corules.dataset import (
     apply_columns,
     binarize,
     generate_tictactoe,
+    label_bools,
     load_csv,
+    parse_label_value,
     quantile_thresholds,
     save_csv,
 )
 
-from oracles import _wins, tictactoe_final_boards
+from oracles import _wins, cell_condition, tictactoe_final_boards
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +170,37 @@ class TestCsvRoundTrip:
         assert "'z'" in str(err.value) and "'y'" in str(err.value)
 
 
+# Categorical cells of four Python types; several share a hash or a text
+# with another (1, 1.0, True; "1", 1; -0.0, 0.0).
+CATEGORY_CELLS = st.one_of(
+    st.sampled_from(["a", "b", "1", "1.0", "True"]),
+    st.integers(-1, 2),
+    st.sampled_from([1.0, 0.0, -0.0, 2.5, float("nan")]),
+    st.booleans(),
+)
+NUMERIC_CELLS = st.one_of(
+    st.integers(-3, 3), st.floats(-5, 5), st.sampled_from(["2.5", " -1 ", "1e0"])
+)
+LABEL_CELLS = st.sampled_from(["yes", "no", "TRUE", "f", True, False, 1, 0, "1", "0"])
+
+
+@st.composite
+def mixed_tables(draw):
+    kinds = draw(st.lists(st.sampled_from([CATEGORICAL, NUMERIC]), min_size=1, max_size=4))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                *(NUMERIC_CELLS if k == NUMERIC else CATEGORY_CELLS for k in kinds),
+                LABEL_CELLS,
+            ).map(list),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    names = [f"f{k}" for k in range(len(kinds))] + ["y"]
+    return RawTable(names, kinds + [CATEGORICAL], rows, "y")
+
+
 class TestApplyColumns:
     def test_rebinarize_against_existing_columns(self, ttt):
         ds = binarize(ttt)
@@ -178,6 +211,52 @@ class TestApplyColumns:
         cols = (ColumnMeta("not_a_column", "==", "x"),)
         with pytest.raises(DataError, match="not_a_column"):
             apply_columns(ttt, cols)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bits_match_cell_oracle(self, data):
+        t = data.draw(mixed_tables())
+        try:
+            binned = binarize(t, bins=3)
+        except DataError as err:  # every feature is constant
+            assert "no usable features" in str(err)
+            binned = None
+        extra = []
+        for name, kind in zip(t.names[:-1], t.kinds):
+            extra += [ColumnMeta(name, op, data.draw(CATEGORY_CELLS)) for op in ("==", "!=")]
+            if kind == NUMERIC:
+                cut = data.draw(st.floats(-6, 6))
+                extra += [ColumnMeta(name, "<=", cut), ColumnMeta(name, ">", cut)]
+        cols = (binned.columns if binned is not None else ()) + tuple(extra)
+
+        applied = apply_columns(t, cols)
+        for i, row in enumerate(t.rows):
+            for j, meta in enumerate(cols):
+                cell = row[t.names.index(meta.feature)]
+                assert applied.matrix[i, j] == cell_condition(meta, cell), (meta, cell)
+        assert np.array_equal(applied.labels, [parse_label_value(r[-1]) for r in t.rows])
+        if binned is not None:
+            assert np.array_equal(binned.matrix, applied.matrix[:, : binned.n_columns])
+            assert binned.verify_against_raw()
+
+    def test_labels_one_and_one_point_zero_stay_apart(self):
+        t = RawTable(["a", "y"], [CATEGORICAL, CATEGORICAL], [["p", 1], ["q", 1.0]], "y")
+        with pytest.raises(DataError, match=r"label value 1\.0 "):
+            apply_columns(t, (ColumnMeta("a", "==", "p"),))
+        cells = [True, 1, "1", False, 0, "no"]
+        t = RawTable(["y", "a"], [CATEGORICAL] * 2, [[c, "p"] for c in cells], "y")
+        assert label_bools(t).tolist() == [True] * 3 + [False] * 3
+
+    def test_non_numeric_cell_names_feature_and_row(self):
+        t = RawTable(
+            ["a", "y"], [NUMERIC, CATEGORICAL], [[1.0, "no"], ["oops", "yes"]], "y"
+        )
+        with pytest.raises(DataError, match=r"feature 'a' .*'oops' at row 1"):
+            apply_columns(t, (ColumnMeta("a", "<=", 1.5),))
+
+    def test_threshold_on_text_category_errors(self, ttt):
+        with pytest.raises(DataError, match=r"feature 'cell_r0_c0' .*non-numeric"):
+            apply_columns(ttt, (ColumnMeta("cell_r0_c0", "<=", 0.5),))
 
 
 def test_subset_keeps_raw_in_sync(ttt):
