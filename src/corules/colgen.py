@@ -277,30 +277,8 @@ def build_master(
     return MasterModel(lp, offset, n_pool, n_pos, pool, params)
 
 
-def _master_start(model: MasterModel) -> np.ndarray:
-    # all-slack start (xi = 1, w = 0) satisfies every covering row, so the
-    # LP needs no feasibility phase
-    start = np.zeros(model.lp.n_vars)
-    start[model.n_pool :] = 1.0
-    return start
-
-
-def _master_basis_hint(model: MasterModel) -> list[int | None]:
-    # seat the xi variables in the basis: entering conjunction columns then
-    # displace them with nondegenerate steps instead of grinding on the
-    # fully degenerate all-slack basis
-    hint: list[int | None] = [model.n_pool + i for i in range(model.n_pos)]
-    hint.append(None)  # budget row keeps its slack
-    return hint
-
-
 def solve_master(model: MasterModel) -> MasterSolution:
-    sol = solve_lp(
-        model.lp,
-        eps=model.params.tolerance,
-        start=_master_start(model),
-        basis_hint=_master_basis_hint(model),
-    )
+    sol = solve_lp(model.lp, eps=model.params.tolerance)
     if sol.status != solver.OPTIMAL:
         return MasterSolution(
             np.zeros(model.n_pool), np.zeros(model.n_pos),
@@ -565,7 +543,9 @@ def train(
 
     for round_no in range(params.max_cg_rounds):
         master = build_master(pool, dataset, params)
+        t_lp = time.perf_counter()
         msol = solve_master(master)
+        lp_seconds = time.perf_counter() - t_lp
         if msol.status != solver.OPTIMAL:
             report.warnings.append(
                 f"restricted LP stopped with status {msol.status}; "
@@ -589,6 +569,8 @@ def train(
                 "pool_size": len(pool),
                 "columns_added": len(candidates),
                 "min_reduced_cost": candidates[0].reduced_cost if candidates else 0.0,
+                "lp_seconds": lp_seconds,
+                "lp_iterations": msol.iterations,
                 "price_seconds": time.perf_counter() - t_price,
                 "price_candidates": candidates.found,
             }
@@ -601,13 +583,13 @@ def train(
         report.warnings.append("column generation stopped at the round limit")
 
     master = build_master(pool, dataset, params)
+    # xi is binary at any optimum; declaring it so lets branch and bound
+    # round integral objectives' bounds up
     mip = solve_binary_mip(
         master.lp,
-        binary_vars=range(len(pool)),
+        binary_vars=range(master.lp.n_vars),
         eps=params.tolerance,
         node_limit=params.mip_node_limit,
-        start=_master_start(master),
-        basis_hint=_master_basis_hint(master),
     )
     report.mip_status = mip.status
     report.mip_nodes = mip.nodes

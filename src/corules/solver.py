@@ -1,24 +1,26 @@
-"""Dense linear programming and binary branch-and-bound at desk scale.
+"""Linear programming through HiGHS and binary branch-and-bound at desk scale.
 
-The LP engine is a revised simplex for bounded variables: rows are brought
-to equality form with one slack each, an explicit dense basis inverse is
-maintained through product-form updates and refactorized every 50 pivots,
-and infeasible starts are repaired by a phase-1 artificial objective.
-A pivot element must be large relative to its column: the ratio test
-treats an entry below ``1e-7`` times the column's largest magnitude (or
-below ``1e-9`` outright) as zero, so no pivot can blow up the inverse.
-Degenerate ties are broken lexicographically; a long run of degenerate
-pivots switches entering/leaving selection to Bland's rule until the
-objective moves again, so the iteration cannot cycle.  Bland's lowest-index
-rule picks only among tied rows that pass the relative pivot test.
+Every LP is one call of HiGHS's dual simplex (``scipy.optimize.linprog``
+with ``method="highs-ds"``; Huangfu & Hall, Math. Prog. Comp. 2018).  A
+``>=`` row is handed to HiGHS as the negated ``<=`` row, and its dual is
+negated back.  HiGHS statuses other than optimal, iteration limit,
+infeasible and unbounded raise :class:`SolverError` with HiGHS's message,
+and an optimal answer whose duality gap (recomputed from the row and bound
+duals) exceeds ``eps`` raises too, so no caller sees a half-filled
+solution.
 
 Solutions expose primal values, one dual per row, and the duality gap.
 Sign convention for duals of a minimization: a ``>=`` row has a
 nonnegative dual at optimality, a ``<=`` row a nonpositive one.
 
-``solve_binary_mip`` wraps the LP in a best-bound branch-and-bound over a
-designated set of binary variables, branching on the most fractional one
-(ties to the lowest index) so runs are deterministic.
+``solve_binary_mip`` wraps ``solve_lp`` in our own best-bound
+branch-and-bound over a designated set of binary variables, branching on
+the most fractional one (ties to the lowest index) so runs are
+deterministic.  It stays ours rather than HiGHS's own MILP solver (as
+scipy exposes it) for memory: on the ~130-variable masters of the
+``soft-100`` benchmark each HiGHS MILP solve peaked 7-11 MB above its
+start and lifted the run's peak RSS from about 86 MB to about 103 MB,
+while plain LP solves add under 1 MB.
 
 Anything satisfying the ``solve_lp`` / ``solve_binary_mip`` signatures can
 stand in for this module; nothing else in the package relies on internals.
@@ -27,11 +29,11 @@ stand in for this module; nothing else in the package relies on internals.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.optimize import linprog
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -42,19 +44,11 @@ GE = ">="
 LE = "<="
 EQ = "="
 
-FEAS_TOL = 1e-7
 INT_TOL = 1e-6
 GAP_TOL = 1e-6
 
-_RC_TOL = 1e-7
-_PIV_TOL = 1e-9      # absolute floor on a pivot element
-_REL_PIV_TOL = 1e-7  # pivot floor as a fraction of the column's largest entry
-_TIE_TOL = 1e-9
-_DEGEN_TOL = 1e-9
-_BLAND_AFTER = 2000  # lexicographic ties rule first; Bland is a last resort
-_REFACTOR_EVERY = 50
-
-_LOWER, _UPPER, _BASIC, _FREE = 0, 1, 2, 3
+# scipy's linprog status codes; any other code is a failure
+_HIGHS_STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 class SolverError(RuntimeError):
@@ -106,16 +100,6 @@ class LinearProgram:
 
 
 @dataclass
-class LpWarmStart:
-    """Opaque basis snapshot for re-solving a grown or re-bounded LP."""
-
-    basis: np.ndarray     # basic variable indices (internal numbering)
-    statuses: np.ndarray  # per-variable status, structurals then slacks
-    n_vars: int
-    n_rows: int
-
-
-@dataclass
 class LpSolution:
     status: str
     x: np.ndarray | None
@@ -123,7 +107,6 @@ class LpSolution:
     objective: float | None
     iterations: int
     duality_gap: float | None = None
-    warm_start: LpWarmStart | None = None
 
 
 @dataclass
@@ -158,437 +141,52 @@ def lp_to_text(lp: LinearProgram, name: str = "problem") -> str:
     return "\n".join(out) + "\n"
 
 
-class _SimplexCore:
-    """Bounded-variable revised simplex over an equality system Ax = b."""
-
-    def __init__(self, A, b, lo, up, basis, stat, x):
-        self.A = A
-        self.b = b
-        self.lo = lo
-        self.up = up
-        self.basis = np.asarray(basis, dtype=int)
-        self.stat = stat
-        self.x = x
-        self.Binv = self._factorize()
-        self.iterations = 0
-
-    def _factorize(self):
-        m = self.A.shape[0]
-        if m == 0:
-            return np.zeros((0, 0), order="F")
-        B = self.A[:, self.basis]
-        try:
-            # Fortran order lets the rank-1 pivot update run in place
-            return np.asfortranarray(np.linalg.inv(B))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("basis matrix is singular") from exc
-
-    def _recompute_basics(self):
-        if self.A.shape[0] == 0:
-            return
-        nonbasic = self.stat != _BASIC
-        rhs = self.b - self.A[:, nonbasic] @ self.x[nonbasic]
-        self.x[self.basis] = self.Binv @ rhs
-
-    def refactorize(self):
-        self.Binv = self._factorize()
-        self._recompute_basics()
-
-    def duals(self, c) -> np.ndarray:
-        if self.A.shape[0] == 0:
-            return np.zeros(0)
-        return c[self.basis] @ self.Binv
-
-    def run(self, c, max_iter) -> str:
-        m, N = self.A.shape
-        if m == 0:
-            # no rows: each variable sits at whichever bound its cost prefers
-            for j in range(N):
-                if c[j] > _RC_TOL:
-                    if not np.isfinite(self.lo[j]):
-                        return UNBOUNDED
-                    self.x[j], self.stat[j] = self.lo[j], _LOWER
-                elif c[j] < -_RC_TOL:
-                    if not np.isfinite(self.up[j]):
-                        return UNBOUNDED
-                    self.x[j], self.stat[j] = self.up[j], _UPPER
-            return OPTIMAL
-
-        bland = False
-        degen_streak = 0
-        since_refactor = 0
-        while self.iterations < max_iter:
-            self.iterations += 1
-            y = c[self.basis] @ self.Binv
-            rc = c - y @ self.A
-            eligible = (
-                ((self.stat == _LOWER) & (rc < -_RC_TOL))
-                | ((self.stat == _UPPER) & (rc > _RC_TOL))
-                | ((self.stat == _FREE) & (np.abs(rc) > _RC_TOL))
-            )
-            idxs = np.flatnonzero(eligible)
-            if idxs.size == 0:
-                return OPTIMAL
-            if bland:
-                e = int(idxs[0])
-            else:
-                e = int(idxs[np.argmax(np.abs(rc[idxs]))])
-            up_move = (self.stat[e] == _LOWER) or (
-                self.stat[e] == _FREE and rc[e] < 0
-            )
-            sigma = 1.0 if up_move else -1.0
-
-            d = self.Binv @ self.A[:, e]
-            g = sigma * d
-            piv_tol = max(_PIV_TOL, _REL_PIV_TOL * float(np.abs(g).max()))
-            xb = self.x[self.basis]
-            lob = self.lo[self.basis]
-            upb = self.up[self.basis]
-            lims = np.full(m, np.inf)
-            down = g > piv_tol
-            lims[down] = np.maximum(xb[down] - lob[down], 0.0) / g[down]
-            rise = g < -piv_tol
-            lims[rise] = np.maximum(upb[rise] - xb[rise], 0.0) / (-g[rise])
-
-            span = self.up[e] - self.lo[e]  # inf for free or one-sided vars
-            t_rows = lims.min() if m else np.inf
-            if span <= t_rows:
-                t = span
-                if not np.isfinite(t):
-                    return UNBOUNDED
-                self.x[self.basis] = xb - sigma * t * d
-                self.x[e] = self.up[e] if self.stat[e] == _LOWER else self.lo[e]
-                self.stat[e] = _UPPER if self.stat[e] == _LOWER else _LOWER
-            else:
-                if not np.isfinite(t_rows):
-                    return UNBOUNDED
-                t = t_rows
-                # only rows that passed the pivot test have a finite limit,
-                # so every tied row is a sound pivot, also under Bland's rule
-                tied = np.flatnonzero(lims <= t + _TIE_TOL)
-                r = self._choose_leaving(tied, g, bland)
-                leaving = self.basis[r]
-                self.x[e] = self.x[e] + sigma * t
-                self.x[self.basis] = xb - sigma * t * d
-                if g[r] > 0:
-                    self.x[leaving] = self.lo[leaving]
-                    self.stat[leaving] = _LOWER
-                else:
-                    self.x[leaving] = self.up[leaving]
-                    self.stat[leaving] = _UPPER
-                self.stat[e] = _BASIC
-                self.basis[r] = e
-                # product-form update of the inverse (in-place rank-1)
-                dr = d[r]
-                row_r = self.Binv[r] / dr
-                self.Binv = dger(
-                    -1.0, d, row_r, a=self.Binv, overwrite_a=1, overwrite_x=0
-                )
-                self.Binv[r] = row_r
-                since_refactor += 1
-                if since_refactor >= _REFACTOR_EVERY:
-                    self.refactorize()
-                    since_refactor = 0
-
-            if t <= _DEGEN_TOL:
-                degen_streak += 1
-                if degen_streak >= _BLAND_AFTER:
-                    bland = True
-            else:
-                degen_streak = 0
-                bland = False
-        return ITERATION_LIMIT
-
-    def _choose_leaving(self, tied: np.ndarray, g: np.ndarray, bland: bool) -> int:
-        if tied.size == 1:
-            return int(tied[0])
-        if bland:
-            return int(min(tied, key=lambda i: self.basis[i]))
-        # keep only the largest pivot magnitudes (stability), then break the
-        # remaining ties lexicographically on basis-inverse rows scaled by
-        # the pivot column
-        mags = np.abs(g[tied])
-        cand = tied[mags >= mags.max() * (1.0 - 1e-9)]
-        if cand.size == 1:
-            return int(cand[0])
-        for col in range(self.Binv.shape[1]):
-            vals = self.Binv[cand, col] / g[cand]
-            keep = vals <= vals.min() + _TIE_TOL
-            cand = cand[keep]
-            if cand.size == 1:
-                return int(cand[0])
-        return int(min(cand, key=lambda i: self.basis[i]))
-
-
-def _slack_bounds(sense: str) -> tuple[float, float]:
-    if sense == LE:
-        return 0.0, np.inf
-    if sense == GE:
-        return -np.inf, 0.0
-    return 0.0, 0.0
-
-
 def solve_lp(
     lp: LinearProgram,
     eps: float = GAP_TOL,
     max_iterations: int | None = None,
-    start: np.ndarray | None = None,
-    basis_hint: Sequence[int | None] | None = None,
-    warm: LpWarmStart | None = None,
 ) -> LpSolution:
     """Solve the LP; on ``optimal`` the duality gap is checked against eps.
 
-    ``start`` is an optional hint: each variable begins at whichever of its
-    bounds lies closest to the hinted value, which can remove the phase-1
-    repair entirely when the hint is feasible.  ``basis_hint`` optionally
-    names, per row, a structural variable to seat in the initial basis
-    (``None`` keeps the row's slack).  ``warm`` re-seats the basis of a
-    previous solution of the same row structure (columns may have been
-    appended and bounds changed since).  Hints that turn out singular or
-    infeasible are discarded in favor of the next fallback.  Iteration
-    exhaustion is reported as status ``iteration-limit``, never silently.
+    Iteration exhaustion is reported as status ``iteration-limit``, never
+    silently; duals and objective are set only on ``optimal``.
     """
-    n, m = lp.n_vars, lp.n_rows
-    if max_iterations is None:
-        max_iterations = 2000 + 100 * (n + m)
-
-    A = np.hstack([lp.rows, np.eye(m)]) if m else lp.rows.reshape(0, n)
-    lo = np.concatenate([lp.lower, np.zeros(m)])
-    up = np.concatenate([lp.upper, np.zeros(m)])
-    for i, sense in enumerate(lp.senses):
-        lo[n + i], up[n + i] = _slack_bounds(sense)
-
-    def initial_statuses():
-        x = np.zeros(n + m)
-        stat = np.full(n + m, _LOWER, dtype=int)
-        for j in range(n):
-            hint = float(start[j]) if start is not None else None
-            if np.isfinite(lo[j]) and np.isfinite(up[j]):
-                if hint is not None and abs(hint - up[j]) < abs(hint - lo[j]):
-                    x[j], stat[j] = up[j], _UPPER
-                else:
-                    x[j], stat[j] = lo[j], _LOWER
-            elif np.isfinite(lo[j]):
-                x[j], stat[j] = lo[j], _LOWER
-            elif np.isfinite(up[j]):
-                x[j], stat[j] = up[j], _UPPER
-            else:
-                x[j], stat[j] = 0.0, _FREE
-        return x, stat
-
-    core = None
-    if warm is not None and m:
-        core = _try_warm_basis(A, lp, lo, up, warm, initial_statuses, n, m)
-    if core is None and basis_hint is not None and m:
-        core = _try_hinted_basis(A, lp, lo, up, basis_hint, initial_statuses, n, m)
-
-    n_art = 0
-    if core is None:
-        x, stat = initial_statuses()
-        slack_vals = lp.rhs - lp.rows @ x[:n] if m else np.zeros(0)
-        basis = []
-        art_cols = []
-        art_vals = []
-        for i in range(m):
-            s = slack_vals[i]
-            slo, sup = lo[n + i], up[n + i]
-            if slo - FEAS_TOL <= s <= sup + FEAS_TOL:
-                basis.append(n + i)
-                stat[n + i] = _BASIC
-                x[n + i] = s
-            else:
-                pinned = sup if s > sup else slo
-                x[n + i] = pinned
-                stat[n + i] = _UPPER if s > sup else _LOWER
-                resid = s - pinned
-                col = np.zeros(m)
-                col[i] = 1.0 if resid > 0 else -1.0
-                art_cols.append(col)
-                art_vals.append(abs(resid))
-                basis.append(n + m + len(art_cols) - 1)
-
-        n_art = len(art_cols)
-        if n_art:
-            A = np.hstack([A, np.column_stack(art_cols)])
-            lo = np.concatenate([lo, np.zeros(n_art)])
-            up = np.concatenate([up, np.full(n_art, np.inf)])
-            x = np.concatenate([x, np.array(art_vals)])
-            stat = np.concatenate([stat, np.full(n_art, _BASIC, dtype=int)])
-        core = _SimplexCore(A, lp.rhs.astype(float), lo, up, basis, stat, x)
-
-    if n_art:
-        c1 = np.zeros(n + m + n_art)
-        c1[n + m :] = 1.0
-        status1 = core.run(c1, max_iterations)
-        if status1 == ITERATION_LIMIT:
-            return LpSolution(ITERATION_LIMIT, core.x[:n].copy(), None, None,
-                              core.iterations)
-        if status1 == UNBOUNDED:
-            raise SolverError("phase-1 objective cannot be unbounded")
-        if float(core.x[n + m :].sum()) > 10 * FEAS_TOL * max(1, m):
-            return LpSolution(INFEASIBLE, None, None, None, core.iterations)
-        _evict_artificials(core, n + m)
-        core.lo[n + m :] = 0.0
-        core.up[n + m :] = 0.0
-        core.x[n + m :] = np.clip(core.x[n + m :], 0.0, 0.0)
-        core._recompute_basics()
-
-    c2 = np.zeros(core.A.shape[1])
-    c2[:n] = lp.objective
-    status = core.run(c2, max_iterations)
-    xs = core.x[:n].copy()
-    objective = float(lp.objective @ xs)
+    senses = np.array(lp.senses)
+    eq = senses == EQ
+    ub = ~eq
+    # a >= row goes to HiGHS as the negated <= row
+    sign = np.where(senses == GE, -1.0, 1.0)
+    res = linprog(
+        lp.objective,
+        A_ub=sign[ub, None] * lp.rows[ub],
+        b_ub=sign[ub] * lp.rhs[ub],
+        A_eq=lp.rows[eq],
+        b_eq=lp.rhs[eq],
+        bounds=np.column_stack([lp.lower, lp.upper]),
+        method="highs-ds",
+        options={} if max_iterations is None else {"maxiter": max_iterations},
+    )
+    status = _HIGHS_STATUS.get(res.status)
+    if status is None:
+        raise SolverError(f"HiGHS status {res.status}: {res.message}")
     if status != OPTIMAL:
-        return LpSolution(status, xs, None,
-                          objective if status == ITERATION_LIMIT else None,
-                          core.iterations)
+        return LpSolution(status, res.x, None, None, res.nit)
 
-    duals = core.duals(c2)
-    gap = _duality_gap(lp, core, c2, duals, objective, n, m)
-    tol = max(eps, eps * abs(objective))
-    if gap > tol:
-        core.refactorize()
-        status = core.run(c2, max_iterations + core.iterations)
-        xs = core.x[:n].copy()
-        objective = float(lp.objective @ xs)
-        duals = core.duals(c2)
-        gap = _duality_gap(lp, core, c2, duals, objective, n, m)
-        if status == OPTIMAL and gap > tol:
-            raise SolverError(f"strong duality violated: gap {gap:.3e}")
-        if status != OPTIMAL:
-            return LpSolution(status, xs, None, None, core.iterations)
-    warm_out = None
-    if all(int(b) < n + m for b in core.basis):
-        warm_out = LpWarmStart(
-            np.asarray(core.basis, dtype=int).copy(),
-            core.stat[: n + m].copy(),
-            n,
-            m,
-        )
-    return LpSolution(OPTIMAL, xs, duals, objective, core.iterations, gap, warm_out)
-
-
-def _status_value(status: int, lo: float, up: float) -> float | None:
-    if status == _LOWER:
-        return lo if np.isfinite(lo) else None
-    if status == _UPPER:
-        return up if np.isfinite(up) else None
-    if status == _FREE:
-        return 0.0
-    return None
-
-
-def _try_warm_basis(A, lp, lo, up, warm, initial_statuses, n, m):
-    """Re-seat a previous basis; columns appended since are left nonbasic."""
-    if warm.n_rows != m or warm.n_vars > n:
-        return None
-    if any(int(j) >= warm.n_vars + m for j in warm.basis):
-        return None
-    x, stat = initial_statuses()
-    for j in range(warm.n_vars):
-        s = int(warm.statuses[j])
-        if s == _BASIC:
-            continue
-        value = _status_value(s, lo[j], up[j])
-        if value is None:
-            return None
-        stat[j], x[j] = s, value
-    for i in range(m):
-        s = int(warm.statuses[warm.n_vars + i])
-        if s == _BASIC:
-            continue
-        value = _status_value(s, lo[n + i], up[n + i])
-        if value is None:
-            return None
-        stat[n + i], x[n + i] = s, value
-    basis = [
-        int(j) if int(j) < warm.n_vars else n + (int(j) - warm.n_vars)
-        for j in warm.basis
-    ]
-    for b in basis:
-        stat[b] = _BASIC
-    try:
-        core = _SimplexCore(A, lp.rhs.astype(float), lo, up, basis, stat, x)
-    except SolverError:
-        return None
-    core._recompute_basics()
-    xb = core.x[core.basis]
-    if np.any(xb < core.lo[core.basis] - FEAS_TOL) or np.any(
-        xb > core.up[core.basis] + FEAS_TOL
-    ):
-        return None
-    return core
-
-
-def _try_hinted_basis(A, lp, lo, up, basis_hint, initial_statuses, n, m):
-    """Seat the hinted structural variables in the basis if that is sound.
-
-    Returns a ready core on success, or None when the hint is malformed,
-    its basis is singular, or the implied basic point is infeasible (the
-    caller then falls back to the default slack construction).
-    """
-    if len(basis_hint) != m:
-        return None
-    assigned = [int(j) for j in basis_hint if j is not None]
-    if len(set(assigned)) != len(assigned):
-        return None
-    if any(not 0 <= j < n for j in assigned):
-        return None
-    x, stat = initial_statuses()
-    basis = []
-    for i, j in enumerate(basis_hint):
-        if j is None:
-            basis.append(n + i)
-            stat[n + i] = _BASIC
-        else:
-            basis.append(int(j))
-            stat[int(j)] = _BASIC
-            x[n + i] = 0.0
-            stat[n + i] = _LOWER if lo[n + i] == 0.0 else _UPPER
-    try:
-        core = _SimplexCore(A, lp.rhs.astype(float), lo, up, basis, stat, x)
-    except SolverError:
-        return None
-    core._recompute_basics()
-    xb = core.x[core.basis]
-    if np.any(xb < core.lo[core.basis] - FEAS_TOL) or np.any(
-        xb > core.up[core.basis] + FEAS_TOL
-    ):
-        return None
-    return core
-
-
-def _evict_artificials(core: _SimplexCore, first_art: int):
-    """Pivot basic artificials out where a real column can replace them."""
-    for r in range(core.A.shape[0]):
-        if core.basis[r] < first_art:
-            continue
-        row = core.Binv[r] @ core.A[:, :first_art]
-        mags = np.where(core.stat[:first_art] != _BASIC, np.abs(row), 0.0)
-        e = int(np.argmax(mags))
-        if mags[e] <= _PIV_TOL:
-            continue  # redundant row: artificial stays basic, pinned at 0
-        d = core.Binv @ core.A[:, e]
-        leaving = core.basis[r]
-        core.stat[leaving] = _LOWER
-        core.x[leaving] = 0.0
-        core.stat[e] = _BASIC
-        core.basis[r] = e
-        dr = d[r]
-        row_r = core.Binv[r] / dr
-        core.Binv -= np.outer(d, row_r)
-        core.Binv[r] = row_r
-
-
-def _duality_gap(lp, core, c, duals, objective, n, m) -> float:
-    rc = c[: n + m] - duals @ core.A[:, : n + m]
-    lo = core.lo[: n + m]
-    up = core.up[: n + m]
-    contrib = np.where(rc > 0, np.where(np.isfinite(lo), lo, 0.0) * rc,
-                       np.where(np.isfinite(up), up, 0.0) * rc)
-    contrib[np.abs(rc) <= _RC_TOL] = 0.0
-    dual_obj = float(lp.rhs @ duals + contrib.sum())
-    return abs(objective - dual_obj)
+    duals = np.empty(lp.n_rows)
+    duals[ub] = sign[ub] * res.ineqlin.marginals
+    duals[eq] = res.eqlin.marginals
+    objective = float(lp.objective @ res.x)
+    finite_lo = np.where(np.isfinite(lp.lower), lp.lower, 0.0)
+    finite_up = np.where(np.isfinite(lp.upper), lp.upper, 0.0)
+    dual_objective = float(
+        lp.rhs @ duals
+        + finite_lo @ res.lower.marginals
+        + finite_up @ res.upper.marginals
+    )
+    gap = abs(objective - dual_objective)
+    if gap > max(eps, eps * abs(objective)):
+        raise SolverError(f"strong duality violated: gap {gap:.3e}")
+    return LpSolution(OPTIMAL, res.x, duals, objective, res.nit, gap)
 
 
 def solve_binary_mip(
@@ -596,15 +194,15 @@ def solve_binary_mip(
     binary_vars: Sequence[int],
     eps: float = GAP_TOL,
     node_limit: int = 100_000,
-    start: np.ndarray | None = None,
-    basis_hint: Sequence[int | None] | None = None,
 ) -> MipSolution:
     """Best-bound branch-and-bound forcing the given variables to {0, 1}.
 
     Branches on the most fractional binary (ties to the lowest index).
-    Exhausting the node budget reports ``iteration-limit`` together with the
-    best incumbent found so far.  ``start`` is passed through to every node's
-    LP solve as a warm-start hint.
+    Each node is one :func:`solve_lp` call, the root's included.  When
+    every variable is binary and every cost an integer, every solution's
+    objective is an integer too, so a node's LP bound is rounded up before
+    it is compared with the incumbent.  Exhausting the node budget reports
+    ``iteration-limit`` together with the best incumbent found so far.
     """
     binaries = sorted(set(int(j) for j in binary_vars))
     for j in binaries:
@@ -614,50 +212,51 @@ def solve_binary_mip(
     upper = lp.upper.copy()
     lower[binaries] = np.maximum(lower[binaries], 0.0)
     upper[binaries] = np.minimum(upper[binaries], 1.0)
-    base = LinearProgram(lp.objective, lp.rows, lp.senses, lp.rhs, lower, upper)
 
-    root = solve_lp(base, eps=eps, start=start, basis_hint=basis_hint)
-    if root.status == INFEASIBLE:
-        return MipSolution(INFEASIBLE, None, None, 0)
-    if root.status == UNBOUNDED:
-        return MipSolution(UNBOUNDED, None, None, 0)
-    if root.status == ITERATION_LIMIT:
-        return MipSolution(ITERATION_LIMIT, None, None, 0)
+    integral = len(binaries) == lp.n_vars and np.array_equal(
+        lp.objective, np.round(lp.objective)
+    )
+
+    def node_bound(value: float) -> float:
+        return float(np.ceil(value - INT_TOL)) if integral else value
+
+    def solve_node(patch: dict) -> LpSolution:
+        lo = lower.copy()
+        up = upper.copy()
+        for j, (l, u) in patch.items():
+            lo[j], up[j] = l, u
+        return solve_lp(replace(lp, lower=lo, upper=up), eps=eps)
+
+    root = solve_node({})
+    if root.status != OPTIMAL:
+        return MipSolution(root.status, None, None, 0)
     relaxation = root.objective
 
+    # an entry is (bound, tie-break counter, bound patch, solution if known)
     counter = 0
-    heap: list[tuple[float, int, dict, LpWarmStart | None]] = [
-        (root.objective, counter, {}, root.warm_start)
+    heap: list[tuple[float, int, dict, LpSolution | None]] = [
+        (node_bound(root.objective), counter, {}, root)
     ]
     best_x: np.ndarray | None = None
     best_obj = np.inf
     nodes = 0
     status = OPTIMAL
     while heap:
-        bound, _, patch, warm = heapq.heappop(heap)
+        bound, _, patch, sol = heapq.heappop(heap)
         if best_x is not None and bound >= best_obj - 1e-9:
             break  # best-bound order: every open node is at least this bad
         if nodes >= node_limit:
             status = ITERATION_LIMIT
             break
         nodes += 1
-        lo = lower.copy()
-        up = upper.copy()
-        for j, (l, u) in patch.items():
-            lo[j], up[j] = l, u
-        sol = solve_lp(
-            LinearProgram(lp.objective, lp.rows, lp.senses, lp.rhs, lo, up),
-            eps=eps,
-            start=start,
-            basis_hint=basis_hint,
-            warm=warm,
-        )
+        if sol is None:
+            sol = solve_node(patch)
         if sol.status == INFEASIBLE:
             continue
         if sol.status != OPTIMAL:
             status = ITERATION_LIMIT
             break
-        if best_x is not None and sol.objective >= best_obj - 1e-9:
+        if best_x is not None and node_bound(sol.objective) >= best_obj - 1e-9:
             continue
         xb = sol.x[binaries]
         frac = np.abs(xb - np.round(xb))
@@ -675,7 +274,7 @@ def solve_binary_mip(
             counter += 1
             child = dict(patch)
             child[var] = lo_u
-            heapq.heappush(heap, (sol.objective, counter, child, sol.warm_start))
+            heapq.heappush(heap, (node_bound(sol.objective), counter, child, None))
 
     if best_x is None:
         return MipSolution(

@@ -134,6 +134,80 @@ class TestBuildMaster:
             build_master(seeded_pool(ds), ds, Params())
 
 
+def _check_interior_reduced_costs(pool, ds, params, templates=(), rounds=4):
+    """Solve the master for a few column-generation rounds; every variable
+    strictly inside (0, 1) must have a zero reduced cost under the duals.
+    Returns how many such variables were checked."""
+    checked = 0
+    tol = params.tolerance
+    cu_n = params.human_weight * ds.n
+    for _ in range(rounds):
+        model = build_master(pool, ds, params)
+        sol = solve_master(model)
+        assert sol.status == "optimal"
+        for k, col in enumerate(pool.columns):
+            if not tol < sol.w[k] < 1 - tol:
+                continue
+            cost = float(col.fp_count)
+            if params.mode == MODE_SOFT and col.is_human:
+                cost -= cu_n
+            if params.mode == MODE_TEMPLATES:
+                cost += params.template_weight * col.distance
+            rc = cost - sol.mu @ col.pos_cover + sol.lam * col.complexity
+            assert abs(rc) <= tol, (k, rc)
+            checked += 1
+        inside = (sol.xi > tol) & (sol.xi < 1 - tol)
+        assert np.all(np.abs(1.0 - sol.mu[inside]) <= tol)
+        checked += int(inside.sum())
+        cands = price(
+            (sol.mu, sol.lam), ds, params, templates=templates,
+            exclude=pool.keys, limit=params.columns_per_round,
+        )
+        for cand in cands:
+            pool.add(cand.cols, "machine")
+    return checked
+
+
+class TestSolveMaster:
+    """Complementary slackness of the master: the covering-row duals ``mu``
+    and the budget dual ``lam`` must price every fractional variable at
+    zero, counting the soft credit and the template term."""
+
+    @staticmethod
+    def draw(ttt_dataset, seed, size=60):
+        rng = np.random.default_rng(seed)
+        return ttt_dataset.subset(rng.choice(ttt_dataset.n, size=size, replace=False))
+
+    def test_machine_mode(self, ttt_dataset):
+        ds = self.draw(ttt_dataset, 1)
+        params = Params(mode=MODE_MACHINE, max_degree=3, complexity_budget=10)
+        assert _check_interior_reduced_costs(seeded_pool(ds), ds, params) > 0
+
+    def test_soft_mode_with_eight_rules(self, ttt_dataset, eight_rules):
+        bound, ds = bind(eight_rules, self.draw(ttt_dataset, 2))
+        params = Params(mode=MODE_SOFT, max_degree=3, complexity_budget=15)
+        pool = seeded_pool(ds, human_sets=bound.column_sets)
+        assert _check_interior_reduced_costs(pool, ds, params) > 0
+
+    def test_hard_mode(self, ttt_dataset):
+        rule = parse_rules("cell_r1_c1 == x AND cell_r0_c0 == x")
+        bound, ds = bind(rule, self.draw(ttt_dataset, 3))
+        params = Params(mode=MODE_HARD, max_degree=3, complexity_budget=10)
+        pool = seeded_pool(ds, human_sets=bound.column_sets)
+        assert _check_interior_reduced_costs(pool, ds, params) > 0
+
+    def test_templates_mode(self, ttt_dataset):
+        ds = self.draw(ttt_dataset, 4)
+        templates = tuple(parse_templates(
+            "cell_r0_c0 == x AND cell_r0_c1 == x\n"
+            "OR cell_r1_c0 == x AND cell_r1_c1 == x"
+        ))
+        params = Params(mode=MODE_TEMPLATES, template_weight=0.5, max_degree=3,
+                        complexity_budget=10)
+        pool = seeded_pool(ds, templates=templates)
+        assert _check_interior_reduced_costs(pool, ds, params, templates) > 0
+
+
 class TestPrice:
     def test_zero_duals_yield_nothing(self, ttt_dataset):
         mu = np.zeros(ttt_dataset.P.size)
@@ -307,6 +381,8 @@ class TestTrain:
         assert "round limit" not in " ".join(report.warnings)
         for row in report.rounds:
             assert row["price_seconds"] >= 0.0
+            assert row["lp_seconds"] >= 0.0
+            assert row["lp_iterations"] >= 0
             assert row["price_candidates"] >= row["columns_added"]
         assert report.rounds[-1]["price_candidates"] == 0
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from corules import solver
 from corules.solver import (
@@ -8,6 +9,7 @@ from corules.solver import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    SolverError,
     lp_to_text,
     solve_binary_mip,
     solve_lp,
@@ -141,41 +143,27 @@ class TestSolveLp:
             np.ones(n),
         )
         sol = solve_lp(lp)
-        assert sol.status in (OPTIMAL, INFEASIBLE)
-
-    def test_bland_rule_keeps_lps_exact(self, monkeypatch):
-        # Bland's rule from the first degenerate pivot on; it must still find
-        # the oracle's optimum and must not cycle on the degenerate cover
-        monkeypatch.setattr(solver, "_BLAND_AFTER", 0)
-        modes = []
-        choose = solver._SimplexCore._choose_leaving
-
-        def recording(core, tied, g, bland):
-            modes.append(bland)
-            return choose(core, tied, g, bland)
-
-        monkeypatch.setattr(solver._SimplexCore, "_choose_leaving", recording)
-        rng = np.random.default_rng(20240811)
-        for _ in range(150):
-            check_against_oracle(random_boxed_lp(rng))
-        assert True in modes  # Bland mode was reached
-
-        rng = np.random.default_rng(3)
-        rows = rng.random((30, 6)) < 0.4
-        rows[~rows.any(axis=1), 0] = True
-        lp = make_lp(
-            np.ones(6), rows, [">="] * 30, np.ones(30), np.zeros(6), np.ones(6)
-        )
-        sol = solve_lp(lp)
-        monkeypatch.undo()
+        # every row holds a variable with bound one, so the box is feasible
         assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(solve_lp(lp).objective)
 
     def test_iteration_limit_reported(self):
         rng = np.random.default_rng(0)
         lp = random_boxed_lp(rng)
         sol = solve_lp(lp, max_iterations=1)
         assert sol.status in (ITERATION_LIMIT, OPTIMAL, INFEASIBLE)
+
+    def test_numerical_trouble_raises_with_highs_message(self, monkeypatch):
+        # HiGHS status 4 (numerical difficulties) must not come back as a
+        # half-filled solution
+        message = "Numerical difficulties encountered."
+
+        def troubled(*args, **kwargs):
+            return OptimizeResult(status=4, message=message, x=None, nit=3)
+
+        monkeypatch.setattr(solver, "linprog", troubled)
+        lp = make_lp([1.0], [[1.0]], [">="], [1.0], [0.0], [np.inf])
+        with pytest.raises(SolverError, match=message):
+            solve_lp(lp)
 
     def test_equality_rows(self):
         # min x + y s.t. x + y = 3, 0 <= x,y <= 2
@@ -265,6 +253,26 @@ class TestSolveBinaryMip:
             else:
                 assert sol.status == OPTIMAL
                 assert sol.objective == pytest.approx(best, abs=1e-7)
+
+    def test_integral_costs_round_bounds_up(self):
+        # max sum x s.t. 2 sum x <= 11: the LP bound 5.5 sits above every
+        # integer point, so only rounding bounds up to 5 ends the search
+        # early; the same problem with fractional costs exhausts the budget
+        n = 11
+
+        def knapsack(cost):
+            return make_lp(
+                np.full(n, cost), np.full((1, n), 2.0), ["<="], [float(n)],
+                np.zeros(n), np.ones(n),
+            )
+
+        sol = solve_binary_mip(knapsack(-1.0), range(n), node_limit=100)
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(-5.0)
+        assert sol.relaxation_objective == pytest.approx(-5.5)
+        sol = solve_binary_mip(knapsack(-1.5), range(n), node_limit=100)
+        assert sol.status == ITERATION_LIMIT
+        assert sol.objective == pytest.approx(-7.5)
 
     def test_node_budget_reports_limit(self):
         rng = np.random.default_rng(5)
