@@ -26,8 +26,12 @@ with two matrix products (mu mass and false positives) and prunes with an
 admissible bound (the false-positive term is nonnegative, the mu term only
 shrinks as literals are added, and the degree term grows).  Every node
 that passes the bound is expanded, so an empty result certifies that no
-bounded-degree conjunction can improve the relaxation.  The loop ends with
-one binary solve restricted to the generated pool.
+bounded-degree conjunction can improve the relaxation.
+
+A training keeps the restricted LP as one live HiGHS model: each round
+appends the new columns and re-solves from the last basis.  The loop ends
+with one binary solve restricted to the generated pool, by branch and bound
+on that same model.
 
 Expert knowledge enters three ways, chosen by ``Params.mode``:
 
@@ -47,6 +51,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .dataset import BinaryDataset
 from .metrics import template_distance
@@ -61,7 +66,7 @@ from .ruledsl import (
     literal_for_column,
 )
 from . import solver
-from .solver import LinearProgram, solve_binary_mip, solve_lp
+from .solver import LiveLp, solve_binary_mip, solve_lp
 
 MODE_MACHINE = "machine"
 MODE_SOFT = "soft"
@@ -201,7 +206,7 @@ class ColumnPool:
 
 @dataclass
 class MasterModel:
-    lp: LinearProgram
+    lp: LiveLp  # pool columns first, in pool order, then the xi block
     offset: float  # constant penalty mass excluded from the LP objective
     n_pool: int
     n_pos: int
@@ -221,63 +226,80 @@ class MasterSolution:
 
 
 def build_master(
-    pool: ColumnPool, dataset: BinaryDataset, params: Params
+    pool: ColumnPool,
+    dataset: BinaryDataset,
+    params: Params,
+    previous: MasterModel | None = None,
 ) -> MasterModel:
-    """Assemble the restricted covering LP for the current pool.
+    """The restricted covering LP of the current pool, as a live model.
 
     Objective coefficient of ``w_k`` is its false-positive count, minus the
     soft human credit when k is a provided rule, plus the weighted template
     distance in templates mode.  The constant ``human_weight * n * |U|`` is
     tracked as an offset so reported objectives count every unselected rule.
     In hard mode, provided rules get a fixed lower bound of one instead.
+
+    Without ``previous`` a new model starts from the covering rows, the
+    budget row and the xi block (an identity).  With it, the master an
+    earlier round built on this pool, the pool columns added since are
+    appended to its model, which keeps its basis for a warm re-solve; the
+    earlier columns keep the costs and bounds they were added with.
     """
     pos = dataset.P
     n_pos = pos.size
     if n_pos == 0:
         raise NoPositivesError("dataset has no positive samples")
-    n_pool = len(pool)
-    n_vars = n_pool + n_pos
     cu_n = params.human_weight * dataset.n
 
-    human_cols = [k for k, col in enumerate(pool.columns) if col.is_human]
+    n_human = sum(col.is_human for col in pool.columns)
     if params.mode == MODE_HARD:
-        forced = sum(pool.columns[k].complexity for k in human_cols)
+        forced = sum(col.complexity for col in pool.columns if col.is_human)
         if forced > params.complexity_budget:
             raise BudgetInfeasibleError(
                 "human rules exceed complexity budget: "
                 f"{forced} > {params.complexity_budget}"
             )
 
-    objective = np.zeros(n_vars)
-    for k, col in enumerate(pool.columns):
-        coeff = float(col.fp_count)
-        if params.mode == MODE_SOFT and col.is_human:
-            coeff -= cu_n
+    if previous is None:
+        lp = LiveLp(
+            row_lower=np.append(np.ones(n_pos), -np.inf),
+            row_upper=np.append(np.full(n_pos, np.inf), params.complexity_budget),
+            cost=np.ones(n_pos),
+            lower=np.zeros(n_pos),
+            upper=np.ones(n_pos),  # xi <= 1 is tight anyway
+            columns=sparse.eye_array(n_pos + 1, n_pos),
+            numbered_last=True,
+        )
+        first = 0
+    elif previous.pool is not pool:
+        raise ValueError("previous master was built on another pool")
+    else:
+        lp, first = previous.lp, previous.n_pool
+    new = pool.columns[first:]
+    if new:
+        cost = np.array([float(col.fp_count) for col in new])
+        if params.mode == MODE_SOFT:
+            cost -= cu_n * np.array([col.is_human for col in new])
         if params.mode == MODE_TEMPLATES:
-            coeff += params.template_weight * col.distance
-        objective[k] = coeff
-    objective[n_pool:] = 1.0
+            cost += params.template_weight * np.array([col.distance for col in new])
+        lower = np.zeros(len(new))
+        if params.mode == MODE_HARD:
+            lower[[col.is_human for col in new]] = 1.0
+        upper = np.ones(len(new))  # w <= 1 matches binarity
+        # each column covers its positives and spends its degree of the budget
+        columns = np.vstack([
+            np.array([col.pos_cover for col in new]).T,
+            [col.complexity for col in new],
+        ])
+        lp.add_columns(cost, lower, upper, columns)
 
-    rows = np.zeros((n_pos + 1, n_vars))
-    for k, col in enumerate(pool.columns):
-        rows[:n_pos, k] = col.pos_cover
-        rows[n_pos, k] = col.complexity
-    rows[np.arange(n_pos), n_pool + np.arange(n_pos)] = 1.0
-
-    senses = (solver.GE,) * n_pos + (solver.LE,)
-    rhs = np.concatenate([np.ones(n_pos), [float(params.complexity_budget)]])
-    lower = np.zeros(n_vars)
-    upper = np.ones(n_vars)  # xi <= 1 is tight anyway; w <= 1 matches binarity
-    if params.mode == MODE_HARD:
-        for k in human_cols:
-            lower[k] = 1.0
-
-    offset = cu_n * len(human_cols) if params.mode == MODE_SOFT else 0.0
-    lp = LinearProgram(objective, rows, senses, rhs, lower, upper)
-    return MasterModel(lp, offset, n_pool, n_pos, pool, params)
+    offset = cu_n * n_human if params.mode == MODE_SOFT else 0.0
+    return MasterModel(lp, offset, len(pool), n_pos, pool, params)
 
 
 def solve_master(model: MasterModel) -> MasterSolution:
+    if model.lp.n_vars != model.n_pool + model.n_pos:
+        raise ValueError("a later build_master has grown this master's model")
     sol = solve_lp(model.lp, eps=model.params.tolerance)
     if sol.status != solver.OPTIMAL:
         return MasterSolution(
@@ -472,6 +494,8 @@ class TrainReport:
     mip_status: str = ""
     mip_nodes: int = 0
     mip_objective: float = float("nan")
+    mip_relaxation: float = float("nan")  # root LP bound, offset included
+    mip_seconds: float = 0.0
     objective: float = float("nan")  # hamming + human_weight * n * unselected
     hamming: int = 0
     template_penalty: float = 0.0
@@ -541,8 +565,9 @@ def train(
     for j in range(dataset.n_columns):
         pool.add((j,), MACHINE)
 
+    master = None
     for round_no in range(params.max_cg_rounds):
-        master = build_master(pool, dataset, params)
+        master = build_master(pool, dataset, params, master)
         t_lp = time.perf_counter()
         msol = solve_master(master)
         lp_seconds = time.perf_counter() - t_lp
@@ -582,17 +607,21 @@ def train(
     else:
         report.warnings.append("column generation stopped at the round limit")
 
-    master = build_master(pool, dataset, params)
+    master = build_master(pool, dataset, params, master)
     # xi is binary at any optimum; declaring it so lets branch and bound
     # round integral objectives' bounds up
+    t_mip = time.perf_counter()
     mip = solve_binary_mip(
         master.lp,
         binary_vars=range(master.lp.n_vars),
         eps=params.tolerance,
         node_limit=params.mip_node_limit,
     )
+    report.mip_seconds = time.perf_counter() - t_mip
     report.mip_status = mip.status
     report.mip_nodes = mip.nodes
+    if mip.relaxation_objective is not None:
+        report.mip_relaxation = mip.relaxation_objective + master.offset
     if mip.x is None:
         raise TrainingError(
             f"final binary master ended with status {mip.status} and no incumbent"

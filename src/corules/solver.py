@@ -1,39 +1,46 @@
 """Linear programming through HiGHS and binary branch-and-bound at desk scale.
 
-Every LP is one call of HiGHS's dual simplex (``scipy.optimize.linprog``
-with ``method="highs-ds"``; Huangfu & Hall, Math. Prog. Comp. 2018).  A
-``>=`` row is handed to HiGHS as the negated ``<=`` row, and its dual is
-negated back.  HiGHS statuses other than optimal, iteration limit,
-infeasible and unbounded raise :class:`SolverError` with HiGHS's message,
-and an optimal answer whose duality gap (recomputed from the row and bound
-duals) exceeds ``eps`` raises too, so no caller sees a half-filled
-solution.
+Every LP is solved by HiGHS's dual simplex (Huangfu & Hall, Math. Prog.
+Comp. 2018) on a :class:`LiveLp`: one HiGHS instance that holds the model
+and is changed in place between solves.  Appending columns or changing
+column bounds keeps the last basis, so the next solve restarts from it
+instead of from scratch.  Presolve is off, so cold and warm solves run the
+same dual simplex on the same model.  HiGHS model statuses other than
+optimal, iteration limit, infeasible and unbounded raise
+:class:`SolverError` with HiGHS's message, and an optimal answer whose
+duality gap (recomputed from the row and column duals) exceeds ``eps``
+raises too, so no caller sees a half-filled solution.
 
 Solutions expose primal values, one dual per row, and the duality gap.
 Sign convention for duals of a minimization: a ``>=`` row has a
 nonnegative dual at optimality, a ``<=`` row a nonpositive one.
 
-``solve_binary_mip`` wraps ``solve_lp`` in our own best-bound
-branch-and-bound over a designated set of binary variables, branching on
-the most fractional one (ties to the lowest index) so runs are
-deterministic.  It stays ours rather than HiGHS's own MILP solver (as
-scipy exposes it) for memory: on the ~130-variable masters of the
-``soft-100`` benchmark each HiGHS MILP solve peaked 7-11 MB above its
-start and lifted the run's peak RSS from about 86 MB to about 103 MB,
-while plain LP solves add under 1 MB.
+``solve_binary_mip`` runs our own best-bound branch-and-bound over a
+designated set of binary variables on one live model, branching on the most
+fractional one (ties to the lowest index) so runs are deterministic.  A
+node sets its bound changes on the model, restarts the dual simplex from
+its parent's basis, which a bound change leaves dual feasible, and puts the
+bounds back once solved.  It stays ours rather than HiGHS's own MILP solver
+(as scipy exposes it) for memory: on the ~130-variable masters of the
+``soft-100`` benchmark each HiGHS MILP solve peaked 7-11 MB above its start
+and lifted the run's peak RSS from about 86 MB to about 103 MB.  With one
+live model per training, that run peaks at 87.2 MB (median of ten seeds on
+a 2-core VM), against 87.7 MB when every LP and node was a cold solve.
 
-Anything satisfying the ``solve_lp`` / ``solve_binary_mip`` signatures can
-stand in for this module; nothing else in the package relies on internals.
+This module is the only user of ``scipy.optimize._highspy``, the HiGHS
+binding scipy ships but does not document; ``tests/test_solver.py`` checks
+that every method used here is still there.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize._highspy import _core as highs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -47,8 +54,21 @@ EQ = "="
 INT_TOL = 1e-6
 GAP_TOL = 1e-6
 
-# scipy's linprog status codes; any other code is a failure
-_HIGHS_STATUS = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
+# HiGHS model statuses we report; any other one is a failure
+_HIGHS_STATUS = {
+    highs.HighsModelStatus.kOptimal: OPTIMAL,
+    highs.HighsModelStatus.kIterationLimit: ITERATION_LIMIT,
+    highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+
+_OPTIONS = {
+    "output_flag": False,
+    "presolve": "off",
+    "solver": "simplex",
+    "simplex_strategy": 1,  # dual simplex
+}
+_NO_ITERATION_LIMIT = 2**31 - 1
 
 
 class SolverError(RuntimeError):
@@ -94,10 +114,6 @@ class LinearProgram:
     def n_vars(self) -> int:
         return self.objective.size
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.senses)
-
 
 @dataclass
 class LpSolution:
@@ -118,79 +134,166 @@ class MipSolution:
     relaxation_objective: float | None = None
 
 
-def lp_to_text(lp: LinearProgram, name: str = "problem") -> str:
-    """Render in CPLEX LP text format, for cross-checks with other solvers."""
-    out = [f"\\ {name}", "Minimize", " obj:"]
-    terms = [
-        f" {c:+.12g} x{j}" for j, c in enumerate(lp.objective) if c != 0.0
-    ] or [" 0 x0"]
-    out[-1] += "".join(terms)
-    out.append("Subject To")
-    for i in range(lp.n_rows):
-        row = "".join(
-            f" {a:+.12g} x{j}" for j, a in enumerate(lp.rows[i]) if a != 0.0
-        ) or " 0 x0"
-        out.append(f" c{i}:{row} {lp.senses[i]} {lp.rhs[i]:.12g}")
-    out.append("Bounds")
-    for j in range(lp.n_vars):
-        lo, up = lp.lower[j], lp.upper[j]
-        lo_s = f"{lo:.12g}" if np.isfinite(lo) else "-inf"
-        up_s = f"{up:.12g}" if np.isfinite(up) else "+inf"
-        out.append(f" {lo_s} <= x{j} <= {up_s}")
-    out.append("End")
-    return "\n".join(out) + "\n"
+def _check(status, what: str):
+    if status == highs.HighsStatus.kError:
+        raise SolverError(f"HiGHS rejected {what}")
+
+
+def _active_bound(dual: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The bound a dual prices: the lower one when positive, else the upper."""
+    bound = np.where(dual > 0.0, lower, upper)
+    return np.where(np.isfinite(bound), bound, 0.0)
+
+
+class LiveLp:
+    """min c.x  s.t. row_lower <= A.x <= row_upper, lower <= x <= upper,
+    held by one HiGHS instance and changed in place between solves.
+
+    ``columns`` are ``(n_rows, k)`` coefficient blocks, dense or sparse.
+    Variables are numbered in the order their columns arrive, except that
+    the constructor's columns, when ``numbered_last``, come after every
+    column :meth:`add_columns` appends later.  HiGHS stores those first, so
+    a model can start with a fixed block (the slack columns of a master)
+    and grow without renumbering it.
+    """
+
+    def __init__(self, row_lower, row_upper, cost, lower, upper, columns,
+                 numbered_last: bool = False):
+        self._highs = highs._Highs()
+        for name, value in _OPTIONS.items():
+            _check(self._highs.setOptionValue(name, value), f"option {name}")
+        self._iteration_limit = _NO_ITERATION_LIMIT
+        self.row_lower = np.asarray(row_lower, dtype=float)
+        self.row_upper = np.asarray(row_upper, dtype=float)
+        rows = highs.HighsLp()
+        rows.num_row_ = rows.a_matrix_.num_row_ = self.row_lower.size
+        rows.row_lower_ = self.row_lower
+        rows.row_upper_ = self.row_upper
+        _check(self._highs.passModel(rows), "the rows")
+        self._cost = self._lower = self._upper = np.empty(0)
+        self._n_last = 0
+        self.add_columns(cost, lower, upper, columns)
+        if numbered_last:
+            self._n_last = self.n_vars
+
+    @classmethod
+    def from_program(cls, lp: LinearProgram) -> LiveLp:
+        senses = np.array(lp.senses)
+        row_lower = np.where(senses == LE, -np.inf, lp.rhs)
+        row_upper = np.where(senses == GE, np.inf, lp.rhs)
+        return cls(row_lower, row_upper, lp.objective, lp.lower, lp.upper, lp.rows)
+
+    @property
+    def n_vars(self) -> int:
+        return self._cost.size
+
+    def _to_variables(self, values: np.ndarray) -> np.ndarray:
+        return np.roll(values, -self._n_last)
+
+    def _to_columns(self, index) -> np.ndarray:
+        return (np.asarray(index, dtype=np.int32) + self._n_last) % self.n_vars
+
+    @property
+    def objective(self) -> np.ndarray:
+        return self._to_variables(self._cost)
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self._to_variables(self._lower)
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self._to_variables(self._upper)
+
+    def add_columns(self, cost, lower, upper, columns):
+        columns = sparse.csc_array(columns)
+        cost = np.asarray(cost, dtype=float)
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        _check(self._highs.addCols(
+            cost.size, cost, lower, upper, columns.nnz,
+            columns.indptr[:-1].astype(np.int32),
+            columns.indices.astype(np.int32),
+            columns.data.astype(float),
+        ), "the new columns")
+        self._cost = np.concatenate([self._cost, cost])
+        self._lower = np.concatenate([self._lower, lower])
+        self._upper = np.concatenate([self._upper, upper])
+
+    def set_bounds(self, index, lower, upper):
+        """Change the bounds of the variables ``index``; the basis stays."""
+        cols = self._to_columns(index)
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        _check(self._highs.changeColsBounds(cols.size, cols, lower, upper),
+               "the bounds")
+        self._lower[cols] = lower
+        self._upper[cols] = upper
+
+    def basis(self):
+        return self._highs.getBasis()
+
+    def set_basis(self, basis):
+        _check(self._highs.setBasis(basis), "the basis")
+
+    def solve(self, eps: float = GAP_TOL,
+              max_iterations: int | None = None) -> LpSolution:
+        """Run the dual simplex from the current basis; see :func:`solve_lp`."""
+        limit = _NO_ITERATION_LIMIT if max_iterations is None else max_iterations
+        if limit != self._iteration_limit:
+            _check(self._highs.setOptionValue("simplex_iteration_limit", limit),
+                   "the iteration limit")
+            self._iteration_limit = limit
+        self._highs.run()
+        model_status = self._highs.getModelStatus()
+        status = _HIGHS_STATUS.get(model_status)
+        if status is None:
+            raise SolverError(
+                f"HiGHS status {model_status.name}: "
+                f"{self._highs.modelStatusToString(model_status)}"
+            )
+        iterations = self._highs.getInfo().simplex_iteration_count
+        if status != OPTIMAL:
+            return LpSolution(status, None, None, None, iterations)
+
+        sol = self._highs.getSolution()
+        x = np.array(sol.col_value)
+        col_dual = np.array(sol.col_dual)
+        duals = np.array(sol.row_dual)
+        objective = float(self._cost @ x)
+        dual_objective = float(
+            _active_bound(duals, self.row_lower, self.row_upper) @ duals
+            + _active_bound(col_dual, self._lower, self._upper) @ col_dual
+        )
+        gap = abs(objective - dual_objective)
+        if gap > max(eps, eps * abs(objective)):
+            raise SolverError(f"strong duality violated: gap {gap:.3e}")
+        return LpSolution(
+            OPTIMAL, self._to_variables(x), duals, objective, iterations, gap
+        )
+
+
+def _live(lp: LinearProgram | LiveLp) -> LiveLp:
+    return lp if isinstance(lp, LiveLp) else LiveLp.from_program(lp)
 
 
 def solve_lp(
-    lp: LinearProgram,
+    lp: LinearProgram | LiveLp,
     eps: float = GAP_TOL,
     max_iterations: int | None = None,
 ) -> LpSolution:
     """Solve the LP; on ``optimal`` the duality gap is checked against eps.
 
-    Iteration exhaustion is reported as status ``iteration-limit``, never
-    silently; duals and objective are set only on ``optimal``.
+    A :class:`LinearProgram` gets a model of its own; a :class:`LiveLp` is
+    solved in place, warm from its last basis.  Iteration exhaustion is
+    reported as status ``iteration-limit``, never silently; primal values,
+    duals and objective are set only on ``optimal``.
     """
-    senses = np.array(lp.senses)
-    eq = senses == EQ
-    ub = ~eq
-    # a >= row goes to HiGHS as the negated <= row
-    sign = np.where(senses == GE, -1.0, 1.0)
-    res = linprog(
-        lp.objective,
-        A_ub=sign[ub, None] * lp.rows[ub],
-        b_ub=sign[ub] * lp.rhs[ub],
-        A_eq=lp.rows[eq],
-        b_eq=lp.rhs[eq],
-        bounds=np.column_stack([lp.lower, lp.upper]),
-        method="highs-ds",
-        options={} if max_iterations is None else {"maxiter": max_iterations},
-    )
-    status = _HIGHS_STATUS.get(res.status)
-    if status is None:
-        raise SolverError(f"HiGHS status {res.status}: {res.message}")
-    if status != OPTIMAL:
-        return LpSolution(status, res.x, None, None, res.nit)
-
-    duals = np.empty(lp.n_rows)
-    duals[ub] = sign[ub] * res.ineqlin.marginals
-    duals[eq] = res.eqlin.marginals
-    objective = float(lp.objective @ res.x)
-    finite_lo = np.where(np.isfinite(lp.lower), lp.lower, 0.0)
-    finite_up = np.where(np.isfinite(lp.upper), lp.upper, 0.0)
-    dual_objective = float(
-        lp.rhs @ duals
-        + finite_lo @ res.lower.marginals
-        + finite_up @ res.upper.marginals
-    )
-    gap = abs(objective - dual_objective)
-    if gap > max(eps, eps * abs(objective)):
-        raise SolverError(f"strong duality violated: gap {gap:.3e}")
-    return LpSolution(OPTIMAL, res.x, duals, objective, res.nit, gap)
+    return _live(lp).solve(eps, max_iterations)
 
 
 def solve_binary_mip(
-    lp: LinearProgram,
+    lp: LinearProgram | LiveLp,
     binary_vars: Sequence[int],
     eps: float = GAP_TOL,
     node_limit: int = 100_000,
@@ -198,83 +301,98 @@ def solve_binary_mip(
     """Best-bound branch-and-bound forcing the given variables to {0, 1}.
 
     Branches on the most fractional binary (ties to the lowest index).
-    Each node is one :func:`solve_lp` call, the root's included.  When
-    every variable is binary and every cost an integer, every solution's
+    Every node is one dual simplex solve on the same live model: the root
+    starts from the model's current basis, any other node sets its fixings
+    with one bound change and starts from its parent's basis.  A
+    :class:`LiveLp` gets its own bounds back on return.  When every
+    variable is binary and every cost an integer, every solution's
     objective is an integer too, so a node's LP bound is rounded up before
     it is compared with the incumbent.  Exhausting the node budget reports
     ``iteration-limit`` together with the best incumbent found so far.
     """
+    model = _live(lp)
     binaries = sorted(set(int(j) for j in binary_vars))
     for j in binaries:
-        if not 0 <= j < lp.n_vars:
+        if not 0 <= j < model.n_vars:
             raise ValueError(f"binary variable {j} out of range")
-    lower = lp.lower.copy()
-    upper = lp.upper.copy()
+    own_lower, own_upper = model.lower, model.upper
+    lower, upper = own_lower.copy(), own_upper.copy()
     lower[binaries] = np.maximum(lower[binaries], 0.0)
     upper[binaries] = np.minimum(upper[binaries], 1.0)
+    clipped = np.flatnonzero((lower != own_lower) | (upper != own_upper))
 
-    integral = len(binaries) == lp.n_vars and np.array_equal(
-        lp.objective, np.round(lp.objective)
+    objective = model.objective
+    integral = len(binaries) == model.n_vars and np.array_equal(
+        objective, np.round(objective)
     )
 
     def node_bound(value: float) -> float:
         return float(np.ceil(value - INT_TOL)) if integral else value
 
-    def solve_node(patch: dict) -> LpSolution:
-        lo = lower.copy()
-        up = upper.copy()
-        for j, (l, u) in patch.items():
-            lo[j], up[j] = l, u
-        return solve_lp(replace(lp, lower=lo, upper=up), eps=eps)
+    def solve_node(patch: dict, basis) -> LpSolution:
+        index = np.fromiter(patch, dtype=np.int32, count=len(patch))
+        fixed = np.array(list(patch.values()))
+        model.set_bounds(index, fixed, fixed)
+        try:
+            model.set_basis(basis)
+            return model.solve(eps)
+        finally:
+            model.set_bounds(index, lower[index], upper[index])
 
-    root = solve_node({})
-    if root.status != OPTIMAL:
-        return MipSolution(root.status, None, None, 0)
-    relaxation = root.objective
+    model.set_bounds(clipped, lower[clipped], upper[clipped])
+    try:
+        root = model.solve(eps)
+        if root.status != OPTIMAL:
+            return MipSolution(root.status, None, None, 0)
+        relaxation = root.objective
 
-    # an entry is (bound, tie-break counter, bound patch, solution if known)
-    counter = 0
-    heap: list[tuple[float, int, dict, LpSolution | None]] = [
-        (node_bound(root.objective), counter, {}, root)
-    ]
-    best_x: np.ndarray | None = None
-    best_obj = np.inf
-    nodes = 0
-    status = OPTIMAL
-    while heap:
-        bound, _, patch, sol = heapq.heappop(heap)
-        if best_x is not None and bound >= best_obj - 1e-9:
-            break  # best-bound order: every open node is at least this bad
-        if nodes >= node_limit:
-            status = ITERATION_LIMIT
-            break
-        nodes += 1
-        if sol is None:
-            sol = solve_node(patch)
-        if sol.status == INFEASIBLE:
-            continue
-        if sol.status != OPTIMAL:
-            status = ITERATION_LIMIT
-            break
-        if best_x is not None and node_bound(sol.objective) >= best_obj - 1e-9:
-            continue
-        xb = sol.x[binaries]
-        frac = np.abs(xb - np.round(xb))
-        pick = int(np.argmax(frac))
-        if frac[pick] <= INT_TOL:
-            xi = sol.x.copy()
-            xi[binaries] = np.round(xb)
-            obj = float(lp.objective @ xi)
-            if obj < best_obj - 1e-12:
-                best_obj = obj
-                best_x = xi
-            continue
-        var = binaries[pick]
-        for lo_u in ((0.0, 0.0), (1.0, 1.0)):
-            counter += 1
-            child = dict(patch)
-            child[var] = lo_u
-            heapq.heappush(heap, (node_bound(sol.objective), counter, child, None))
+        # an entry is (bound, tie-break counter, fixings, solution if known,
+        # parent basis); a fixing maps a binary to the value it is held at
+        counter = 0
+        heap: list[tuple] = [(node_bound(root.objective), counter, {}, root, None)]
+        best_x: np.ndarray | None = None
+        best_obj = np.inf
+        nodes = 0
+        status = OPTIMAL
+        while heap:
+            bound, _, patch, sol, basis = heapq.heappop(heap)
+            if best_x is not None and bound >= best_obj - 1e-9:
+                break  # best-bound order: every open node is at least this bad
+            if nodes >= node_limit:
+                status = ITERATION_LIMIT
+                break
+            nodes += 1
+            if sol is None:
+                sol = solve_node(patch, basis)
+            if sol.status == INFEASIBLE:
+                continue
+            if sol.status != OPTIMAL:
+                status = ITERATION_LIMIT
+                break
+            if best_x is not None and node_bound(sol.objective) >= best_obj - 1e-9:
+                continue
+            xb = sol.x[binaries]
+            frac = np.abs(xb - np.round(xb))
+            pick = int(np.argmax(frac))
+            if frac[pick] <= INT_TOL:
+                xi = sol.x.copy()
+                xi[binaries] = np.round(xb)
+                obj = float(objective @ xi)
+                if obj < best_obj - 1e-12:
+                    best_obj = obj
+                    best_x = xi
+                continue
+            var = binaries[pick]
+            basis = model.basis()
+            for value in (0.0, 1.0):
+                counter += 1
+                child = dict(patch)
+                child[var] = value
+                heapq.heappush(
+                    heap, (node_bound(sol.objective), counter, child, None, basis)
+                )
+    finally:
+        model.set_bounds(clipped, own_lower[clipped], own_upper[clipped])
 
     if best_x is None:
         return MipSolution(

@@ -10,6 +10,7 @@ from corules.colgen import (
     MODE_MACHINE,
     MODE_SOFT,
     MODE_TEMPLATES,
+    MODES,
     BudgetInfeasibleError,
     ColumnPool,
     HumanInput,
@@ -24,6 +25,7 @@ from corules.colgen import (
 from corules.dataset import BinaryDataset, ColumnMeta, binarize, generate_tictactoe
 from corules.metrics import accuracy, hamming_loss, ruleset_similarity
 from corules.ruledsl import RuleError, bind, parse_rules, parse_templates
+from corules.solver import LinearProgram, solve_lp
 
 from oracles import (
     brute_force_best_rule_set,
@@ -208,6 +210,67 @@ class TestSolveMaster:
         assert _check_interior_reduced_costs(pool, ds, params, templates) > 0
 
 
+def dense_master(pool, ds, params):
+    """The restricted master written out densely, straight from the model
+    in the ``colgen`` docstring: one w per pool column, then one xi per
+    positive sample."""
+    n_pool, n_pos = len(pool), ds.P.size
+    cu_n = params.human_weight * ds.n
+    cost = np.ones(n_pool + n_pos)
+    lower = np.zeros(n_pool + n_pos)
+    rows = np.zeros((n_pos + 1, n_pool + n_pos))
+    for k, col in enumerate(pool.columns):
+        cost[k] = col.fp_count
+        if params.mode == MODE_SOFT and col.is_human:
+            cost[k] -= cu_n
+        if params.mode == MODE_TEMPLATES:
+            cost[k] += params.template_weight * col.distance
+        if params.mode == MODE_HARD and col.is_human:
+            lower[k] = 1.0
+        rows[:n_pos, k] = col.pos_cover
+        rows[n_pos, k] = col.complexity
+    rows[np.arange(n_pos), n_pool + np.arange(n_pos)] = 1.0
+    return LinearProgram(
+        cost, rows, (">=",) * n_pos + ("<=",),
+        np.append(np.ones(n_pos), params.complexity_budget),
+        lower, np.ones(n_pool + n_pos),
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_live_master_matches_cold_dense_solve(ttt_dataset, eight_rules, mode):
+    # every round appends columns to one live model and re-solves it warm;
+    # each value must equal a cold solve of the whole master built afresh
+    ds = TestSolveMaster.draw(ttt_dataset, 5)
+    params = Params(mode=mode, max_degree=3, complexity_budget=12)
+    human_sets, templates = (), ()
+    if mode == MODE_SOFT:
+        bound, ds = bind(eight_rules, ds)
+        human_sets = bound.column_sets
+    if mode == MODE_HARD:
+        bound, ds = bind(parse_rules("cell_r1_c1 == x AND cell_r0_c0 == x"), ds)
+        human_sets = bound.column_sets
+    if mode == MODE_TEMPLATES:
+        templates = tuple(parse_templates("cell_r0_c0 == x AND cell_r0_c1 == x"))
+    pool = seeded_pool(ds, human_sets=human_sets, templates=templates)
+    master = None
+    for _ in range(6):
+        master = build_master(pool, ds, params, master)
+        live = solve_master(master)
+        cold = solve_lp(dense_master(pool, ds, params), eps=params.tolerance)
+        assert live.status == cold.status == "optimal"
+        assert live.objective == pytest.approx(cold.objective + master.offset, abs=1e-9)
+        cands = price(
+            (live.mu, live.lam), ds, params, templates=templates,
+            exclude=pool.keys, limit=params.columns_per_round,
+        )
+        if not cands:
+            break
+        for cand in cands:
+            pool.add(cand.cols, "machine")
+    assert len(pool) > ds.n_columns + len(human_sets)  # some round added columns
+
+
 class TestPrice:
     def test_zero_duals_yield_nothing(self, ttt_dataset):
         mu = np.zeros(ttt_dataset.P.size)
@@ -385,12 +448,19 @@ class TestTrain:
             assert row["lp_iterations"] >= 0
             assert row["price_candidates"] >= row["columns_added"]
         assert report.rounds[-1]["price_candidates"] == 0
+        # the final master starts where column generation ended
+        last_lp = report.lp_objectives[-1]
+        assert report.mip_relaxation == pytest.approx(last_lp, abs=1e-9)
+        assert report.mip_relaxation <= report.mip_objective + 1e-9
+        assert 0.0 < report.mip_seconds < report.train_seconds
 
     def test_report_to_dict_is_json(self, ttt_dataset):
         ds = ttt_dataset.subset(np.arange(0, ttt_dataset.n, 20))
         _, report = train(ds, None, Params(max_degree=2))
         out = report.to_dict()
-        json.dumps(out)
+        back = json.loads(json.dumps(out))
+        assert back["mip_relaxation"] == report.mip_relaxation
+        assert back["mip_seconds"] == report.mip_seconds > 0.0
         assert list(out) == [f.name for f in dataclasses.fields(TrainReport)]
         assert list(out["params"]) == [f.name for f in dataclasses.fields(Params)]
 

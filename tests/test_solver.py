@@ -1,6 +1,7 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from corules import solver
 from corules.solver import (
@@ -9,8 +10,8 @@ from corules.solver import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    LiveLp,
     SolverError,
-    lp_to_text,
     solve_binary_mip,
     solve_lp,
 )
@@ -152,18 +153,19 @@ class TestSolveLp:
         sol = solve_lp(lp, max_iterations=1)
         assert sol.status in (ITERATION_LIMIT, OPTIMAL, INFEASIBLE)
 
-    def test_numerical_trouble_raises_with_highs_message(self, monkeypatch):
-        # HiGHS status 4 (numerical difficulties) must not come back as a
-        # half-filled solution
-        message = "Numerical difficulties encountered."
-
-        def troubled(*args, **kwargs):
-            return OptimizeResult(status=4, message=message, x=None, nit=3)
-
-        monkeypatch.setattr(solver, "linprog", troubled)
-        lp = make_lp([1.0], [[1.0]], [">="], [1.0], [0.0], [np.inf])
+    def test_numerical_trouble_raises_with_highs_message(self):
+        # a HiGHS model status we do not map (here the dual simplex stopping
+        # at an objective bound) must not come back as a half-filled solution
+        rng = np.random.default_rng(0)
+        rows = (rng.random((40, 30)) < 0.3).astype(float)
+        live = LiveLp.from_program(make_lp(
+            np.ones(30), rows, [">="] * 40, np.ones(40), np.zeros(30), np.ones(30)
+        ))
+        live._highs.setOptionValue("objective_bound", 0.5)
+        status = solver.highs.HighsModelStatus.kObjectiveBound
+        message = live._highs.modelStatusToString(status)
         with pytest.raises(SolverError, match=message):
-            solve_lp(lp)
+            solve_lp(live)
 
     def test_equality_rows(self):
         # min x + y s.t. x + y = 3, 0 <= x,y <= 2
@@ -284,11 +286,72 @@ class TestSolveBinaryMip:
         assert sol.status in (ITERATION_LIMIT, OPTIMAL)
 
 
-def test_lp_text_dump_mentions_rows_and_bounds():
-    lp = make_lp(
-        [1.0, 2.0], [[1.0, 1.0]], [">="], [1.0], [0.0, 0.0], [1.0, np.inf]
+def random_set_cover(rng, n):
+    """min c.x over binary x covering 4n random three-element rows, with
+    integral costs: fractional enough to need a few branchings."""
+    rows = np.zeros((4 * n, n))
+    for row in rows:
+        row[rng.choice(n, size=3, replace=False)] = 1.0
+    c = rng.integers(1, 10, size=n).astype(float)
+    return make_lp(c, rows, [">="] * 4 * n, np.ones(4 * n), np.zeros(n), np.ones(n))
+
+
+def test_random_set_covers_match_enumeration():
+    # big enough that branch and bound restarts many nodes from a parent basis
+    rng = np.random.default_rng(606)
+    nodes = []
+    for _ in range(15):
+        lp = random_set_cover(rng, int(rng.integers(10, 13)))
+        sol = solve_binary_mip(lp, range(lp.n_vars))
+        bits = np.array(list(np.ndindex(*(2,) * lp.n_vars)), dtype=float)
+        feasible = np.all(bits @ lp.rows.T >= 1.0, axis=1)
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx((bits[feasible] @ lp.objective).min())
+        assert np.all(lp.rows @ sol.x >= 1.0 - 1e-9)
+        nodes.append(sol.nodes)
+    # every instance branches, so child nodes start from a parent's basis
+    assert min(nodes) > 1 and sum(nodes) >= 60, nodes
+
+
+def test_mip_gives_the_live_model_its_bounds_back():
+    rng = np.random.default_rng(8)
+    lp = random_set_cover(rng, 12)
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    lower[3] = 1.0  # held in, as hard mode holds a person's rule
+    upper[5] = 2.0  # clipped to 1 while branching; with positive costs the
+    # covering LP never sets a variable above 1, so the root stays the same
+    live = LiveLp.from_program(
+        LinearProgram(lp.objective, lp.rows, lp.senses, lp.rhs, lower, upper)
     )
-    text = lp_to_text(lp, "demo")
-    assert "Minimize" in text and "Subject To" in text
-    assert "c0:" in text and "x1" in text
-    assert "+inf" in text
+    mip = solve_binary_mip(live, range(live.n_vars))
+    assert mip.status == OPTIMAL and mip.nodes > 1
+    assert mip.x[3] == 1.0
+    assert np.array_equal(live.lower, lower)
+    assert np.array_equal(live.upper, upper)
+    root = solve_lp(live)
+    assert root.objective == pytest.approx(mip.relaxation_objective, abs=1e-9)
+
+
+# every _Highs method solver calls; scipy does not document this binding
+HIGHS_METHODS = (
+    "passModel", "addCols", "changeColsBounds", "getBasis", "setBasis",
+    "getSolution", "getInfo", "run", "getModelStatus", "modelStatusToString",
+    "setOptionValue",
+)
+
+
+def test_highs_binding_has_every_method_solver_uses():
+    missing = [name for name in HIGHS_METHODS if not hasattr(solver.highs._Highs, name)]
+    assert not missing, (
+        f"scipy's private HiGHS binding no longer has {', '.join(missing)}; "
+        "corules.solver needs a scipy release that does"
+    )
+
+
+def test_solver_is_the_only_highspy_importer():
+    src = Path(solver.__file__).resolve().parent.parent
+    importers = sorted(
+        str(path.relative_to(src)) for path in src.rglob("*.py")
+        if "_highspy" in path.read_text()
+    )
+    assert importers == ["corules/solver.py"]
