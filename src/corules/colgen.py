@@ -268,7 +268,6 @@ def build_master(
             lower=np.zeros(n_pos),
             upper=np.ones(n_pos),  # xi <= 1 is tight anyway
             columns=sparse.eye_array(n_pos + 1, n_pos),
-            numbered_last=True,
         )
         first = 0
     elif previous.pool is not pool:

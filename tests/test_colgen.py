@@ -454,6 +454,19 @@ class TestTrain:
         assert report.mip_relaxation <= report.mip_objective + 1e-9
         assert 0.0 < report.mip_seconds < report.train_seconds
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="nothing prices columns against the integer gap once column "
+        "generation stops, so the pool the final master chooses from depends "
+        "on which optimal dual vertex HiGHS returns; here it ends a unit "
+        "above an LP bound of 0 that the eight true rules meet",
+    )
+    def test_every_seventh_board_reaches_the_lp_bound(self, ttt_dataset):
+        ds = ttt_dataset.subset(np.arange(0, ttt_dataset.n, 7))
+        _, report = train(ds, None, Params(mode=MODE_MACHINE))
+        assert report.mip_relaxation == pytest.approx(0.0, abs=1e-9)
+        assert report.mip_objective == pytest.approx(report.mip_relaxation, abs=1e-9)
+
     def test_report_to_dict_is_json(self, ttt_dataset):
         ds = ttt_dataset.subset(np.arange(0, ttt_dataset.n, 20))
         _, report = train(ds, None, Params(max_degree=2))
