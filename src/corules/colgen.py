@@ -53,7 +53,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .dataset import BinaryDataset
+from .dataset import BinaryDataset, cover
 from .metrics import template_distance
 from .ruledsl import (
     HUMAN,
@@ -168,10 +168,7 @@ class ColumnPool:
             if is_human:
                 self.columns[self._index[key]].is_human = True
             return False
-        matrix = self.dataset.matrix
-        cover = np.ones(self.dataset.n, dtype=bool)
-        for j in key:
-            cover &= matrix[:, j]
+        covered = cover(self.dataset.matrix, key)
         conj = Conjunction(
             frozenset(literal_for_column(self.dataset.columns[j]) for j in key),
             provenance,
@@ -182,25 +179,12 @@ class ColumnPool:
             PoolColumn(
                 cols=key,
                 conjunction=conj,
-                pos_cover=cover[self._pos],
-                fp_count=int(np.count_nonzero(cover[self._neg])),
+                pos_cover=covered[self._pos],
+                fp_count=int(np.count_nonzero(covered[self._neg])),
                 is_human=is_human,
                 distance=dist,
             )
         )
-        return True
-
-    def audit_coverage(self) -> bool:
-        """Recheck every cached bitset against literal evaluation."""
-        matrix = self.dataset.matrix
-        for col in self.columns:
-            cover = np.ones(self.dataset.n, dtype=bool)
-            for j in col.cols:
-                cover &= matrix[:, j]
-            if not np.array_equal(cover[self._pos], col.pos_cover):
-                return False
-            if int(np.count_nonzero(cover[self._neg])) != col.fp_count:
-                return False
         return True
 
 
@@ -677,12 +661,10 @@ def train(
         if col.is_human:
             report.human_selected[col.conjunction.render()] = col.cols in selected_keys
 
+    negatives = dataset.matrix[dataset.Z]
     covered_neg = np.zeros(dataset.Z.size, dtype=bool)
     for col in selected_cols:
-        cover = np.ones(dataset.Z.size, dtype=bool)
-        for j in col.cols:
-            cover &= dataset.matrix[dataset.Z, j]
-        covered_neg |= cover
+        covered_neg |= cover(negatives, col.cols)
     n_correct = int(covered_pos.sum()) + int(np.count_nonzero(~covered_neg))
     report.train_accuracy = n_correct / dataset.n
     report.train_seconds = time.perf_counter() - t0

@@ -1,22 +1,33 @@
 """Tabular ingestion, binarization, and the tic-tac-toe endgame generator.
 
 Raw tables hold categorical and numeric feature columns plus a binary label
-column.  Binarization turns every feature into a block of 0/1 columns:
-categoricals are one-hot encoded (optionally with negated one-hots), numerics
-are split at quantile thresholds into ``<= t`` / ``> t`` pairs.  Each binary
-column remembers the condition it tests (:class:`ColumnMeta`), so any bit can
-be re-derived from the originating raw cell and new data can be binarized
-against a trained model's columns.  Bits are computed feature by feature:
-:func:`feature_values` converts one feature's cells once and
-:func:`column_bits` evaluates a condition on that array, for every caller.
+column.  A :class:`RawTable` stores them column by column, dictionary
+encoded: each column keeps its distinct cells once, as ``levels``, and one
+integer code per row.  Two cells share a level when they have the same type
+and the same text, so ``1``, ``1.0`` and ``True`` stay three levels, and so
+do ``0.0`` and ``-0.0``.  Every conversion of a cell (its text, its value as
+a number, its value as a label) depends only on that key, so it is made
+once per level and gathered to the rows by code.
+
+Binarization turns every feature into a block of 0/1 columns: categoricals
+are one-hot encoded (optionally with negated one-hots), numerics are split
+at quantile thresholds into ``<= t`` / ``> t`` pairs.  Each binary column
+remembers the condition it tests (:class:`ColumnMeta`), so any bit can be
+re-derived from the originating raw cell and new data can be binarized
+against a trained model's columns.  Bits are computed feature by feature,
+for every caller, the same way: :func:`feature_values` converts one
+feature's levels once, :func:`column_bits` evaluates a condition on them,
+and the level bits are gathered by the feature's codes.  :func:`cover` is
+the one kernel that intersects bit columns into a conjunction's cover.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -71,22 +82,34 @@ class TableSchema:
         return self.kinds[self.names.index(name)]
 
 
-@dataclass
 class RawTable:
-    """A small in-memory table: header, per-column kinds, rows, label column."""
+    """An in-memory table: header, per-column kinds, label column and cells.
 
-    names: list[str]
-    kinds: list[str]
-    rows: list[list]
-    label: str
+    Cells are stored column by column and dictionary encoded.
+    ``levels[j]`` holds column j's distinct cells, each once, keyed by
+    ``(type(cell), str(cell))``; ``codes[j, i]`` is the position of row i's
+    cell in ``levels[j]``.  :meth:`subset` gathers codes and keeps the
+    levels, so a subset's levels can include cells none of its rows holds;
+    everything that reads a table (conversions, binarization, errors naming
+    a row) depends only on the cells its rows hold.  ``rows`` and
+    :meth:`column` rebuild the cells from the codes, with each level's first
+    cell standing for every cell of that level.
+    """
 
-    def __post_init__(self):
+    def __init__(self, names: Sequence[str], kinds: Sequence[str],
+                 rows: Sequence[Sequence], label: str):
+        self.names = list(names)
+        self.kinds = list(kinds)
+        self.label = label
         self.schema  # validates names/kinds/label
-        for r, row in enumerate(self.rows):
+        for r, row in enumerate(rows):
             if len(row) != len(self.names):
                 raise DataError(
                     f"row {r} has {len(row)} cells, expected {len(self.names)}"
                 )
+        encoded = [_encode(cells) for cells in list(zip(*rows)) or [()] * len(self.names)]
+        self.levels: tuple[tuple, ...] = tuple(levels for levels, _ in encoded)
+        self.codes: np.ndarray = np.array([codes for _, codes in encoded], dtype=np.intp)
 
     @property
     def schema(self) -> TableSchema:
@@ -94,19 +117,79 @@ class RawTable:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.codes.shape[1]
+
+    def encoded(self, name: str) -> tuple[tuple, np.ndarray]:
+        """One column's levels and its code per row."""
+        j = self.names.index(name)
+        return self.levels[j], self.codes[j]
 
     def column(self, name: str) -> list:
-        j = self.names.index(name)
-        return [row[j] for row in self.rows]
+        levels, codes = self.encoded(name)
+        return [levels[c] for c in codes.tolist()]
 
-    def subset(self, indices: Sequence[int]) -> "RawTable":
-        return RawTable(
-            list(self.names),
-            list(self.kinds),
-            [list(self.rows[i]) for i in indices],
-            self.label,
+    @property
+    def rows(self) -> list[list]:
+        return [list(row) for row in zip(*(self.column(n) for n in self.names))]
+
+    def subset(self, indices: Sequence[int] | np.ndarray) -> "RawTable":
+        out = copy.copy(self)
+        out.names, out.kinds = list(self.names), list(self.kinds)
+        # row-major like the constructor's, so each column's codes stay contiguous
+        out.codes = np.take(self.codes, np.asarray(indices, dtype=np.intp), axis=1)
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RawTable):
+            return NotImplemented
+        return (self.names, self.kinds, self.label, self.rows) == (
+            other.names, other.kinds, other.label, other.rows
         )
+
+    def __repr__(self) -> str:
+        return (
+            f"RawTable(names={self.names!r}, kinds={self.kinds!r}, "
+            f"n_rows={self.n_rows}, label={self.label!r})"
+        )
+
+
+def _encode(cells: Sequence) -> tuple[tuple, list[int]]:
+    """The distinct cells in order of first appearance, and a code per cell."""
+    index: dict[tuple[type, str], int] = {}
+    levels = []
+    codes = []
+    for cell in cells:
+        key = (type(cell), str(cell))
+        code = index.get(key)
+        if code is None:
+            code = index[key] = len(levels)
+            levels.append(cell)
+        codes.append(code)
+    return tuple(levels), codes
+
+
+def _convert_levels(levels: tuple, codes: np.ndarray,
+                    convert: Callable[[object, int], object], dtype) -> np.ndarray:
+    """``convert(cell, row)`` applied to every level, with ``row`` -1.
+
+    A level whose conversion raises :class:`DataError` gets a zero; if a
+    row holds such a level, the conversion is repeated for the first such
+    row, so the error names that row and its cell.  Levels no row holds
+    never raise.
+    """
+    out = np.zeros(len(levels), dtype=dtype)
+    bad = np.zeros(len(levels), dtype=bool)
+    for k, cell in enumerate(levels):
+        try:
+            out[k] = convert(cell, -1)
+        except DataError:
+            bad[k] = True
+    if bad.any():
+        hit = bad[codes]
+        if hit.any():
+            row = int(np.argmax(hit))
+            convert(levels[codes[row]], row)
+    return out
 
 
 def parse_label_value(value) -> bool:
@@ -122,15 +205,10 @@ def parse_label_value(value) -> bool:
 
 
 def label_bools(table: RawTable) -> np.ndarray:
-    """Parse each distinct label cell once (``1``, ``1.0``, ``True`` kept apart)."""
-    parsed: dict = {}
-    bits = []
-    for value in table.column(table.label):
-        key = value if isinstance(value, bool) else str(value)
-        if key not in parsed:
-            parsed[key] = parse_label_value(value)
-        bits.append(parsed[key])
-    return np.array(bits, dtype=bool)
+    """The label column as bools, each label level parsed once."""
+    levels, codes = table.encoded(table.label)
+    parsed = _convert_levels(levels, codes, lambda cell, row: parse_label_value(cell), bool)
+    return parsed[codes]
 
 
 def _as_float(value, feature: str, row: int) -> float:
@@ -171,13 +249,18 @@ class ColumnMeta:
 
 
 def feature_values(raw: RawTable, feature: str, numeric: bool) -> np.ndarray:
-    """One feature's cells as an array: floats if ``numeric``, else ``str`` values."""
-    cells = raw.column(feature)
+    """One feature's levels as an array: floats if ``numeric``, else their text.
+
+    Index the result with the feature's codes for per-row values.  A
+    non-numeric or non-finite cell raises, naming the first row that holds
+    one; levels no row holds never do.
+    """
+    levels, codes = raw.encoded(feature)
     if numeric:
-        return np.array(
-            [_as_float(c, feature, r) for r, c in enumerate(cells)], dtype=float
+        return _convert_levels(
+            levels, codes, lambda cell, row: _as_float(cell, feature, row), float
         )
-    return np.array([str(c) for c in cells], dtype=str)
+    return np.array([str(c) for c in levels], dtype=str)
 
 
 def column_bits(meta: ColumnMeta, values: np.ndarray) -> np.ndarray:
@@ -191,6 +274,19 @@ def column_bits(meta: ColumnMeta, values: np.ndarray) -> np.ndarray:
     if meta.op == OP_GT:
         return values > meta.value
     raise DataError(f"unknown column operator {meta.op!r}")
+
+
+def cover(matrix: np.ndarray, cols: Iterable[int]) -> np.ndarray:
+    """Rows of a bit matrix whose columns ``cols`` are all set.
+
+    The cover of the conjunction of those columns; with no column, every
+    row.  Reads one column of ``matrix`` per literal, so a column-major
+    matrix reads contiguous memory.
+    """
+    out = np.ones(matrix.shape[0], dtype=bool)
+    for j in cols:
+        out &= matrix[:, j]
+    return out
 
 
 @dataclass(frozen=True)
@@ -227,8 +323,8 @@ class BinaryDataset:
         return np.flatnonzero(~self.labels)
 
     def subset(self, indices: Sequence[int]) -> "BinaryDataset":
-        idx = np.asarray(indices, dtype=int)
-        raw = self.raw.subset(idx.tolist()) if self.raw is not None else None
+        idx = np.asarray(indices, dtype=np.intp)
+        raw = self.raw.subset(idx) if self.raw is not None else None
         return BinaryDataset(self.columns, self.matrix[idx], self.labels[idx], raw)
 
     def with_column(self, meta: ColumnMeta, bits: np.ndarray) -> "BinaryDataset":
@@ -246,7 +342,8 @@ class BinaryDataset:
         if self.raw is None:
             raise DataError("dataset has no raw table to synthesize columns from")
         numeric = meta.op in (OP_LE, OP_GT)
-        return column_bits(meta, feature_values(self.raw, meta.feature, numeric))
+        level_bits = column_bits(meta, feature_values(self.raw, meta.feature, numeric))
+        return level_bits[self.raw.encoded(meta.feature)[1]]
 
     def verify_against_raw(self) -> bool:
         """Full-matrix audit: every bit equals its condition on the raw cell."""
@@ -303,17 +400,18 @@ def binarize(
         if name == raw.label:
             continue
         values = feature_values(raw, name, kind == NUMERIC)
+        codes = raw.encoded(name)[1]
         if kind == NUMERIC:
-            cuts = quantile_thresholds(values, bins)
+            cuts = quantile_thresholds(values[codes], bins)
             block = [ColumnMeta(name, op, t) for t in cuts for op in (OP_LE, OP_GT)]
         else:
-            distinct = sorted(set(values.tolist()))
+            distinct = sorted(set(values[np.unique(codes)].tolist()))
             if len(distinct) < 2:
                 continue
             ops = (OP_EQ, OP_NE) if include_negations else (OP_EQ,)
             block = [ColumnMeta(name, op, v) for op in ops for v in distinct]
         metas += block
-        bit_cols += [column_bits(meta, values) for meta in block]
+        bit_cols += [column_bits(meta, values)[codes] for meta in block]
 
     if not metas:
         raise DataError("no usable features")
@@ -323,9 +421,10 @@ def binarize(
 def apply_columns(raw: RawTable, columns: Sequence[ColumnMeta]) -> BinaryDataset:
     """Binarize new raw data against an existing column vocabulary.
 
-    Feature by feature: each feature's cells are converted once with
-    :func:`feature_values`, and every column on that feature is evaluated on
-    the converted array into a column-major bool matrix.
+    Feature by feature: each feature's levels are converted once with
+    :func:`feature_values`, every column on that feature is evaluated on
+    the converted levels, and the level bits are gathered by code into a
+    column-major bool matrix.
     """
     if raw.n_rows == 0:
         raise DataError("empty table")
@@ -339,7 +438,8 @@ def apply_columns(raw: RawTable, columns: Sequence[ColumnMeta]) -> BinaryDataset
         key = (meta.feature, meta.op in (OP_LE, OP_GT))
         if key not in values:
             values[key] = feature_values(raw, *key)
-        matrix[:, j] = column_bits(meta, values[key])
+        codes = raw.encoded(meta.feature)[1]
+        np.take(column_bits(meta, values[key]), codes, out=matrix[:, j])
     return BinaryDataset(tuple(columns), matrix, labels, raw)
 
 

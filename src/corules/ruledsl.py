@@ -46,6 +46,7 @@ from .dataset import (
     ORIGIN_SYNTHESIZED,
     BinaryDataset,
     ColumnMeta,
+    cover,
 )
 
 MACHINE = "machine"
@@ -374,18 +375,19 @@ class BoundRuleSet:
     n_columns: int
 
     def covers(self, matrix: np.ndarray) -> np.ndarray:
-        """Bool matrix (n_samples, n_conjunctions): who satisfies what."""
+        """Bool matrix (n_samples, n_conjunctions): who satisfies what.
+
+        Column-major, so a reduction over the conjunctions (``axis=1``)
+        reads each conjunction's cover contiguously.
+        """
         if matrix.shape[1] < self.n_columns:
             raise RuleError(
                 f"sample has {matrix.shape[1]} columns, rule set is bound to "
                 f"{self.n_columns}"
             )
-        out = np.empty((matrix.shape[0], len(self.column_sets)), dtype=bool)
+        out = np.empty((matrix.shape[0], len(self.column_sets)), dtype=bool, order="F")
         for k, cols in enumerate(self.column_sets):
-            cov = np.ones(matrix.shape[0], dtype=bool)
-            for j in cols:
-                cov &= matrix[:, j]
-            out[:, k] = cov
+            out[:, k] = cover(matrix, cols)
         return out
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:

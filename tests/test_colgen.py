@@ -30,6 +30,7 @@ from corules.solver import LinearProgram, solve_lp
 from oracles import (
     brute_force_best_rule_set,
     brute_force_reduced_costs,
+    conjunction_cover,
     overlap_template_distance,
 )
 from test_ruledsl import EIGHT_RULES
@@ -593,8 +594,9 @@ class TestPredict:
         bound, ds = bind(eight_rules, ttt_dataset)
         # find a board whose main diagonal is all x
         diag_cols = [0, 4, 8]
+        rows = ds.raw.rows  # rebuilt from the codes on every access
         for i in range(ds.n):
-            if all(ds.raw.rows[i][j] == "x" for j in diag_cols):
+            if all(rows[i][j] == "x" for j in diag_cols):
                 assert bound.predict(ds.matrix[i : i + 1])[0]
                 break
         else:
@@ -620,4 +622,8 @@ def test_pool_audit_and_dedup(ttt_dataset):
     pool = seeded_pool(ttt_dataset)
     assert len(pool) == ttt_dataset.n_columns
     assert not pool.add((0,), "machine")  # duplicate
-    assert pool.audit_coverage()
+    assert pool.add((0, 20, 40), "machine") and pool.add((3, 30), "machine")
+    for col in pool:
+        cov = conjunction_cover(ttt_dataset.matrix, col.cols)
+        assert np.array_equal(col.pos_cover, cov[ttt_dataset.P]), col.cols
+        assert col.fp_count == np.count_nonzero(cov[ttt_dataset.Z]), col.cols

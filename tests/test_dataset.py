@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from corules.dataset import (
     CATEGORICAL,
     NUMERIC,
+    TTT_FEATURES,
     ColumnMeta,
     DataError,
     RawTable,
@@ -63,6 +64,13 @@ class TestBinarize:
         assert ds.n_columns == 9 * 3 * 2
         assert ds.n == 958
         assert len(ds.P) == 626
+
+    def test_tictactoe_column_order(self, ttt):
+        ds = binarize(ttt)
+        assert ds.columns == tuple(
+            ColumnMeta(f, op, v)
+            for f in TTT_FEATURES for op in ("==", "!=") for v in ("b", "o", "x")
+        )
 
     def test_without_negations(self, ttt):
         ds = binarize(ttt, include_negations=False)
@@ -142,6 +150,9 @@ class TestCsvRoundTrip:
         save_csv(ttt, path)
         back = load_csv(path, ttt.schema)
         assert back == ttt
+        sub = ttt.subset([5, 3, 5, 900, 0])  # shares ttt's levels
+        save_csv(sub, path)
+        assert load_csv(path, sub.schema) == sub
 
     def test_numeric_round_trip(self, tmp_path):
         t = RawTable(
@@ -265,3 +276,79 @@ def test_subset_keeps_raw_in_sync(ttt):
     assert sub.n == 3
     assert sub.raw.rows[0] == ttt.rows[5]
     assert sub.verify_against_raw()
+
+
+def test_apply_columns_on_a_large_sample_matches_cell_oracle(ttt):
+    idx = np.random.default_rng(20_000).integers(0, ttt.n_rows, 20_000)
+    cols = binarize(ttt).columns
+    applied = apply_columns(ttt.subset(idx), cols)
+    rows = ttt.rows
+    sample = [rows[i] for i in idx.tolist()]
+    where = [ttt.names.index(meta.feature) for meta in cols]
+    expected = [
+        [cell_condition(meta, row[k]) for meta, k in zip(cols, where)] for row in sample
+    ]
+    assert np.array_equal(applied.matrix, expected)
+    assert np.array_equal(applied.labels, [parse_label_value(row[-1]) for row in sample])
+
+
+def _outcome(read, table):
+    """What ``read`` gives on ``table``: its arrays, or its error's text."""
+    try:
+        out = read(table)
+    except DataError as err:
+        return str(err)
+    if isinstance(out, np.ndarray):
+        return out.tolist()
+    return out.columns, out.matrix.tolist(), out.labels.tolist()
+
+
+class TestEncodedTable:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_subset_reads_like_a_table_of_its_rows(self, data):
+        t = data.draw(mixed_tables())
+        idx = data.draw(st.lists(st.integers(0, t.n_rows - 1), max_size=2 * t.n_rows))
+        sub = t.subset(idx)
+        rebuilt = RawTable(t.names, t.kinds, sub.rows, t.label)
+        assert sub.n_rows == len(idx)
+        assert sub == rebuilt
+        assert sub.rows == [t.rows[i] for i in idx]
+        cols = []
+        for name in t.names[:-1]:  # thresholds on text cells raise
+            cols += [
+                ColumnMeta(name, "==", data.draw(CATEGORY_CELLS)),
+                ColumnMeta(name, "<=", data.draw(st.floats(-6, 6))),
+            ]
+        for read in (
+            lambda r: apply_columns(r, cols),
+            lambda r: binarize(r, bins=3),
+            label_bools,
+        ):
+            assert _outcome(read, sub) == _outcome(read, rebuilt)
+
+    def test_errors_name_rows_of_the_subset(self):
+        t = RawTable(
+            ["a", "y"],
+            [NUMERIC, CATEGORICAL],
+            [[1.0, "no"], [2.0, "maybe"], ["oops", "yes"], [float("inf"), "yes"]],
+            "y",
+        )
+        cols = (ColumnMeta("a", "<=", 1.5),)
+        with pytest.raises(DataError, match=r"'oops' at row 1$"):
+            binarize(t.subset([0, 2, 3]))
+        with pytest.raises(DataError, match=r"non-finite cell at row 0$"):
+            apply_columns(t.subset([3, 2, 0]), cols)
+        with pytest.raises(DataError, match=r"label value 'maybe' "):
+            label_bools(t.subset([2, 1, 3]))
+        clean = t.subset([0, 0])
+        assert apply_columns(clean, cols).matrix.tolist() == [[True], [True]]
+        assert label_bools(clean).tolist() == [False, False]
+
+    def test_levels_key_on_type_and_text(self):
+        cells = [1, 1.0, True, "1", 0.0, -0.0, 1, "1"]
+        t = RawTable(["a", "y"], [CATEGORICAL] * 2, [[c, "no"] for c in cells], "y")
+        assert t.levels[0] == (1, 1.0, True, "1", 0.0, -0.0)
+        assert t.codes[0].tolist() == [0, 1, 2, 3, 4, 5, 0, 3]
+        assert [type(c) for c in t.column("a")] == [type(c) for c in cells]
+        assert t.subset(np.array([7, 2])).column("a") == ["1", True]

@@ -355,3 +355,52 @@ def test_solver_is_the_only_highspy_importer():
         if "_highspy" in path.read_text()
     )
     assert importers == ["corules/solver.py"]
+
+
+class BasisRecordingLp(LiveLp):
+    """A live model that records, per solve, the variables held fixed, the
+    basis the solve starts from and the basis later handed out for it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.solves = []
+
+    def basis(self):
+        basis = super().basis()
+        if self.solves:
+            self.solves[-1]["handed"] = _statuses(basis)
+        return basis
+
+    def solve(self, eps=solver.GAP_TOL, max_iterations=None):
+        fixed = frozenset(
+            (j, lo) for j, (lo, up) in enumerate(zip(self.lower, self.upper)) if lo == up
+        )
+        start = _statuses(super().basis())
+        sol = super().solve(eps, max_iterations)
+        self.solves.append({"fixed": fixed, "start": start, "handed": None})
+        return sol
+
+
+def _statuses(basis):
+    return tuple(int(s) for s in basis.col_status), tuple(int(s) for s in basis.row_status)
+
+
+def test_every_node_starts_from_its_parents_basis():
+    rng = np.random.default_rng(606)
+    live = BasisRecordingLp.from_program(random_set_cover(rng, 12))
+    mip = solve_binary_mip(live, range(live.n_vars))
+    assert mip.status == OPTIMAL and mip.nodes > 1
+    handed = {}  # fixings of a solved node -> its solve number, its children's basis
+    not_after_parent = 0
+    for k, node in enumerate(live.solves):
+        fixed = node["fixed"]
+        if fixed:
+            # a node's parent holds the same fixings but one
+            parents = [handed[fixed - {f}] for f in fixed if fixed - {f} in handed]
+            assert len(parents) == 1, sorted(fixed)
+            parent, basis = parents[0]
+            assert node["start"] == basis, sorted(fixed)
+            not_after_parent += parent != k - 1
+        handed[fixed] = k, node["handed"]
+    # without the parent's basis, these nodes would start from another node's
+    assert not_after_parent > 0
