@@ -20,13 +20,16 @@ search for out-of-pool conjunctions whose reduced cost
            + lambda * degree(k)            [+ template-distance penalty]
 
 is negative under the LP duals (mu on covering rows, lambda on the
-budget).  The pricing search is exhaustive over literal sets up to a
-degree cap.  It evaluates the children of a whole block of search nodes
-with two matrix products (mu mass and false positives) and prunes with an
-admissible bound (the false-positive term is nonnegative, the mu term only
-shrinks as literals are added, and the degree term grows).  Every node
-that passes the bound is expanded, so an empty result certifies that no
-bounded-degree conjunction can improve the relaxation.
+budget).  Pricing is an exact search over literal sets up to a degree cap
+for the ``columns_per_round`` most negative of them.  It evaluates the
+children of a whole block of search nodes with two matrix products (mu
+mass and false positives) and prunes with an admissible bound (the
+false-positive term is nonnegative, the mu term only shrinks as literals
+are added, and the degree term grows): a node is descended only while its
+bound is negative and no worse than the running ``columns_per_round``-th
+best reduced cost.  No conjunction that could make the cut is skipped, so
+an empty result certifies that no bounded-degree conjunction can improve
+the relaxation.
 
 A training keeps the restricted LP as one live HiGHS model: each round
 appends the new columns and re-solves from the last basis.  The loop ends
@@ -46,6 +49,7 @@ Expert knowledge enters three ways, chosen by ``Params.mode``:
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
@@ -54,6 +58,7 @@ import numpy as np
 from scipy import sparse
 
 from .dataset import BinaryDataset, cover
+from . import metrics
 from .metrics import template_distance
 from .ruledsl import (
     HUMAN,
@@ -73,6 +78,12 @@ MODE_SOFT = "soft"
 MODE_HARD = "hard"
 MODE_TEMPLATES = "templates"
 MODES = (MODE_MACHINE, MODE_SOFT, MODE_HARD, MODE_TEMPLATES)
+
+STOP_NO_IMPROVING_COLUMN = "no-improving-column"
+STOP_ROUND_LIMIT = "round-limit"
+STOP_LP_STATUS = "lp-status:"  # followed by the status the LP ended with
+
+log = logging.getLogger("corules")
 
 
 class TrainingError(RuntimeError):
@@ -308,13 +319,18 @@ class PricedCandidate:
 class PricedCandidates(list):
     """The candidates :func:`price` returns, most negative first.
 
-    ``found`` counts the out-of-pool conjunctions whose reduced cost is
-    below ``-tolerance``, before ``limit`` keeps the most negative ones.
+    ``nodes`` counts the search nodes whose children were evaluated, the
+    empty root included.  ``pruned`` counts the children that passed the
+    ``-tolerance`` descent test but that the running ``limit``-th best
+    reduced cost cut.
     """
 
-    def __init__(self, candidates: Iterable[PricedCandidate] = (), found: int = 0):
+    def __init__(
+        self, candidates: Iterable[PricedCandidate] = (), nodes: int = 0, pruned: int = 0
+    ):
         super().__init__(candidates)
-        self.found = found
+        self.nodes = nodes
+        self.pruned = pruned
 
 
 # Most search nodes that pricing evaluates with one matrix product.  A
@@ -333,35 +349,44 @@ def price(
     exclude: set[frozenset[int]] | frozenset = frozenset(),
     limit: int | None = None,
 ) -> PricedCandidates:
-    """Exhaustive bounded-degree search for negative-reduced-cost conjunctions.
+    """The ``limit`` most negative reduced-cost conjunctions, found exactly.
 
     A search node is a literal set in increasing column order; its
     children add one column after its last.  Nodes are evaluated in blocks
     of at most ``_PRICE_BLOCK``: with the block's covers as bool rows, one
     product with the mu-weighted positive bits gives every child's mu mass
     and one with the negative bits its false positives (exact integers in
-    float64).  A child is a candidate when its reduced cost is below
-    ``-tolerance``, and is searched further when its best imaginable
-    descendant (zero false positives, the same mu mass, one more literal of
-    degree cost) could still get there.  That bound is admissible (false
-    positives are nonnegative, the mu mass only shrinks as literals are
-    added and the degree term grows), and every node that passes it is
-    expanded, so the search visits the same nodes as a one-node-at-a-time
-    depth-first walk and an empty return certifies there is nothing to add
-    within the degree cap.  Only the summation order of the mu mass
-    differs, so reduced costs agree with a one-by-one evaluation to
-    rounding.
+    float64).  A child is a hit when its reduced cost is below
+    ``-tolerance`` and it is not in ``exclude`` (the pool; pool members are
+    still searched through).
+
+    The hits so far are kept in a buffer sorted by reduced cost, ties by
+    column tuple, and cut to ``limit``.  Its threshold is its ``limit``-th
+    reduced cost once full, and ``-tolerance`` before.  A child is searched
+    further only while its best imaginable descendant (zero false
+    positives, the same mu mass, one more literal of degree cost) is below
+    ``-tolerance`` and at most the threshold plus ``tolerance``; the slack
+    keeps rounding from cutting a descendant that ties the threshold and
+    would win on column order.  The bound is admissible (false positives
+    are nonnegative, the mu mass only shrinks as literals are added and the
+    degree term grows), and the threshold only tightens, so a block is
+    tested again when it is taken off the stack.  The result is therefore
+    the first ``limit`` of the full sorted list, and with ``limit=None`` no
+    threshold applies and the search is exhaustive.  Either way an empty
+    return certifies there is nothing to add within the degree cap.  Only
+    the summation order of the mu mass differs from a one-by-one
+    evaluation, so reduced costs agree with it to rounding.
 
     In templates mode the weighted template distance is computed only for
-    a candidate whose template-free reduced cost is already below
-    ``-tolerance``.  That is exact: the distance is nonnegative, so no
-    other node could qualify, and the descent bound never uses it.  Such a
-    node covers a positive sample (its mu mass is positive), so its
-    literals are consistent and form a valid conjunction; contradictory
-    literal sets such as ``a == x AND a == o`` are never built.
-    Conjunctions in ``exclude`` (the pool) are skipped.  The result is
-    sorted by reduced cost, ties by column tuple, and cut to ``limit``.
+    a hit whose template-free reduced cost could enter the buffer.  That is
+    exact: the distance is nonnegative, so no other node could qualify, and
+    the descent bound never uses it.  Such a node covers a positive sample
+    (its mu mass is positive), so its literals are consistent and form a
+    valid conjunction; contradictory literal sets such as
+    ``a == x AND a == o`` are never built.
     """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
     mu, lam = duals
     mu = np.maximum(np.asarray(mu, dtype=float), 0.0)
     lam = max(float(lam), 0.0)
@@ -399,24 +424,70 @@ def price(
                 cols.append(digit - 1)
         return frozenset(cols)
 
-    found_rc: list[np.ndarray] = []
-    found_code: list[np.ndarray] = []
+    pool = np.array(
+        sorted(encode(key) for key in exclude if len(key) <= depth), dtype=code_type
+    )
+    templated = params.mode == MODE_TEMPLATES and params.template_weight > 0.0
+    lits = [literal_for_column(meta) for meta in dataset.columns] if templated else []
+
+    # the buffer, in pieces: with a limit, merged and cut to the best
+    # ``limit`` whenever it holds that many, and its last becomes the threshold
+    best_rc = [np.empty(0)]
+    best_code = [np.empty(0, dtype=code_type)]
+    held = 0
+    threshold = -eps
+    nodes = pruned = 0
+
+    def admit(rc, codes):
+        nonlocal held, threshold
+        if pool.size:
+            at = np.searchsorted(pool, codes)
+            keep = pool[np.minimum(at, pool.size - 1)] != codes
+            rc, codes = rc[keep], codes[keep]
+        if templated:
+            distance = np.array([
+                template_distance(
+                    Conjunction(frozenset(lits[j] for j in decode(code))), templates
+                )
+                for code in codes.tolist()
+            ])
+            rc = rc + params.template_weight * distance
+            keep = (rc < -eps) & (rc <= threshold)
+            rc, codes = rc[keep], codes[keep]
+        if not rc.size:
+            return
+        best_rc.append(rc)
+        best_code.append(codes)
+        held += rc.size
+        if limit is not None and held >= limit:
+            rc, codes = np.concatenate(best_rc), np.concatenate(best_code)
+            order = np.lexsort((codes, rc))[:limit]
+            best_rc[:], best_code[:] = [rc[order]], [codes[order]]
+            held = limit
+            threshold = best_rc[0][-1]
+
     # an entry is a block not yet built: its parents' codes and covers,
-    # the rows of those parents and the column each child adds
+    # the rows of those parents, the column each child adds and the
+    # child's descent bound
     stack: list[tuple[np.ndarray, ...]] = []
 
     def expand(degree, codes, cov_p, cov_z, last):
+        nonlocal nodes
+        nodes += codes.size
         mu_sum = cov_p.astype(float) @ mass
         rc = cov_z.astype(float) @ fp_bits - mu_sum + lam * degree
         fresh = col_index > last[:, None]
-        rows, js = np.nonzero(fresh & (rc < -eps))
-        found_rc.append(rc[rows, js])
-        found_code.append((codes[rows] * radix + js + 1) * pad[degree])
+        rows, js = np.nonzero(fresh & (rc < -eps) & (rc <= threshold))
+        admit(rc[rows, js], (codes[rows] * radix + js + 1) * pad[degree])
         if degree < depth:
-            rows, js = np.nonzero(fresh & (lam * (degree + 1) - mu_sum < -eps))
+            bound = lam * (degree + 1) - mu_sum
+            rows, js = np.nonzero(fresh & (bound < -eps))
             for s in range(0, rows.size, _PRICE_BLOCK):
                 part = slice(s, s + _PRICE_BLOCK)
-                stack.append((degree + 1, codes, cov_p, cov_z, rows[part], js[part]))
+                stack.append((
+                    degree + 1, codes, cov_p, cov_z,
+                    rows[part], js[part], bound[rows[part], js[part]],
+                ))
 
     expand(
         1,
@@ -426,7 +497,12 @@ def price(
         np.array([-1]),
     )
     while stack:
-        degree, codes, cov_p, cov_z, rows, js = stack.pop()
+        degree, codes, cov_p, cov_z, rows, js, bound = stack.pop()
+        keep = bound <= threshold + eps
+        pruned += rows.size - int(np.count_nonzero(keep))
+        if not keep.any():
+            continue
+        rows, js = rows[keep], js[keep]
         expand(
             degree,
             codes[rows] * radix + js + 1,
@@ -435,33 +511,12 @@ def price(
             js,
         )
 
-    rc = np.concatenate(found_rc)
-    codes = np.concatenate(found_code)
-    pool = [encode(key) for key in exclude if len(key) <= depth]
-    if pool and rc.size:
-        keep = ~np.isin(codes, np.array(pool, dtype=code_type))
-        rc, codes = rc[keep], codes[keep]
-    if params.mode == MODE_TEMPLATES and params.template_weight > 0.0 and rc.size:
-        lits = [literal_for_column(meta) for meta in dataset.columns]
-        distance = np.array([
-            template_distance(
-                Conjunction(frozenset(lits[j] for j in decode(code))), templates
-            )
-            for code in codes.tolist()
-        ])
-        rc = rc + params.template_weight * distance
-        keep = rc < -eps
-        rc, codes = rc[keep], codes[keep]
-
-    found = int(rc.size)
-    if limit is not None and limit < found:
-        # everything tied with the limit-th smallest reduced cost competes
-        keep = rc <= np.partition(rc, limit - 1)[limit - 1]
-        rc, codes = rc[keep], codes[keep]
+    rc, codes = np.concatenate(best_rc), np.concatenate(best_code)
     order = np.lexsort((codes, rc))[:limit]
     return PricedCandidates(
         (PricedCandidate(decode(int(codes[i])), float(rc[i])) for i in order),
-        found=found,
+        nodes=nodes,
+        pruned=pruned,
     )
 
 
@@ -486,6 +541,7 @@ class TrainReport:
     human_selected: dict[str, bool] = field(default_factory=dict)
     unselected_human_count: int = 0
     pricing_exact_within_degree: bool = True
+    stop_reason: str = ""  # why column generation ended: a STOP_* value
     warnings: list[str] = field(default_factory=list)
     train_accuracy: float = float("nan")
     train_seconds: float = 0.0
@@ -507,10 +563,13 @@ def train(
 
     Seeds the pool with every provided rule plus all degree-1 conjunctions,
     alternates restricted LP solves with exact pricing until no improving
-    conjunction exists (or the round limit trips, with a warning), then
-    solves the pool-restricted binary problem.  The reported objective is
-    recomputed from the returned rule set: Hamming loss plus
-    ``human_weight * n`` per unselected human rule.
+    conjunction exists (or the round limit trips, or the LP ends other than
+    optimal, each with a warning), then solves the pool-restricted binary
+    problem.  ``TrainReport.stop_reason`` says which ended the loop, and each
+    round is logged at DEBUG level on the ``corules`` logger.  The reported
+    objective is recomputed from the returned rule set through
+    :mod:`corules.metrics`: Hamming loss plus ``human_weight * n`` per
+    unselected human rule.
     """
     t0 = time.perf_counter()
     report = TrainReport(mode=params.mode, n_samples=dataset.n, params=params)
@@ -559,6 +618,7 @@ def train(
                 f"restricted LP stopped with status {msol.status}; "
                 "proceeding to the binary solve"
             )
+            report.stop_reason = STOP_LP_STATUS + msol.status
             break
         report.lp_objectives.append(msol.objective)
         t_price = time.perf_counter()
@@ -570,25 +630,33 @@ def train(
             exclude=pool.keys,
             limit=params.columns_per_round,
         )
-        report.rounds.append(
-            {
-                "round": round_no,
-                "lp_objective": msol.objective,
-                "pool_size": len(pool),
-                "columns_added": len(candidates),
-                "min_reduced_cost": candidates[0].reduced_cost if candidates else 0.0,
-                "lp_seconds": lp_seconds,
-                "lp_iterations": msol.iterations,
-                "price_seconds": time.perf_counter() - t_price,
-                "price_candidates": candidates.found,
-            }
+        row = {
+            "round": round_no,
+            "lp_objective": msol.objective,
+            "pool_size": len(pool),
+            "columns_added": len(candidates),
+            "min_reduced_cost": candidates[0].reduced_cost if candidates else 0.0,
+            "lp_seconds": lp_seconds,
+            "lp_iterations": msol.iterations,
+            "price_seconds": time.perf_counter() - t_price,
+            "price_nodes": candidates.nodes,
+            "price_pruned": candidates.pruned,
+        }
+        report.rounds.append(row)
+        log.debug(
+            "round %d: lp %.9g in %d iterations, price_nodes %d, price_pruned %d, "
+            "%d columns added, best reduced cost %.9g",
+            round_no, row["lp_objective"], row["lp_iterations"], row["price_nodes"],
+            row["price_pruned"], row["columns_added"], row["min_reduced_cost"],
         )
         if not candidates:
+            report.stop_reason = STOP_NO_IMPROVING_COLUMN
             break
         for cand in candidates:
             pool.add(cand.cols, MACHINE)
     else:
         report.warnings.append("column generation stopped at the round limit")
+        report.stop_reason = STOP_ROUND_LIMIT
 
     master = build_master(pool, dataset, params, master)
     # xi is binary at any optimum; declaring it so lets branch and bound
@@ -624,12 +692,10 @@ def train(
     )
 
     # Eq-style accounting, recomputed from the returned rule set
-    covered_pos = np.zeros(dataset.P.size, dtype=bool)
-    fp_units = 0
-    for col in selected_cols:
-        covered_pos |= col.pos_cover
-        fp_units += col.fp_count
-    hamming = int(np.count_nonzero(~covered_pos)) + fp_units
+    bound = BoundRuleSet(
+        rule_set, tuple(col.cols for col in selected_cols), dataset.n_columns
+    )
+    hamming = metrics.hamming_loss(bound, dataset)
     selected_keys = {col.cols for col in selected_cols}
     human_keys = {col.cols for col in pool.columns if col.is_human}
     unselected = len(human_keys - selected_keys)
@@ -661,11 +727,6 @@ def train(
         if col.is_human:
             report.human_selected[col.conjunction.render()] = col.cols in selected_keys
 
-    negatives = dataset.matrix[dataset.Z]
-    covered_neg = np.zeros(dataset.Z.size, dtype=bool)
-    for col in selected_cols:
-        covered_neg |= cover(negatives, col.cols)
-    n_correct = int(covered_pos.sum()) + int(np.count_nonzero(~covered_neg))
-    report.train_accuracy = n_correct / dataset.n
+    report.train_accuracy = metrics.accuracy(bound, dataset)
     report.train_seconds = time.perf_counter() - t0
     return rule_set, report

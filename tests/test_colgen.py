@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from corules import colgen
+from corules import colgen, solver
 from corules.colgen import (
     MODE_HARD,
     MODE_MACHINE,
@@ -370,8 +371,10 @@ class TestPrice:
                 ds.matrix, ds.labels, mu_full, lam, params.max_degree
             )
             want = sorted(rc for rc in oracle.values() if rc < -params.tolerance)
+            full = price((mu_full[ds.P], lam), ds, params)
             got = price((mu_full[ds.P], lam), ds, params, limit=7)
-            assert got.found == len(want)
+            assert len(full) == len(want)
+            assert [c.cols for c in got] == [c.cols for c in full[:7]]
             assert len(got) == min(7, len(want))
             for cand, rc in zip(got, want):
                 assert cand.reduced_cost == pytest.approx(rc, abs=1e-9)
@@ -420,6 +423,91 @@ class TestPrice:
         assert len(capped) == 5
         assert [c.cols for c in capped] == [c.cols for c in full[:5]]
 
+    @staticmethod
+    def tie_heavy_instances(rng, mode):
+        """Pricing inputs whose exact reduced-cost ties straddle a cut.
+
+        Duplicate columns give several conjunctions one cover, and integral
+        mu with lambda a multiple of 1/2 keeps their reduced costs exact, so
+        only the column-tuple rule can order them.  Random fractional duals
+        ride along.
+        """
+        values = ("x", "o", "b")
+        for trial in range(16):
+            n_rows = int(rng.integers(10, 30))
+            raw = rng.integers(0, len(values), size=(n_rows, 3))
+            raw = np.column_stack([raw, raw[:, 0]])  # f3 repeats f0
+            if mode == MODE_TEMPLATES:
+                cols = tuple(
+                    ColumnMeta(f"f{f}", "==", v) for f in range(4) for v in values
+                )
+                matrix = np.column_stack(
+                    [raw[:, f] == k for f in range(4) for k in range(len(values))]
+                )
+            else:
+                base = rng.random((n_rows, 4)) < 0.5
+                matrix = np.column_stack([base, base[:, :2]])
+                cols = tuple(ColumnMeta(f"f{j}", "==", "a") for j in range(6))
+            labels = rng.random(n_rows) < 0.5
+            labels[0] = True
+            ds = BinaryDataset(cols, matrix, labels)
+            if trial % 4 == 3:
+                mu = rng.random(ds.P.size) * 3
+                lam = float(rng.random())
+            else:
+                mu = rng.integers(0, 3, size=ds.P.size).astype(float)
+                lam = float(rng.integers(0, 3)) / 2
+            yield ds, mu, lam
+
+    @pytest.mark.parametrize("block", [1, 3, colgen._PRICE_BLOCK])
+    @pytest.mark.parametrize("mode", [MODE_MACHINE, MODE_TEMPLATES])
+    @pytest.mark.parametrize("with_exclude", [False, True])
+    def test_limit_is_the_head_of_the_full_list(
+        self, monkeypatch, block, mode, with_exclude
+    ):
+        monkeypatch.setattr(colgen, "_PRICE_BLOCK", block)
+        rng = np.random.default_rng(1906)
+        params = Params(mode=mode, max_degree=3, template_weight=1.0)
+        templates = (
+            tuple(parse_templates("f0 == x AND f1 == o\nOR f2 == b"))
+            if mode == MODE_TEMPLATES else ()
+        )
+        straddled = 0
+        for ds, mu, lam in self.tie_heavy_instances(rng, mode):
+            exclude = set()
+            if with_exclude:
+                head = price((mu, lam), ds, params, templates=templates)
+                exclude = {c.cols for c in head[::3]}
+                exclude |= {frozenset({j}) for j in range(ds.n_columns)}
+            full = price((mu, lam), ds, params, templates=templates, exclude=exclude)
+            assert not exclude & {c.cols for c in full}
+            for k in (1, 3, 7):
+                got = price(
+                    (mu, lam), ds, params, templates=templates,
+                    exclude=exclude, limit=k,
+                )
+                assert [c.cols for c in got] == [c.cols for c in full[:k]]
+                for cand, want in zip(got, full):
+                    assert cand.reduced_cost == pytest.approx(want.reduced_cost, abs=1e-9)
+                if len(full) > k and full[k - 1].reduced_cost == full[k].reduced_cost:
+                    straddled += 1
+        assert straddled >= 3  # the column-tuple rule decided some cuts
+
+    def test_limit_below_one_is_rejected(self, ttt_dataset):
+        mu = np.ones(ttt_dataset.P.size)
+        with pytest.raises(ValueError, match="limit"):
+            price((mu, 0.0), ttt_dataset, Params(max_degree=1), limit=0)
+
+    def test_bound_expands_fewer_nodes(self, ttt_dataset):
+        mu = np.ones(ttt_dataset.P.size)
+        params = Params(max_degree=3)
+        full = price((mu, 0.5), ttt_dataset, params)
+        capped = price((mu, 0.5), ttt_dataset, params, limit=20)
+        assert [c.cols for c in capped] == [c.cols for c in full[:20]]
+        assert full.pruned == 0
+        assert capped.pruned > 0
+        assert 1 <= capped.nodes < full.nodes
+
 
 class TestTrain:
     def test_full_data_machine_only_perfect(self, ttt_dataset):
@@ -447,8 +535,10 @@ class TestTrain:
             assert row["price_seconds"] >= 0.0
             assert row["lp_seconds"] >= 0.0
             assert row["lp_iterations"] >= 0
-            assert row["price_candidates"] >= row["columns_added"]
-        assert report.rounds[-1]["price_candidates"] == 0
+            assert row["price_nodes"] >= 1
+            assert row["price_pruned"] >= 0
+        assert report.rounds[-1]["columns_added"] == 0
+        assert report.stop_reason == colgen.STOP_NO_IMPROVING_COLUMN
         # the final master starts where column generation ended
         last_lp = report.lp_objectives[-1]
         assert report.mip_relaxation == pytest.approx(last_lp, abs=1e-9)
@@ -564,6 +654,43 @@ class TestTrain:
         params = Params(max_cg_rounds=1, columns_per_round=2)
         _, report = train(ttt_dataset.subset(idx), None, params)
         assert any("round limit" in w for w in report.warnings)
+        assert report.stop_reason == colgen.STOP_ROUND_LIMIT
+
+    def test_lp_status_stops_the_loop(self, ttt_dataset, monkeypatch):
+        solve = colgen.solve_master
+        calls = []
+
+        def failing_second_round(model):
+            calls.append(model)
+            sol = solve(model)
+            if len(calls) == 2:
+                sol = dataclasses.replace(sol, status=solver.ITERATION_LIMIT)
+            return sol
+
+        monkeypatch.setattr(colgen, "solve_master", failing_second_round)
+        ds = ttt_dataset.subset(np.arange(0, ttt_dataset.n, 20))
+        rs, report = train(ds, None, Params(max_degree=2))
+        assert report.stop_reason == "lp-status:" + solver.ITERATION_LIMIT
+        assert len(report.rounds) == len(report.lp_objectives) == 1
+        assert any(solver.ITERATION_LIMIT in w for w in report.warnings)
+        assert report.objective == hamming_loss(rs, ds)
+
+    def test_each_round_logs_one_debug_line(self, ttt_dataset, caplog):
+        ds = ttt_dataset.subset(np.arange(0, ttt_dataset.n, 20))
+        with caplog.at_level(logging.DEBUG, logger="corules"):
+            _, report = train(ds, None, Params(max_degree=2))
+        lines = [r for r in caplog.records if r.name == "corules"]
+        assert len(lines) == len(report.rounds) > 1
+        for record, row in zip(lines, report.rounds):
+            assert record.levelno == logging.DEBUG
+            text = record.getMessage()
+            assert f"round {row['round']}:" in text
+            assert f"{row['lp_iterations']} iterations" in text
+            assert f"price_nodes {row['price_nodes']}" in text
+            assert f"price_pruned {row['price_pruned']}" in text
+            assert f"{row['columns_added']} columns added" in text
+            assert f"lp {row['lp_objective']:.9g}" in text
+            assert f"best reduced cost {row['min_reduced_cost']:.9g}" in text
 
     def test_tiny_instances_match_brute_force(self):
         rng = np.random.default_rng(777)
