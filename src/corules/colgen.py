@@ -36,6 +36,10 @@ appends the new columns and re-solves from the last basis.  The loop ends
 with one binary solve restricted to the generated pool, by branch and bound
 on that same model.
 
+Inside the loop a conjunction is a set of column indices and nothing more;
+``train`` builds a :class:`~corules.ruledsl.Conjunction` only for the rules
+it returns and the human rules it reports on.
+
 Expert knowledge enters three ways, chosen by ``Params.mode``:
 
 * ``soft``: each provided rule left out of the model adds a penalty of
@@ -44,12 +48,14 @@ Expert knowledge enters three ways, chosen by ``Params.mode``:
 * ``hard``: provided rules are forced into the model by fixing their
   selection variables at one (infeasible budgets are reported as such).
 * ``templates``: partial conjunctions act as attractors; every candidate
-  pays ``template_weight`` times its distance to the nearest template.
+  pays ``template_weight`` times its distance to the nearest template, on
+  condition keys (:func:`corules.metrics.key_distance`).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
@@ -59,16 +65,16 @@ from scipy import sparse
 
 from .dataset import BinaryDataset, cover
 from . import metrics
-from .metrics import template_distance
+from .metrics import key_distance
 from .ruledsl import (
     HUMAN,
     MACHINE,
     BoundRuleSet,
     Conjunction,
+    Literal,
     RuleSet,
     Template,
     bind,
-    literal_for_column,
 )
 from . import solver
 from .solver import LiveLp, solve_binary_mip, solve_lp
@@ -115,8 +121,14 @@ class Params:
     def __post_init__(self):
         if self.complexity_budget < 1:
             raise ValueError("complexity budget must be >= 1")
-        if self.human_weight < 0 or self.template_weight < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        if not 0 <= self.human_weight < math.inf:
+            raise ValueError("human_weight must be finite and >= 0")
+        if not 0 <= self.template_weight < math.inf:
+            raise ValueError("template_weight must be finite and >= 0")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and > 0")
+        if self.mip_node_limit < 1:
+            raise ValueError("mip_node_limit must be >= 1")
         if self.max_degree < 1:
             raise ValueError("max degree must be >= 1")
         if self.mode not in MODES:
@@ -139,7 +151,7 @@ class HumanInput:
 @dataclass
 class PoolColumn:
     cols: frozenset[int]
-    conjunction: Conjunction
+    provenance: str  # MACHINE or HUMAN, as first added
     pos_cover: np.ndarray  # bool over positive samples, in dataset.P order
     fp_count: int
     is_human: bool
@@ -155,7 +167,7 @@ class ColumnPool:
 
     def __init__(self, dataset: BinaryDataset, templates: Sequence[Template] = ()):
         self.dataset = dataset
-        self.templates = tuple(templates)
+        self._template_keys = [t.keys() for t in templates]
         self.columns: list[PoolColumn] = []
         self._index: dict[frozenset[int], int] = {}
         self._pos = dataset.P
@@ -180,16 +192,15 @@ class ColumnPool:
                 self.columns[self._index[key]].is_human = True
             return False
         covered = cover(self.dataset.matrix, key)
-        conj = Conjunction(
-            frozenset(literal_for_column(self.dataset.columns[j]) for j in key),
-            provenance,
-        )
-        dist = template_distance(conj, self.templates) if self.templates else 0.0
+        dist = 0.0
+        if self._template_keys:
+            keys = {self.dataset.columns[j].key() for j in key}
+            dist = key_distance(keys, self._template_keys)
         self._index[key] = len(self.columns)
         self.columns.append(
             PoolColumn(
                 cols=key,
-                conjunction=conj,
+                provenance=provenance,
                 pos_cover=covered[self._pos],
                 fp_count=int(np.count_nonzero(covered[self._neg])),
                 is_human=is_human,
@@ -380,10 +391,10 @@ def price(
     In templates mode the weighted template distance is computed only for
     a hit whose template-free reduced cost could enter the buffer.  That is
     exact: the distance is nonnegative, so no other node could qualify, and
-    the descent bound never uses it.  Such a node covers a positive sample
-    (its mu mass is positive), so its literals are consistent and form a
-    valid conjunction; contradictory literal sets such as
-    ``a == x AND a == o`` are never built.
+    the descent bound never uses it.  The distance is
+    :func:`corules.metrics.key_distance` of the hit's column keys
+    (``ColumnMeta.key``) to the templates' literal keys; no conjunction is
+    built.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -428,7 +439,9 @@ def price(
         sorted(encode(key) for key in exclude if len(key) <= depth), dtype=code_type
     )
     templated = params.mode == MODE_TEMPLATES and params.template_weight > 0.0
-    lits = [literal_for_column(meta) for meta in dataset.columns] if templated else []
+    if templated:
+        col_keys = [meta.key() for meta in dataset.columns]
+        template_keys = [t.keys() for t in templates]
 
     # the buffer, in pieces: with a limit, merged and cut to the best
     # ``limit`` whenever it holds that many, and its last becomes the threshold
@@ -446,9 +459,7 @@ def price(
             rc, codes = rc[keep], codes[keep]
         if templated:
             distance = np.array([
-                template_distance(
-                    Conjunction(frozenset(lits[j] for j in decode(code))), templates
-                )
+                key_distance({col_keys[j] for j in decode(code)}, template_keys)
                 for code in codes.tolist()
             ])
             rc = rc + params.template_weight * distance
@@ -550,8 +561,12 @@ class TrainReport:
         return asdict(self)
 
 
-def _lex_key(conj: Conjunction) -> tuple:
-    return tuple(lit.sort_key() for lit in conj.sorted_literals())
+def _conjunction(dataset: BinaryDataset, col: PoolColumn) -> Conjunction:
+    """The rule a pool column stands for, in the dataset's column conditions."""
+    metas = (dataset.columns[j] for j in col.cols)
+    return Conjunction(
+        frozenset(Literal(m.feature, m.op, m.value) for m in metas), col.provenance
+    )
 
 
 def train(
@@ -574,30 +589,26 @@ def train(
     t0 = time.perf_counter()
     report = TrainReport(mode=params.mode, n_samples=dataset.n, params=params)
 
-    human_col_sets: list[frozenset[int]] = []
+    human_col_sets: tuple[frozenset[int], ...] = ()
+    template_col_sets: tuple[frozenset[int], ...] = ()
     templates: tuple[Template, ...] = ()
     if params.mode in (MODE_SOFT, MODE_HARD):
         if human is not None and human.rules is not None and len(human.rules):
             bound, dataset = bind(human.rules, dataset)
-            human_col_sets = list(bound.column_sets)
+            human_col_sets = bound.column_sets
             report.human_rules = [c.render() for c in human.rules.conjunctions]
     elif params.mode == MODE_TEMPLATES:
         if human is None or not human.templates:
             raise TrainingError("templates mode requires a non-empty template set")
         templates = tuple(human.templates)
-
-    template_col_sets: list[frozenset[int]] = []
-    if params.mode == MODE_TEMPLATES:
         # templates are valid conjunctions themselves (distance zero); bind
         # them all first so any synthesized columns exist before seeding
-        for template in templates:
-            rs = RuleSet((Conjunction(template.literals, HUMAN),))
-            b, dataset = bind(rs, dataset)
-            template_col_sets.append(b.column_sets[0])
+        rs = RuleSet(tuple(Conjunction(t.literals, HUMAN) for t in templates))
+        bound, dataset = bind(rs, dataset)
+        template_col_sets = bound.column_sets
 
     if dataset.P.size == 0:
         raise NoPositivesError("training data has no positive samples")
-    report.n_samples = dataset.n
 
     pool = ColumnPool(dataset, templates=templates)
     for cols in human_col_sets:
@@ -683,49 +694,46 @@ def train(
         )
     report.mip_objective = float(mip.objective + master.offset)
 
-    selected = [k for k in range(len(pool)) if mip.x[k] > 0.5]
-    selected_cols = [pool.columns[k] for k in selected]
-    selected_cols.sort(key=lambda col: _lex_key(col.conjunction))
+    selected = [
+        (_conjunction(dataset, col), col)
+        for k, col in enumerate(pool.columns) if mip.x[k] > 0.5
+    ]
+    selected.sort(key=lambda pair: sorted(lit.sort_key() for lit in pair[0].literals))
     positive_label = dataset.raw.label if dataset.raw is not None else "true"
-    rule_set = RuleSet(
-        tuple(col.conjunction for col in selected_cols), positive_label
-    )
+    rule_set = RuleSet(tuple(conj for conj, _ in selected), positive_label)
 
     # Eq-style accounting, recomputed from the returned rule set
     bound = BoundRuleSet(
-        rule_set, tuple(col.cols for col in selected_cols), dataset.n_columns
+        rule_set, tuple(col.cols for _, col in selected), dataset.n_columns
     )
     hamming = metrics.hamming_loss(bound, dataset)
-    selected_keys = {col.cols for col in selected_cols}
+    selected_keys = {col.cols for _, col in selected}
     human_keys = {col.cols for col in pool.columns if col.is_human}
     unselected = len(human_keys - selected_keys)
     report.hamming = hamming
     report.unselected_human_count = unselected
-    if params.mode == MODE_SOFT:
-        report.objective = hamming + params.human_weight * dataset.n * unselected
-    else:
-        report.objective = float(hamming)
+    penalty = (
+        params.human_weight * dataset.n * unselected
+        if params.mode == MODE_SOFT else 0.0
+    )
+    report.objective = hamming + penalty
     report.template_penalty = (
-        params.template_weight * sum(col.distance for col in selected_cols)
+        params.template_weight * sum(col.distance for _, col in selected)
         if params.mode == MODE_TEMPLATES
         else 0.0
     )
 
-    consistency = report.mip_objective - (
-        hamming
-        + (params.human_weight * dataset.n * unselected
-           if params.mode == MODE_SOFT else 0.0)
-        + report.template_penalty
-    )
+    consistency = report.mip_objective - (hamming + penalty + report.template_penalty)
     if abs(consistency) > 1e-6 * max(1.0, abs(report.mip_objective)):
         raise TrainingError(
             f"objective accounting drifted by {consistency:.3e}; "
             "solver value disagrees with direct evaluation"
         )
 
-    for col in pool.columns:
-        if col.is_human:
-            report.human_selected[col.conjunction.render()] = col.cols in selected_keys
+    report.human_selected = {
+        _conjunction(dataset, col).render(): col.cols in selected_keys
+        for col in pool.columns if col.is_human
+    }
 
     report.train_accuracy = metrics.accuracy(bound, dataset)
     report.train_seconds = time.perf_counter() - t0

@@ -10,7 +10,7 @@ a number, its value as a label) depends only on that key, so it is made
 once per level and gathered to the rows by code.
 
 Binarization turns every feature into a block of 0/1 columns: categoricals
-are one-hot encoded (optionally with negated one-hots), numerics are split
+are one-hot encoded (optionally with ``!=`` one-hots), numerics are split
 at quantile thresholds into ``<= t`` / ``> t`` pairs.  Each binary column
 remembers the condition it tests (:class:`ColumnMeta`), so any bit can be
 re-derived from the originating raw cell and new data can be binarized
@@ -223,6 +223,14 @@ def _as_float(value, feature: str, row: int) -> float:
     return out
 
 
+def condition_key(feature: str, op: str, value) -> tuple:
+    """``(feature, op, value text)``: the identity of a column or literal."""
+    if isinstance(value, float):
+        # 12 significant digits: thresholds within rel. 1e-9 share a key
+        value = float(f"{value:.12g}")
+    return (feature, op, str(value))
+
+
 @dataclass(frozen=True)
 class ColumnMeta:
     """The condition one binary column tests on one raw feature.
@@ -238,14 +246,7 @@ class ColumnMeta:
     origin: str = ORIGIN_BINNED
 
     def key(self) -> tuple:
-        value = self.value
-        if isinstance(value, float):
-            # 12 significant digits: thresholds within rel. 1e-9 share a key
-            value = float(f"{value:.12g}")
-        return (self.feature, self.op, str(value))
-
-    def describe(self) -> str:
-        return f"{self.feature} {self.op} {self.value}"
+        return condition_key(self.feature, self.op, self.value)
 
 
 def feature_values(raw: RawTable, feature: str, numeric: bool) -> np.ndarray:
@@ -383,7 +384,7 @@ def binarize(
     """Binarize a raw table into a :class:`BinaryDataset`.
 
     Categorical features with v distinct values expand into v equality
-    columns (plus v negated ones when ``include_negations``).  Numeric
+    columns (plus v ``!=`` columns when ``include_negations``).  Numeric
     features expand into ``<= t`` / ``> t`` pairs at quantile thresholds.
     Constant features contribute nothing; a table with no usable feature
     raises.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -68,8 +68,6 @@ def coverage_counts(
 ) -> np.ndarray:
     """Per sample, how many conjunctions cover it."""
     bound, ds = _ensure_bound(rule_set, dataset)
-    if not bound.column_sets:
-        return np.zeros(ds.n, dtype=int)
     return bound.covers(ds.matrix).sum(axis=1)
 
 
@@ -120,17 +118,23 @@ def ruleset_similarity(a: RuleSet, b: RuleSet) -> float:
     return float(sims[rows, cols].sum() / max(len(a), len(b)))
 
 
-def template_distance(k: Conjunction, templates: Sequence[Template]) -> float:
-    """How far a conjunction is from the nearest partial template.
+def key_distance(
+    keys: AbstractSet[tuple], template_keys: Sequence[AbstractSet[tuple]]
+) -> float:
+    """How far a set of condition keys is from the nearest template's keys.
 
-    Zero iff the conjunction contains every literal of some template; one
-    when it shares no literal with any of them.
+    Against one template the distance is one minus the share of its keys
+    that ``keys`` holds: zero iff ``keys`` contains every key of some
+    template, one when it shares no key with any of them.  Keys, not
+    columns, are compared, so two columns with one key count once.
     """
-    if not templates:
+    if not template_keys:
         raise ValueError("template set is empty")
-    kk = {lit.key() for lit in k.literals}
-    best = 1.0
-    for t in templates:
-        tk = {lit.key() for lit in t.literals}
-        best = min(best, 1.0 - len(kk & tk) / len(tk))
-    return best
+    return min(1.0 - len(keys & tk) / len(tk) for tk in template_keys)
+
+
+def template_distance(k: Conjunction, templates: Sequence[Template]) -> float:
+    """:func:`key_distance` of a conjunction's literals to the templates."""
+    return key_distance(
+        {lit.key() for lit in k.literals}, [t.keys() for t in templates]
+    )

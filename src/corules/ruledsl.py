@@ -46,6 +46,7 @@ from .dataset import (
     ORIGIN_SYNTHESIZED,
     BinaryDataset,
     ColumnMeta,
+    condition_key,
     cover,
 )
 
@@ -78,18 +79,14 @@ class BindingWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class Literal:
-    """One normalized condition on one feature."""
+    """One condition on one feature, in one of the four kinds above."""
 
     feature: str
     op: str  # "==", "!=", "<=", ">"
     value: object
-    negated: bool = False  # always False once normalized
 
     def key(self) -> tuple:
-        value = self.value
-        if isinstance(value, float):
-            value = float(f"{value:.12g}")
-        return (self.feature, self.op, str(value), self.negated)
+        return condition_key(self.feature, self.op, self.value)
 
     def __eq__(self, other):
         return isinstance(other, Literal) and self.key() == other.key()
@@ -99,11 +96,6 @@ class Literal:
 
     def sort_key(self) -> tuple:
         return (self.feature, self.op, str(self.value))
-
-    def normalized(self) -> "Literal":
-        if not self.negated:
-            return self
-        return Literal(self.feature, _NEGATE[self.op], self.value, False)
 
     def render(self) -> str:
         return f"{self.feature} {self.op} {_render_value(self.value)}"
@@ -210,6 +202,10 @@ class Template:
             raise RuleError("a template needs at least one literal")
         _check_consistent(self.literals)
 
+    def keys(self) -> frozenset[tuple]:
+        """The condition keys of the template's literals."""
+        return frozenset(lit.key() for lit in self.literals)
+
 
 # --- lexer / parser -------------------------------------------------------
 
@@ -313,10 +309,10 @@ class _Parser:
         return lits
 
     def literal(self) -> Literal:
-        negated = False
+        flip = False
         while self.at_keyword("NOT"):
             self.next()
-            negated = not negated
+            flip = not flip
         tok = self.peek()
         if tok.kind != "ident":
             self.error(f"expected feature name, found {tok.text!r}")
@@ -340,7 +336,7 @@ class _Parser:
             self.error(f"expected value, found {tok.text!r}")
         if op in (OP_LE, OP_GT) and not isinstance(value, float):
             self.error(f"operator {op_text!r} needs a numeric threshold")
-        return Literal(feature, op, value, negated).normalized()
+        return Literal(feature, _NEGATE[op] if flip else op, value)
 
 
 def parse_rules(text: str, positive_label: str = "true") -> RuleSet:
@@ -391,19 +387,7 @@ class BoundRuleSet:
         return out
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
-        if len(self.column_sets) == 0:
-            if matrix.shape[1] < self.n_columns:
-                raise RuleError("sample column count mismatch")
-            return np.zeros(matrix.shape[0], dtype=bool)
         return self.covers(matrix).any(axis=1)
-
-
-def literal_for_column(meta: ColumnMeta) -> Literal:
-    return Literal(meta.feature, meta.op, meta.value, False)
-
-
-def _meta_for_literal(lit: Literal) -> ColumnMeta:
-    return ColumnMeta(lit.feature, lit.op, lit.value, ORIGIN_SYNTHESIZED)
 
 
 def bind(
@@ -424,9 +408,8 @@ def bind(
 
     def resolve(lit: Literal) -> int:
         nonlocal dataset
-        probe = _meta_for_literal(lit).key()
-        if probe in by_key:
-            return by_key[probe]
+        if lit.key() in by_key:
+            return by_key[lit.key()]
         if feature_kinds is None:
             raise UnknownFeatureError(
                 f"no column matches {lit.render()!r} and no raw table to synthesize from"
@@ -440,7 +423,7 @@ def bind(
             )
         if lit.op in (OP_EQ, OP_NE) and kind != CATEGORICAL:
             raise RuleError(f"equality literal {lit.render()!r} on numeric feature")
-        meta = _meta_for_literal(lit)
+        meta = ColumnMeta(lit.feature, lit.op, lit.value, ORIGIN_SYNTHESIZED)
         bits = dataset.column_bits(meta)
         if lit.op == OP_EQ and not bits.any():
             warnings.warn(
@@ -451,7 +434,7 @@ def bind(
             )
         dataset = dataset.with_column(meta, bits)
         j = dataset.n_columns - 1
-        by_key[meta.key()] = j
+        by_key[lit.key()] = j
         return j
 
     column_sets = []

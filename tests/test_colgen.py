@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -65,6 +66,27 @@ def seeded_pool(dataset, human_sets=(), templates=()):
     for j in range(dataset.n_columns):
         pool.add((j,), "machine")
     return pool
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("human_weight", math.nan),
+        ("human_weight", math.inf),
+        ("human_weight", -1.0),
+        ("template_weight", math.nan),
+        ("template_weight", math.inf),
+        ("template_weight", -0.5),
+        ("tolerance", math.nan),
+        ("tolerance", math.inf),
+        ("tolerance", 0.0),
+        ("tolerance", -1.0),
+        ("mip_node_limit", 0),
+    ],
+)
+def test_params_reject_values_that_hang_or_mislead_train(name, value):
+    with pytest.raises(ValueError, match=name):
+        Params(**{name: value})
 
 
 class TestBuildMaster:
@@ -319,13 +341,15 @@ class TestPrice:
 
     def test_templates_mode_matches_brute_force(self):
         # three one-hot categorical features, as tic-tac-toe binarizes: most
-        # literal pairs on one feature contradict each other
+        # literal pairs on one feature contradict each other; a tenth column
+        # repeats the key of a template literal's column with other bits,
+        # and the oracle counts that key once
         rng = np.random.default_rng(4242)
+        dup_rng = np.random.default_rng(4243)
         values = ("x", "o", "b")
-        cols = tuple(
+        one_hot = tuple(
             ColumnMeta(f"f{f}", "==", v) for f in range(3) for v in values
         )
-        col_keys = [(c.feature, c.op, str(c.value)) for c in cols]
         templates = parse_templates("f0 == x AND f1 == o\nOR f2 == b")
         template_keys = [
             [(lit.feature, lit.op, str(lit.value)) for lit in t.literals]
@@ -340,7 +364,13 @@ class TestPrice:
             )
             labels = rng.random(n_rows) < 0.5
             labels[0] = True
-            ds = BinaryDataset(cols, matrix, labels)
+            dup = int(dup_rng.choice([0, 4, 8]))  # f0 == x, f1 == o, f2 == b
+            dup_bits = dup_rng.random(n_rows) < 0.5
+            if np.array_equal(dup_bits, matrix[:, dup]):
+                dup_bits[0] = not dup_bits[0]
+            cols = one_hot + (one_hot[dup],)
+            col_keys = [(c.feature, c.op, str(c.value)) for c in cols]
+            ds = BinaryDataset(cols, np.column_stack([matrix, dup_bits]), labels)
             mu_full = np.zeros(ds.n)
             mu_full[ds.P] = rng.random(ds.P.size) * 3
             lam = float(rng.random())
@@ -740,9 +770,43 @@ class TestPredict:
         assert np.array_equal(preds, ds.labels)
 
     def test_column_mismatch_raises(self, ttt_dataset, eight_rules):
-        bound, ds = bind(eight_rules, ttt_dataset)
-        with pytest.raises(RuleError, match="column"):
-            bound.predict(ds.matrix[:1, :10])
+        for rules in (eight_rules, parse_rules("FALSE")):
+            bound, ds = bind(rules, ttt_dataset)
+            with pytest.raises(RuleError, match="column"):
+                bound.predict(ds.matrix[:1, :10])
+
+
+def test_templates_pool_distances_match_oracle(ttt_dataset, monkeypatch):
+    pools = []
+
+    class RecordedPool(ColumnPool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(colgen, "ColumnPool", RecordedPool)
+    rng = np.random.default_rng(17)
+    ds = ttt_dataset.subset(rng.choice(ttt_dataset.n, size=60, replace=False))
+    # a second "cell_r0_c0 == x" column with other bits
+    j = ds.columns.index(ColumnMeta("cell_r0_c0", "==", "x"))
+    ds = ds.with_column(ds.columns[j], rng.random(ds.n) < 0.5)
+    dup = ds.n_columns - 1
+    templates = parse_templates(
+        "cell_r0_c0 == x AND cell_r0_c1 == x\nOR cell_r1_c1 == x"
+    )
+    params = Params(mode=MODE_TEMPLATES, template_weight=1.5, max_degree=3)
+    train(ds, HumanInput(templates=tuple(templates)), params)
+    (pool,) = pools
+    pool.add((j, dup), "machine")  # one key twice: it counts once
+    col_keys = [(c.feature, c.op, str(c.value)) for c in pool.dataset.columns]
+    template_keys = [
+        [(lit.feature, lit.op, str(lit.value)) for lit in t.literals]
+        for t in templates
+    ]
+    assert {frozenset({dup}), frozenset({j, dup})} <= pool.keys
+    for col in pool:
+        want = overlap_template_distance([col_keys[k] for k in col.cols], template_keys)
+        assert col.distance == want, col.cols
 
 
 def test_pool_audit_and_dedup(ttt_dataset):

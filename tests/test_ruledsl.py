@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corules.dataset import NUMERIC, CATEGORICAL, RawTable, binarize, generate_tictactoe
+from corules.dataset import (
+    NUMERIC,
+    CATEGORICAL,
+    ColumnMeta,
+    RawTable,
+    binarize,
+    generate_tictactoe,
+)
 from corules.ruledsl import (
     BindingWarning,
     Conjunction,
@@ -72,7 +79,7 @@ class TestParse:
 
     def test_normalization(self):
         rs = parse_rules("a < 3 AND b >= 2 AND NOT c <= 1 AND NOT d == x")
-        lits = {l.key()[:3] for l in rs.conjunctions[0].literals}
+        lits = {l.key() for l in rs.conjunctions[0].literals}
         assert lits == {
             ("a", "<=", "3.0"),
             ("b", ">", "2.0"),
@@ -83,7 +90,14 @@ class TestParse:
     def test_double_negation_collapses(self):
         rs = parse_rules("NOT NOT a == x")
         (lit,) = rs.conjunctions[0].literals
-        assert lit.op == "==" and not lit.negated
+        assert lit.op == "=="
+
+    def test_not_flips_the_operator(self):
+        (twice,) = parse_rules("NOT NOT a <= 3").conjunctions[0].literals
+        assert twice == Literal("a", "<=", 3.0)
+        (once,) = parse_rules("NOT a <= 3").conjunctions[0].literals
+        assert once == Literal("a", ">", 3.0)
+        assert once.key() == ColumnMeta("a", ">", 3.0).key()
 
     def test_keywords_case_insensitive_features_not(self):
         rs = parse_rules("a == x and B == y or c == z")
@@ -181,11 +195,6 @@ class TestPrintRoundTrip:
         assert {c.literals for c in rs.conjunctions} == {
             c.literals for c in again.conjunctions
         }
-
-    def test_normalization_idempotent(self):
-        lit = Literal("a", "<=", 3.0, negated=True)
-        once = lit.normalized()
-        assert once.normalized() == once
 
 
 @pytest.fixture(scope="module")
