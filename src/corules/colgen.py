@@ -538,7 +538,6 @@ class TrainReport:
     mode: str
     n_samples: int
     params: Params
-    lp_objectives: list[float] = field(default_factory=list)
     rounds: list[dict] = field(default_factory=list)
     mip_status: str = ""
     mip_nodes: int = 0
@@ -631,7 +630,6 @@ def train(
             )
             report.stop_reason = STOP_LP_STATUS + msol.status
             break
-        report.lp_objectives.append(msol.objective)
         t_price = time.perf_counter()
         candidates = price(
             (msol.mu, msol.lam),
@@ -670,14 +668,11 @@ def train(
         report.stop_reason = STOP_ROUND_LIMIT
 
     master = build_master(pool, dataset, params, master)
-    # xi is binary at any optimum; declaring it so lets branch and bound
-    # round integral objectives' bounds up
+    # xi is binary at any optimum, so branch and bound treats every variable
+    # as binary and rounds integral objectives' bounds up
     t_mip = time.perf_counter()
     mip = solve_binary_mip(
-        master.lp,
-        binary_vars=range(master.lp.n_vars),
-        eps=params.tolerance,
-        node_limit=params.mip_node_limit,
+        master.lp, eps=params.tolerance, node_limit=params.mip_node_limit
     )
     report.mip_seconds = time.perf_counter() - t_mip
     report.mip_status = mip.status
@@ -699,8 +694,7 @@ def train(
         for k, col in enumerate(pool.columns) if mip.x[k] > 0.5
     ]
     selected.sort(key=lambda pair: sorted(lit.sort_key() for lit in pair[0].literals))
-    positive_label = dataset.raw.label if dataset.raw is not None else "true"
-    rule_set = RuleSet(tuple(conj for conj, _ in selected), positive_label)
+    rule_set = RuleSet(tuple(conj for conj, _ in selected))
 
     # Eq-style accounting, recomputed from the returned rule set
     bound = BoundRuleSet(

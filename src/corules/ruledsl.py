@@ -168,7 +168,6 @@ class RuleSet:
     """An OR of conjunctions (a DNF model)."""
 
     conjunctions: tuple[Conjunction, ...]
-    positive_label: str = "true"
 
     @property
     def total_complexity(self) -> int:
@@ -178,9 +177,7 @@ class RuleSet:
         return len(self.conjunctions)
 
 
-def make_ruleset(
-    conjunctions: Iterable[Conjunction], positive_label: str = "true"
-) -> RuleSet:
+def make_ruleset(conjunctions: Iterable[Conjunction]) -> RuleSet:
     """Build a RuleSet, dropping duplicate conjunctions (first wins)."""
     seen: set[frozenset[Literal]] = set()
     kept = []
@@ -188,7 +185,7 @@ def make_ruleset(
         if conj.literals not in seen:
             seen.add(conj.literals)
             kept.append(conj)
-    return RuleSet(tuple(kept), positive_label)
+    return RuleSet(tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -339,12 +336,10 @@ class _Parser:
         return Literal(feature, _NEGATE[op] if flip else op, value)
 
 
-def parse_rules(text: str, positive_label: str = "true") -> RuleSet:
+def parse_rules(text: str) -> RuleSet:
     """Parse DNF rule text into a RuleSet of human-provenance conjunctions."""
     clauses = _Parser(text).parse_clauses()
-    return make_ruleset(
-        (Conjunction(lits, HUMAN) for lits in clauses), positive_label
-    )
+    return make_ruleset(Conjunction(lits, HUMAN) for lits in clauses)
 
 
 def parse_templates(text: str) -> list[Template]:

@@ -6,18 +6,19 @@ and is changed in place between solves.  Appending columns or changing
 column bounds keeps the last basis, so the next solve restarts from it
 instead of from scratch.  Presolve is off, so cold and warm solves run the
 same dual simplex on the same model.  HiGHS model statuses other than
-optimal, iteration limit, infeasible and unbounded raise
-:class:`SolverError` with HiGHS's message, and an optimal answer whose
-duality gap (recomputed from the row and column duals) exceeds ``eps``
-raises too, so no caller sees a half-filled solution.
+optimal, infeasible and unbounded raise :class:`SolverError` with HiGHS's
+message, and an optimal answer whose duality gap (recomputed from the row
+and column duals) exceeds ``eps`` raises too, so no caller sees a
+half-filled solution.
 
 Solutions expose primal values, one dual per row, and the duality gap.
-Sign convention for duals of a minimization: a ``>=`` row has a
-nonnegative dual at optimality, a ``<=`` row a nonpositive one.
+Sign convention for duals of a minimization: a row held at its lower bound
+(a ``>=`` row) has a nonnegative dual at optimality, one held at its upper
+bound (a ``<=`` row) a nonpositive one.
 
-``solve_binary_mip`` runs our own best-bound branch-and-bound over a
-designated set of binary variables on one live model, branching on the most
-fractional one (ties to the lowest index) so runs are deterministic.  A
+``solve_binary_mip`` runs our own best-bound branch-and-bound on one live
+model with every variable binary, branching on the most fractional one
+(ties to the lowest index) so runs are deterministic.  A
 node sets its bound changes on the model, restarts the dual simplex from
 its parent's basis, which a bound change leaves dual feasible, and puts the
 bounds back once solved.  It stays ours rather than HiGHS's own MILP solver
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -50,11 +50,7 @@ from scipy.optimize._highspy import _core as highs
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-ITERATION_LIMIT = "iteration-limit"
-
-GE = ">="
-LE = "<="
-EQ = "="
+ITERATION_LIMIT = "iteration-limit"  # branch and bound ran out of nodes
 
 INT_TOL = 1e-6
 GAP_TOL = 1e-6
@@ -62,7 +58,6 @@ GAP_TOL = 1e-6
 # HiGHS model statuses we report; any other one is a failure
 _HIGHS_STATUS = {
     highs.HighsModelStatus.kOptimal: OPTIMAL,
-    highs.HighsModelStatus.kIterationLimit: ITERATION_LIMIT,
     highs.HighsModelStatus.kInfeasible: INFEASIBLE,
     highs.HighsModelStatus.kUnbounded: UNBOUNDED,
 }
@@ -73,51 +68,10 @@ _OPTIONS = {
     "solver": "simplex",
     "simplex_strategy": 1,  # dual simplex
 }
-_NO_ITERATION_LIMIT = 2**31 - 1
 
 
 class SolverError(RuntimeError):
     """Numerical breakdown the solver could not recover from."""
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """min c.x  s.t. rows_i . x (>=|<=|=) rhs_i, lower <= x <= upper."""
-
-    objective: np.ndarray
-    rows: np.ndarray
-    senses: tuple[str, ...]
-    rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        n = c.size
-        m = len(self.senses)
-        rows = np.asarray(self.rows, dtype=float).reshape(m, n)
-        rhs = np.asarray(self.rhs, dtype=float)
-        lo = np.asarray(self.lower, dtype=float)
-        up = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "senses", tuple(self.senses))
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-        if rhs.size != m:
-            raise ValueError("rhs length does not match row count")
-        if lo.size != n or up.size != n:
-            raise ValueError("bound arrays do not match variable count")
-        for s in self.senses:
-            if s not in (GE, LE, EQ):
-                raise ValueError(f"unknown sense {s!r}")
-        if np.any(lo > up):
-            raise ValueError("some lower bound exceeds its upper bound")
-
-    @property
-    def n_vars(self) -> int:
-        return self.objective.size
 
 
 @dataclass
@@ -166,7 +120,6 @@ class LiveLp:
         self._highs = highs._Highs()
         for name, value in _OPTIONS.items():
             _check(self._highs.setOptionValue(name, value), f"option {name}")
-        self._iteration_limit = _NO_ITERATION_LIMIT
         self.row_lower = np.asarray(row_lower, dtype=float)
         self.row_upper = np.asarray(row_upper, dtype=float)
         rows = highs.HighsLp()
@@ -177,13 +130,6 @@ class LiveLp:
         self._cost = self._lower = self._upper = np.empty(0)
         self.add_columns(cost, lower, upper, columns)
         self._n_last = self.n_vars
-
-    @classmethod
-    def from_program(cls, lp: LinearProgram) -> LiveLp:
-        senses = np.array(lp.senses)
-        row_lower = np.where(senses == LE, -np.inf, lp.rhs)
-        row_upper = np.where(senses == GE, np.inf, lp.rhs)
-        return cls(row_lower, row_upper, lp.objective, lp.lower, lp.upper, lp.rows)
 
     @property
     def n_vars(self) -> int:
@@ -212,6 +158,8 @@ class LiveLp:
         cost = np.asarray(cost, dtype=float)
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
+        if np.any(lower > upper):
+            raise ValueError("some lower bound exceeds its upper bound")
         _check(self._highs.addCols(
             cost.size, cost, lower, upper, columns.nnz,
             columns.indptr[:-1].astype(np.int32),
@@ -238,14 +186,8 @@ class LiveLp:
     def set_basis(self, basis):
         _check(self._highs.setBasis(basis), "the basis")
 
-    def solve(self, eps: float = GAP_TOL,
-              max_iterations: int | None = None) -> LpSolution:
+    def solve(self, eps: float = GAP_TOL) -> LpSolution:
         """Run the dual simplex from the current basis; see :func:`solve_lp`."""
-        limit = _NO_ITERATION_LIMIT if max_iterations is None else max_iterations
-        if limit != self._iteration_limit:
-            _check(self._highs.setOptionValue("simplex_iteration_limit", limit),
-                   "the iteration limit")
-            self._iteration_limit = limit
         self._highs.run()
         model_status = self._highs.getModelStatus()
         status = _HIGHS_STATUS.get(model_status)
@@ -275,58 +217,37 @@ class LiveLp:
         )
 
 
-def _live(lp: LinearProgram | LiveLp) -> LiveLp:
-    return lp if isinstance(lp, LiveLp) else LiveLp.from_program(lp)
+def solve_lp(lp: LiveLp, eps: float = GAP_TOL) -> LpSolution:
+    """Solve the LP in place, warm from its last basis.
 
-
-def solve_lp(
-    lp: LinearProgram | LiveLp,
-    eps: float = GAP_TOL,
-    max_iterations: int | None = None,
-) -> LpSolution:
-    """Solve the LP; on ``optimal`` the duality gap is checked against eps.
-
-    A :class:`LinearProgram` gets a model of its own; a :class:`LiveLp` is
-    solved in place, warm from its last basis.  Iteration exhaustion is
-    reported as status ``iteration-limit``, never silently; primal values,
-    duals and objective are set only on ``optimal``.
+    On ``optimal`` the duality gap is checked against eps; primal values,
+    duals and objective are set only then.
     """
-    return _live(lp).solve(eps, max_iterations)
+    return lp.solve(eps)
 
 
 def solve_binary_mip(
-    lp: LinearProgram | LiveLp,
-    binary_vars: Sequence[int],
-    eps: float = GAP_TOL,
-    node_limit: int = 100_000,
+    lp: LiveLp, eps: float = GAP_TOL, node_limit: int = 100_000
 ) -> MipSolution:
-    """Best-bound branch-and-bound forcing the given variables to {0, 1}.
+    """Best-bound branch-and-bound forcing every variable to {0, 1}.
 
-    Branches on the most fractional binary (ties to the lowest index).
+    Branches on the most fractional variable (ties to the lowest index).
     Every node is one dual simplex solve on the same live model: the root
     starts from the model's current basis, any other node sets its fixings
-    with one bound change and starts from its parent's basis.  A
-    :class:`LiveLp` gets its own bounds back on return.  When every
-    variable is binary and every cost an integer, every solution's
-    objective is an integer too, so a node's LP bound is rounded up before
-    it is compared with the incumbent.  Exhausting the node budget reports
-    ``iteration-limit`` together with the best incumbent found so far.
+    with one bound change and starts from its parent's basis.  The model
+    gets its own bounds back on return.  When every cost is an integer,
+    every solution's objective is an integer too, so a node's LP bound is
+    rounded up before it is compared with the incumbent.  Exhausting the
+    node budget reports ``iteration-limit`` together with the best incumbent
+    found so far.
     """
-    model = _live(lp)
-    binaries = sorted(set(int(j) for j in binary_vars))
-    for j in binaries:
-        if not 0 <= j < model.n_vars:
-            raise ValueError(f"binary variable {j} out of range")
-    own_lower, own_upper = model.lower, model.upper
-    lower, upper = own_lower.copy(), own_upper.copy()
-    lower[binaries] = np.maximum(lower[binaries], 0.0)
-    upper[binaries] = np.minimum(upper[binaries], 1.0)
+    own_lower, own_upper = lp.lower, lp.upper
+    lower = np.maximum(own_lower, 0.0)
+    upper = np.minimum(own_upper, 1.0)
     clipped = np.flatnonzero((lower != own_lower) | (upper != own_upper))
 
-    objective = model.objective
-    integral = len(binaries) == model.n_vars and np.array_equal(
-        objective, np.round(objective)
-    )
+    objective = lp.objective
+    integral = np.array_equal(objective, np.round(objective))
 
     def node_bound(value: float) -> float:
         return float(np.ceil(value - INT_TOL)) if integral else value
@@ -334,22 +255,22 @@ def solve_binary_mip(
     def solve_node(patch: dict, basis) -> LpSolution:
         index = np.fromiter(patch, dtype=np.int32, count=len(patch))
         fixed = np.array(list(patch.values()))
-        model.set_bounds(index, fixed, fixed)
+        lp.set_bounds(index, fixed, fixed)
         try:
-            model.set_basis(basis)
-            return model.solve(eps)
+            lp.set_basis(basis)
+            return lp.solve(eps)
         finally:
-            model.set_bounds(index, lower[index], upper[index])
+            lp.set_bounds(index, lower[index], upper[index])
 
-    model.set_bounds(clipped, lower[clipped], upper[clipped])
+    lp.set_bounds(clipped, lower[clipped], upper[clipped])
     try:
-        root = model.solve(eps)
+        root = lp.solve(eps)
         if root.status != OPTIMAL:
             return MipSolution(root.status, None, None, 0)
         relaxation = root.objective
 
         # an entry is (bound, tie-break counter, fixings, solution if known,
-        # parent basis); a fixing maps a binary to the value it is held at
+        # parent basis); a fixing maps a variable to the value it is held at
         counter = 0
         heap: list[tuple] = [(node_bound(root.objective), counter, {}, root, None)]
         best_x: np.ndarray | None = None
@@ -373,19 +294,16 @@ def solve_binary_mip(
                 break
             if best_x is not None and node_bound(sol.objective) >= best_obj - 1e-9:
                 continue
-            xb = sol.x[binaries]
-            frac = np.abs(xb - np.round(xb))
-            pick = int(np.argmax(frac))
-            if frac[pick] <= INT_TOL:
-                xi = sol.x.copy()
-                xi[binaries] = np.round(xb)
+            frac = np.abs(sol.x - np.round(sol.x))
+            var = int(np.argmax(frac))
+            if frac[var] <= INT_TOL:
+                xi = np.round(sol.x)
                 obj = float(objective @ xi)
                 if obj < best_obj - 1e-12:
                     best_obj = obj
                     best_x = xi
                 continue
-            var = binaries[pick]
-            basis = model.basis()
+            basis = lp.basis()
             for value in (0.0, 1.0):
                 counter += 1
                 child = dict(patch)
@@ -394,7 +312,7 @@ def solve_binary_mip(
                     heap, (node_bound(sol.objective), counter, child, None, basis)
                 )
     finally:
-        model.set_bounds(clipped, own_lower[clipped], own_upper[clipped])
+        lp.set_bounds(clipped, own_lower[clipped], own_upper[clipped])
 
     if best_x is None:
         return MipSolution(

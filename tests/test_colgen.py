@@ -27,7 +27,7 @@ from corules.colgen import (
 from corules.dataset import BinaryDataset, ColumnMeta, binarize, generate_tictactoe
 from corules.metrics import accuracy, hamming_loss, ruleset_similarity
 from corules.ruledsl import RuleError, bind, parse_rules, parse_templates
-from corules.solver import LinearProgram, solve_lp
+from corules.solver import LiveLp, solve_lp
 
 from oracles import (
     brute_force_best_rule_set,
@@ -45,7 +45,7 @@ def ttt_dataset():
 
 @pytest.fixture(scope="module")
 def eight_rules():
-    return parse_rules(EIGHT_RULES, positive_label="x_wins")
+    return parse_rules(EIGHT_RULES)
 
 
 def random_dataset(rng, n_cols=None, n_rows=None):
@@ -254,10 +254,10 @@ def dense_master(pool, ds, params):
         rows[:n_pos, k] = col.pos_cover
         rows[n_pos, k] = col.complexity
     rows[np.arange(n_pos), n_pool + np.arange(n_pos)] = 1.0
-    return LinearProgram(
-        cost, rows, (">=",) * n_pos + ("<=",),
-        np.append(np.ones(n_pos), params.complexity_budget),
-        lower, np.ones(n_pool + n_pos),
+    return LiveLp(
+        np.append(np.ones(n_pos), -np.inf),
+        np.append(np.full(n_pos, np.inf), params.complexity_budget),
+        cost, lower, np.ones(n_pool + n_pos), rows,
     )
 
 
@@ -551,7 +551,7 @@ class TestTrain:
         rng = np.random.default_rng(11)
         idx = rng.choice(ttt_dataset.n, size=150, replace=False)
         _, report = train(ttt_dataset.subset(idx), None, Params())
-        objs = report.lp_objectives
+        objs = [row["lp_objective"] for row in report.rounds]
         assert all(a >= b - 1e-7 for a, b in zip(objs, objs[1:]))
 
     def test_pricing_finds_nothing_at_termination(self, ttt_dataset):
@@ -570,7 +570,7 @@ class TestTrain:
         assert report.rounds[-1]["columns_added"] == 0
         assert report.stop_reason == colgen.STOP_NO_IMPROVING_COLUMN
         # the final master starts where column generation ended
-        last_lp = report.lp_objectives[-1]
+        last_lp = report.rounds[-1]["lp_objective"]
         assert report.mip_relaxation == pytest.approx(last_lp, abs=1e-9)
         assert report.mip_relaxation <= report.mip_objective + 1e-9
         assert 0.0 < report.mip_seconds < report.train_seconds
@@ -694,15 +694,15 @@ class TestTrain:
             calls.append(model)
             sol = solve(model)
             if len(calls) == 2:
-                sol = dataclasses.replace(sol, status=solver.ITERATION_LIMIT)
+                sol = dataclasses.replace(sol, status=solver.INFEASIBLE)
             return sol
 
         monkeypatch.setattr(colgen, "solve_master", failing_second_round)
         ds = ttt_dataset.subset(np.arange(0, ttt_dataset.n, 20))
         rs, report = train(ds, None, Params(max_degree=2))
-        assert report.stop_reason == "lp-status:" + solver.ITERATION_LIMIT
-        assert len(report.rounds) == len(report.lp_objectives) == 1
-        assert any(solver.ITERATION_LIMIT in w for w in report.warnings)
+        assert report.stop_reason == "lp-status:" + solver.INFEASIBLE
+        assert len(report.rounds) == 1
+        assert any(solver.INFEASIBLE in w for w in report.warnings)
         assert report.objective == hamming_loss(rs, ds)
 
     def test_each_round_logs_one_debug_line(self, ttt_dataset, caplog):

@@ -4,6 +4,8 @@ from importlib import metadata
 from pathlib import Path
 
 import pytest
+from packaging.requirements import Requirement
+from packaging.version import Version
 from setuptools import find_packages
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,3 +30,21 @@ def test_python_floor_admits_no_version_the_dependencies_refuse(dependency):
         ours = _floor(tomllib.load(fh)["project"]["requires-python"])
     theirs = _floor(metadata.metadata(dependency)["Requires-Python"])
     assert ours >= theirs, (dependency, ours, theirs)
+
+
+def _numpy_floor(requirements) -> Version:
+    """The lowest numpy an unconditional requirement list admits."""
+    reqs = [Requirement(text) for text in requirements]
+    return max(
+        Version(spec.version)
+        for req in reqs if req.name == "numpy" and req.marker is None
+        for spec in req.specifier if spec.operator == ">="
+    )
+
+
+def test_numpy_floor_admits_no_version_scipy_refuses():
+    # scipy's own numpy floor is the real one; ours must not promise less
+    with (ROOT / "pyproject.toml").open("rb") as fh:
+        ours = _numpy_floor(tomllib.load(fh)["project"]["dependencies"])
+    theirs = _numpy_floor(metadata.requires("scipy"))
+    assert ours >= theirs, (ours, theirs)

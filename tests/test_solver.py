@@ -1,4 +1,5 @@
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from corules.solver import (
     ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
-    LinearProgram,
     LiveLp,
     SolverError,
     solve_binary_mip,
@@ -19,15 +19,28 @@ from corules.solver import (
 from oracles import lp_vertex_minimum
 
 
-def make_lp(c, rows, senses, rhs, lo, up):
-    return LinearProgram(
-        np.array(c, dtype=float),
-        np.array(rows, dtype=float).reshape(len(senses), len(c)),
-        tuple(senses),
-        np.array(rhs, dtype=float),
-        np.array(lo, dtype=float),
-        np.array(up, dtype=float),
-    )
+class DenseLp(NamedTuple):
+    """min c.x  s.t. rows_i . x (>=|<=|=) rhs_i, lower <= x <= upper: the
+    arguments of ``lp_vertex_minimum``, and the model :meth:`live` builds."""
+
+    objective: np.ndarray
+    rows: np.ndarray
+    senses: tuple[str, ...]
+    rhs: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def live(self, cls=LiveLp) -> LiveLp:
+        senses = np.array(self.senses)
+        return cls(
+            np.where(senses == "<=", -np.inf, self.rhs),
+            np.where(senses == ">=", np.inf, self.rhs),
+            self.objective, self.lower, self.upper, self.rows,
+        )
+
+
+def make_lp(*args) -> LiveLp:
+    return DenseLp(*args).live()
 
 
 def random_boxed_lp(rng):
@@ -39,14 +52,12 @@ def random_boxed_lp(rng):
     rhs = rng.integers(-6, 7, size=m)
     lo = np.where(rng.random(n) < 0.5, 0.0, -2.0)
     up = lo + rng.integers(1, 6, size=n)
-    return make_lp(c, rows, senses, rhs, lo, up)
+    return DenseLp(c, rows, senses, rhs, lo, up)
 
 
 def check_against_oracle(lp, eps=1e-6):
-    sol = solve_lp(lp, eps=eps)
-    status, best = lp_vertex_minimum(
-        lp.objective, lp.rows, lp.senses, lp.rhs, lp.lower, lp.upper
-    )
+    sol = solve_lp(lp.live(), eps=eps)
+    status, best = lp_vertex_minimum(*lp)
     assert sol.status == status, f"status {sol.status} vs oracle {status}"
     if status == OPTIMAL:
         assert abs(sol.objective - best) <= 1e-6, (sol.objective, best)
@@ -115,7 +126,7 @@ class TestSolveLp:
         rng = np.random.default_rng(7)
         for _ in range(40):
             lp = random_boxed_lp(rng)
-            sol = solve_lp(lp)
+            sol = solve_lp(lp.live())
             if sol.status != OPTIMAL:
                 continue
             rc = lp.objective - sol.duals @ lp.rows
@@ -147,20 +158,14 @@ class TestSolveLp:
         # every row holds a variable with bound one, so the box is feasible
         assert sol.status == OPTIMAL
 
-    def test_iteration_limit_reported(self):
-        rng = np.random.default_rng(0)
-        lp = random_boxed_lp(rng)
-        sol = solve_lp(lp, max_iterations=1)
-        assert sol.status in (ITERATION_LIMIT, OPTIMAL, INFEASIBLE)
-
     def test_numerical_trouble_raises_with_highs_message(self):
         # a HiGHS model status we do not map (here the dual simplex stopping
         # at an objective bound) must not come back as a half-filled solution
         rng = np.random.default_rng(0)
         rows = (rng.random((40, 30)) < 0.3).astype(float)
-        live = LiveLp.from_program(make_lp(
+        live = make_lp(
             np.ones(30), rows, [">="] * 40, np.ones(40), np.zeros(30), np.ones(30)
-        ))
+        )
         live._highs.setOptionValue("objective_bound", 0.5)
         status = solver.highs.HighsModelStatus.kObjectiveBound
         message = live._highs.modelStatusToString(status)
@@ -177,15 +182,20 @@ class TestSolveLp:
         assert sol.objective == pytest.approx(3.0)
 
     def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
+        # HiGHS itself accepts lower > upper without an error
+        with pytest.raises(ValueError, match="lower bound exceeds"):
             make_lp([1.0], [[1.0]], [">="], [0.0], [2.0], [1.0])
+        live = make_lp([1.0], [[1.0]], [">="], [0.0], [0.0], [1.0])
+        with pytest.raises(ValueError, match="lower bound exceeds"):
+            live.add_columns([1.0, 1.0], [0.0, 1.0], [1.0, 0.0], np.ones((1, 2)))
+        assert live.n_vars == 1
 
 
 class TestSolveBinaryMip:
     def test_integral_relaxation_short_circuits(self):
         # min -x s.t. x <= 1: relaxation is already integral
         lp = make_lp([-1.0], [[1.0]], ["<="], [1.0], [0.0], [1.0])
-        sol = solve_binary_mip(lp, [0])
+        sol = solve_binary_mip(lp)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-1.0)
         assert sol.objective >= sol.relaxation_objective - 1e-9
@@ -203,7 +213,7 @@ class TestSolveBinaryMip:
             np.zeros(4),
             np.ones(4),
         )
-        sol = solve_binary_mip(lp, [0, 1, 2, 3])
+        sol = solve_binary_mip(lp)
         assert sol.status == OPTIMAL
         best = min(
             -values @ np.array(bits)
@@ -223,7 +233,7 @@ class TestSolveBinaryMip:
             np.zeros(2),
             np.ones(2),
         )
-        sol = solve_binary_mip(lp, [0, 1])
+        sol = solve_binary_mip(lp)
         assert sol.status == INFEASIBLE
 
     def test_random_mips_match_enumeration(self):
@@ -236,7 +246,7 @@ class TestSolveBinaryMip:
             senses = [">=" if rng.random() < 0.5 else "<=" for _ in range(m)]
             rhs = rng.integers(-4, 5, size=m).astype(float)
             lp = make_lp(c, rows, senses, rhs, np.zeros(n), np.ones(n))
-            sol = solve_binary_mip(lp, list(range(n)))
+            sol = solve_binary_mip(lp)
             best = None
             for bits in np.ndindex(*(2,) * n):
                 xv = np.array(bits, dtype=float)
@@ -268,11 +278,11 @@ class TestSolveBinaryMip:
                 np.zeros(n), np.ones(n),
             )
 
-        sol = solve_binary_mip(knapsack(-1.0), range(n), node_limit=100)
+        sol = solve_binary_mip(knapsack(-1.0), node_limit=100)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-5.0)
         assert sol.relaxation_objective == pytest.approx(-5.5)
-        sol = solve_binary_mip(knapsack(-1.5), range(n), node_limit=100)
+        sol = solve_binary_mip(knapsack(-1.5), node_limit=100)
         assert sol.status == ITERATION_LIMIT
         assert sol.objective == pytest.approx(-7.5)
 
@@ -282,7 +292,7 @@ class TestSolveBinaryMip:
         c = -rng.integers(1, 10, size=n).astype(float)
         rows = rng.integers(1, 5, size=(1, n)).astype(float)
         lp = make_lp(c, rows, ["<="], [rows.sum() / 2], np.zeros(n), np.ones(n))
-        sol = solve_binary_mip(lp, list(range(n)), node_limit=2)
+        sol = solve_binary_mip(lp, node_limit=2)
         assert sol.status in (ITERATION_LIMIT, OPTIMAL)
 
 
@@ -293,7 +303,7 @@ def random_set_cover(rng, n):
     for row in rows:
         row[rng.choice(n, size=3, replace=False)] = 1.0
     c = rng.integers(1, 10, size=n).astype(float)
-    return make_lp(c, rows, [">="] * 4 * n, np.ones(4 * n), np.zeros(n), np.ones(n))
+    return DenseLp(c, rows, [">="] * 4 * n, np.ones(4 * n), np.zeros(n), np.ones(n))
 
 
 def test_random_set_covers_match_enumeration():
@@ -302,8 +312,8 @@ def test_random_set_covers_match_enumeration():
     nodes = []
     for _ in range(15):
         lp = random_set_cover(rng, int(rng.integers(10, 13)))
-        sol = solve_binary_mip(lp, range(lp.n_vars))
-        bits = np.array(list(np.ndindex(*(2,) * lp.n_vars)), dtype=float)
+        sol = solve_binary_mip(lp.live())
+        bits = np.array(list(np.ndindex(*(2,) * lp.objective.size)), dtype=float)
         feasible = np.all(bits @ lp.rows.T >= 1.0, axis=1)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx((bits[feasible] @ lp.objective).min())
@@ -320,10 +330,8 @@ def test_mip_gives_the_live_model_its_bounds_back():
     lower[3] = 1.0  # held in, as hard mode holds a person's rule
     upper[5] = 2.0  # clipped to 1 while branching; with positive costs the
     # covering LP never sets a variable above 1, so the root stays the same
-    live = LiveLp.from_program(
-        LinearProgram(lp.objective, lp.rows, lp.senses, lp.rhs, lower, upper)
-    )
-    mip = solve_binary_mip(live, range(live.n_vars))
+    live = lp._replace(lower=lower, upper=upper).live()
+    mip = solve_binary_mip(live)
     assert mip.status == OPTIMAL and mip.nodes > 1
     assert mip.x[3] == 1.0
     assert np.array_equal(live.lower, lower)
@@ -371,12 +379,12 @@ class BasisRecordingLp(LiveLp):
             self.solves[-1]["handed"] = _statuses(basis)
         return basis
 
-    def solve(self, eps=solver.GAP_TOL, max_iterations=None):
+    def solve(self, eps=solver.GAP_TOL):
         fixed = frozenset(
             (j, lo) for j, (lo, up) in enumerate(zip(self.lower, self.upper)) if lo == up
         )
         start = _statuses(super().basis())
-        sol = super().solve(eps, max_iterations)
+        sol = super().solve(eps)
         self.solves.append({"fixed": fixed, "start": start, "handed": None})
         return sol
 
@@ -387,8 +395,8 @@ def _statuses(basis):
 
 def test_every_node_starts_from_its_parents_basis():
     rng = np.random.default_rng(606)
-    live = BasisRecordingLp.from_program(random_set_cover(rng, 12))
-    mip = solve_binary_mip(live, range(live.n_vars))
+    live = random_set_cover(rng, 12).live(BasisRecordingLp)
+    mip = solve_binary_mip(live)
     assert mip.status == OPTIMAL and mip.nodes > 1
     handed = {}  # fixings of a solved node -> its solve number, its children's basis
     not_after_parent = 0
