@@ -17,8 +17,9 @@ re-derived from the originating raw cell and new data can be binarized
 against a trained model's columns.  Bits are computed feature by feature,
 for every caller, the same way: :func:`feature_values` converts one
 feature's levels once, :func:`column_bits` evaluates a condition on them,
-and the level bits are gathered by the feature's codes.  :func:`cover` is
-the one kernel that intersects bit columns into a conjunction's cover.
+and :func:`gather_bits` spreads the level bits to the rows by the feature's
+codes.  :func:`cover` is the one kernel that intersects bit columns into a
+conjunction's cover.
 """
 
 from __future__ import annotations
@@ -88,10 +89,13 @@ class RawTable:
     Cells are stored column by column and dictionary encoded.
     ``levels[j]`` holds column j's distinct cells, each once, keyed by
     ``(type(cell), str(cell))``; ``codes[j, i]`` is the position of row i's
-    cell in ``levels[j]``.  :meth:`subset` gathers codes and keeps the
-    levels, so a subset's levels can include cells none of its rows holds;
-    everything that reads a table (conversions, binarization, errors naming
-    a row) depends only on the cells its rows hold.  ``rows`` and
+    cell in ``levels[j]``.  ``codes`` has the narrowest unsigned dtype that
+    holds every column's codes: ``uint8`` while no column has more than 256
+    levels, ``uint16`` up to 65,536, and so on.  :meth:`subset` gathers
+    codes, keeping their dtype, and keeps the levels, so a subset's levels
+    can include cells none of its rows holds; everything that reads a table
+    (conversions, binarization, errors naming a row) depends only on the
+    cells its rows hold.  ``rows`` and
     :meth:`column` rebuild the cells from the codes, with each level's first
     cell standing for every cell of that level.
     """
@@ -109,7 +113,10 @@ class RawTable:
                 )
         encoded = [_encode(cells) for cells in list(zip(*rows)) or [()] * len(self.names)]
         self.levels: tuple[tuple, ...] = tuple(levels for levels, _ in encoded)
-        self.codes: np.ndarray = np.array([codes for _, codes in encoded], dtype=np.intp)
+        widest = max(len(levels) for levels in self.levels)
+        self.codes: np.ndarray = np.array(
+            [codes for _, codes in encoded], dtype=np.min_scalar_type(max(widest - 1, 0))
+        )
 
     @property
     def schema(self) -> TableSchema:
@@ -185,7 +192,7 @@ def _convert_levels(levels: tuple, codes: np.ndarray,
         except DataError:
             bad[k] = True
     if bad.any():
-        hit = bad[codes]
+        hit = gather_bits(bad, codes)
         if hit.any():
             row = int(np.argmax(hit))
             convert(levels[codes[row]], row)
@@ -208,7 +215,7 @@ def label_bools(table: RawTable) -> np.ndarray:
     """The label column as bools, each label level parsed once."""
     levels, codes = table.encoded(table.label)
     parsed = _convert_levels(levels, codes, lambda cell, row: parse_label_value(cell), bool)
-    return parsed[codes]
+    return gather_bits(parsed, codes)
 
 
 def _as_float(value, feature: str, row: int) -> float:
@@ -275,6 +282,26 @@ def column_bits(meta: ColumnMeta, values: np.ndarray) -> np.ndarray:
     if meta.op == OP_GT:
         return values > meta.value
     raise DataError(f"unknown column operator {meta.op!r}")
+
+
+def gather_bits(
+    level_bits: np.ndarray, codes: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``level_bits[codes]``: one bit per level, spread to the rows by code.
+
+    A condition true on exactly one level is the rows whose code equals
+    that level, and one false on exactly one level the rows whose code
+    differs; both compare the narrow codes instead of gathering.  Any other
+    pattern is gathered.  The level is compared as a Python ``int``, so the
+    comparison stays in the codes' dtype.
+    """
+    true = np.flatnonzero(level_bits)
+    if true.size == 1:
+        return np.equal(codes, int(true[0]), out=out)
+    false = np.flatnonzero(~level_bits)
+    if false.size == 1:
+        return np.not_equal(codes, int(false[0]), out=out)
+    return np.take(level_bits, codes, out=out)
 
 
 def cover(matrix: np.ndarray, cols: Iterable[int]) -> np.ndarray:
@@ -344,7 +371,7 @@ class BinaryDataset:
             raise DataError("dataset has no raw table to synthesize columns from")
         numeric = meta.op in (OP_LE, OP_GT)
         level_bits = column_bits(meta, feature_values(self.raw, meta.feature, numeric))
-        return level_bits[self.raw.encoded(meta.feature)[1]]
+        return gather_bits(level_bits, self.raw.encoded(meta.feature)[1])
 
     def verify_against_raw(self) -> bool:
         """Full-matrix audit: every bit equals its condition on the raw cell."""
@@ -412,7 +439,7 @@ def binarize(
             ops = (OP_EQ, OP_NE) if include_negations else (OP_EQ,)
             block = [ColumnMeta(name, op, v) for op in ops for v in distinct]
         metas += block
-        bit_cols += [column_bits(meta, values)[codes] for meta in block]
+        bit_cols += [gather_bits(column_bits(meta, values), codes) for meta in block]
 
     if not metas:
         raise DataError("no usable features")
@@ -424,8 +451,8 @@ def apply_columns(raw: RawTable, columns: Sequence[ColumnMeta]) -> BinaryDataset
 
     Feature by feature: each feature's levels are converted once with
     :func:`feature_values`, every column on that feature is evaluated on
-    the converted levels, and the level bits are gathered by code into a
-    column-major bool matrix.
+    the converted levels, and :func:`gather_bits` spreads the level bits by
+    code into a column-major bool matrix.
     """
     if raw.n_rows == 0:
         raise DataError("empty table")
@@ -440,7 +467,7 @@ def apply_columns(raw: RawTable, columns: Sequence[ColumnMeta]) -> BinaryDataset
         if key not in values:
             values[key] = feature_values(raw, *key)
         codes = raw.encoded(meta.feature)[1]
-        np.take(column_bits(meta, values[key]), codes, out=matrix[:, j])
+        gather_bits(column_bits(meta, values[key]), codes, out=matrix[:, j])
     return BinaryDataset(tuple(columns), matrix, labels, raw)
 
 

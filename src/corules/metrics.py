@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .dataset import BinaryDataset
-from .ruledsl import BoundRuleSet, Conjunction, RuleError, RuleSet, Template, bind
+from .ruledsl import BoundRuleSet, Conjunction, RuleError, RuleSet, bind
 
 
 @dataclass(frozen=True)
@@ -63,28 +63,24 @@ def _ensure_bound(
     return bind(rule_set, dataset)
 
 
-def coverage_counts(
-    rule_set: RuleSet | BoundRuleSet, dataset: BinaryDataset
-) -> np.ndarray:
-    """Per sample, how many conjunctions cover it."""
-    bound, ds = _ensure_bound(rule_set, dataset)
-    return bound.covers(ds.matrix).sum(axis=1)
-
-
 def hamming_loss(rule_set: RuleSet | BoundRuleSet, dataset: BinaryDataset) -> int:
     """Uncovered positives plus per-conjunction hits on negatives."""
-    counts = coverage_counts(rule_set, dataset)
+    bound, ds = _ensure_bound(rule_set, dataset)
+    covers = bound.covers(ds.matrix)
     labels = dataset.labels
-    false_negatives = int(np.count_nonzero(labels & (counts == 0)))
-    false_positive_units = int(counts[~labels].sum())
+    negatives = ~labels
+    false_negatives = int(np.count_nonzero(labels & ~covers.any(axis=1)))
+    false_positive_units = sum(
+        int(np.count_nonzero(covers[:, k] & negatives)) for k in range(covers.shape[1])
+    )
     return false_negatives + false_positive_units
 
 
 def accuracy(rule_set: RuleSet | BoundRuleSet, dataset: BinaryDataset) -> float:
     if dataset.n == 0:
         raise ValueError("empty dataset")
-    preds = coverage_counts(rule_set, dataset) > 0
-    return float(np.mean(preds == dataset.labels))
+    bound, ds = _ensure_bound(rule_set, dataset)
+    return int(np.count_nonzero(bound.predict(ds.matrix) == dataset.labels)) / dataset.n
 
 
 def conjunction_similarity(a: Conjunction, b: Conjunction) -> float:
@@ -131,10 +127,3 @@ def key_distance(
     if not template_keys:
         raise ValueError("template set is empty")
     return min(1.0 - len(keys & tk) / len(tk) for tk in template_keys)
-
-
-def template_distance(k: Conjunction, templates: Sequence[Template]) -> float:
-    """:func:`key_distance` of a conjunction's literals to the templates."""
-    return key_distance(
-        {lit.key() for lit in k.literals}, [t.keys() for t in templates]
-    )

@@ -13,6 +13,7 @@ from corules.dataset import (
     TableSchema,
     apply_columns,
     binarize,
+    gather_bits,
     generate_tictactoe,
     label_bools,
     load_csv,
@@ -352,3 +353,86 @@ class TestEncodedTable:
         assert t.codes[0].tolist() == [0, 1, 2, 3, 4, 5, 0, 3]
         assert [type(c) for c in t.column("a")] == [type(c) for c in cells]
         assert t.subset(np.array([7, 2])).column("a") == ["1", True]
+
+
+@st.composite
+def level_bit_patterns(draw):
+    """Level bits with one level set, one clear, none, all or several set."""
+    pattern = draw(st.sampled_from(["one set", "one clear", "none", "all", "several"]))
+    n_levels = draw(st.integers(4 if pattern == "several" else 1, 300))
+    bits = np.zeros(n_levels, dtype=bool)
+    if pattern == "one set":
+        bits[draw(st.integers(0, n_levels - 1))] = True
+    elif pattern == "one clear":
+        bits[:] = True
+        bits[draw(st.integers(0, n_levels - 1))] = False
+    elif pattern == "all":
+        bits[:] = True
+    elif pattern == "several":  # at least two levels set and two clear
+        at = st.integers(0, n_levels - 1)
+        bits[draw(st.lists(at, min_size=2, max_size=n_levels - 2, unique=True))] = True
+    return bits
+
+
+class TestNarrowCodes:
+    @given(level_bit_patterns(), st.sampled_from([np.uint8, np.uint16]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_gather_bits_equals_indexing(self, bits, dtype, data):
+        top = min(bits.size, np.iinfo(dtype).max + 1) - 1
+        codes = np.array(data.draw(st.lists(st.integers(0, top), max_size=40)), dtype=dtype)
+        want = bits[codes]
+        assert gather_bits(bits, codes).tolist() == want.tolist()
+        out = np.ones(codes.size, dtype=bool)
+        gather_bits(bits, codes, out=out)
+        assert out.tolist() == want.tolist()
+
+    def test_codes_take_the_narrowest_dtype(self):
+        def table(n_levels):
+            rows = [[float(i), "yes" if i % 2 else "no"] for i in range(n_levels)]
+            return RawTable(["a", "y"], [NUMERIC, CATEGORICAL], rows, "y")
+
+        assert table(256).codes.dtype == np.uint8
+        assert table(257).codes.dtype == np.uint16
+        assert RawTable(["a", "y"], [CATEGORICAL] * 2, [], "y").codes.dtype == np.uint8
+
+    def test_subset_keeps_the_narrow_dtype(self, ttt):
+        assert ttt.codes.dtype == np.uint8
+        sub = ttt.subset([3, 1, 4, 1, 5])
+        assert sub.codes.dtype == np.uint8
+        assert sub.rows == [ttt.rows[i] for i in (3, 1, 4, 1, 5)]
+
+    def test_wide_numeric_column_matches_cell_oracle(self):
+        # 400 rows, 300 distinct numbers: every column's codes widen to uint16
+        labels = ["yes", "no", "TRUE", "f", True, 0]
+        rows = [
+            [float(i % 300) / 4, "abc"[i % 3], labels[i % len(labels)]]
+            for i in range(400)
+        ]
+        t = RawTable(["a", "c", "y"], [NUMERIC, CATEGORICAL, CATEGORICAL], rows, "y")
+        assert t.codes.dtype == np.uint16
+        binned = binarize(t, bins=7)
+        cols = binned.columns + (
+            ColumnMeta("a", "<=", 0.0),      # true on one level
+            ColumnMeta("a", ">", 0.0),       # false on one level
+            ColumnMeta("a", "<=", 74.75),    # true on every level
+            ColumnMeta("a", ">", 74.75),     # true on none
+            ColumnMeta("c", "==", "b"),
+            ColumnMeta("c", "!=", "b"),
+        )
+        applied = apply_columns(t, cols)
+        for i, row in enumerate(rows):
+            for j, meta in enumerate(cols):
+                cell = row[t.names.index(meta.feature)]
+                assert applied.matrix[i, j] == cell_condition(meta, cell), (i, meta)
+        want_labels = [parse_label_value(row[-1]) for row in rows]
+        assert label_bools(t).tolist() == want_labels
+        assert applied.labels.tolist() == want_labels
+        assert np.array_equal(binned.matrix, applied.matrix[:, : binned.n_columns])
+        assert binned.verify_against_raw()
+
+        rows[290][0] = "oops"
+        bad = RawTable(["a", "c", "y"], [NUMERIC, CATEGORICAL, CATEGORICAL], rows, "y")
+        with pytest.raises(DataError, match=r"'oops' at row 290$"):
+            binarize(bad)
+        with pytest.raises(DataError, match=r"'oops' at row 290$"):
+            apply_columns(bad, (ColumnMeta("a", "<=", 1.5),))

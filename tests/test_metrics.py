@@ -9,12 +9,13 @@ from corules.metrics import (
     accuracy,
     conjunction_similarity,
     hamming_loss,
+    key_distance,
     ruleset_similarity,
     similarity_matrix,
-    template_distance,
     write_reports_csv,
 )
 from corules.ruledsl import (
+    BoundRuleSet,
     Conjunction,
     Literal,
     RuleSet,
@@ -23,7 +24,7 @@ from corules.ruledsl import (
     parse_rules,
 )
 
-from oracles import brute_force_matching_score
+from oracles import brute_force_matching_score, conjunction_cover
 from test_ruledsl import EIGHT_RULES
 
 
@@ -67,6 +68,59 @@ class TestHammingLoss:
             ]
         )
         assert hamming_loss(rs, ds) == 2
+
+
+def oracle_scores(matrix, labels, column_sets):
+    """Hamming loss and accuracy recomputed cover by cover."""
+    covers = [conjunction_cover(matrix, cols) for cols in column_sets]
+    hamming = 0
+    correct = 0
+    for i, label in enumerate(labels):
+        hits = sum(bool(c[i]) for c in covers)
+        hamming += (hits == 0) if label else hits
+        correct += (hits > 0) == label
+    return hamming, correct / len(labels)
+
+
+class TestScoresAgainstCoverOracle:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_matrices(self, data):
+        n = data.draw(st.integers(1, 40))
+        m = data.draw(st.integers(1, 6))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        ds = tiny_dataset(rng.random((n, m)) < 0.6, rng.random(n) < 0.5)
+        cols = st.frozensets(st.integers(0, m - 1), max_size=3)
+        column_sets = tuple(data.draw(st.lists(cols, max_size=6)))
+        bound = BoundRuleSet(RuleSet(()), column_sets, m)
+        want_hamming, want_accuracy = oracle_scores(ds.matrix, ds.labels, column_sets)
+        assert hamming_loss(bound, ds) == want_hamming
+        assert accuracy(bound, ds) == want_accuracy
+
+    def test_empty_rule_set(self):
+        rng = np.random.default_rng(3)
+        ds = tiny_dataset(rng.random((50, 4)) < 0.5, rng.random(50) < 0.3)
+        bound = BoundRuleSet(RuleSet(()), (), 4)
+        want_hamming, want_accuracy = oracle_scores(ds.matrix, ds.labels, ())
+        assert hamming_loss(bound, ds) == want_hamming == int(ds.labels.sum())
+        assert accuracy(bound, ds) == want_accuracy
+
+    def test_many_conjunctions_on_one_negative_row(self):
+        # 300 conjunctions cover the negative row 0 and nothing else; a uint8
+        # count would wrap to 44
+        rng = np.random.default_rng(4)
+        matrix = np.zeros((20, 8), dtype=bool)
+        matrix[0] = True
+        ds = tiny_dataset(matrix, np.zeros(20, dtype=bool))
+        column_sets = tuple(
+            frozenset(rng.choice(8, rng.integers(1, 4), replace=False).tolist())
+            for _ in range(300)
+        )
+        bound = BoundRuleSet(RuleSet(()), column_sets, 8)
+        assert oracle_scores(ds.matrix, ds.labels, column_sets) == (300, 19 / 20)
+        assert hamming_loss(bound, ds) == 300
+        assert accuracy(bound, ds) == 19 / 20
 
 
 class TestAccuracy:
@@ -160,22 +214,21 @@ class TestRulesetSimilarity:
 class TestTemplateDistance:
     def test_containment_is_zero(self):
         t = Template(frozenset({Literal("a", "==", "x")}))
-        k = conj_with(["a", "b"])
-        assert template_distance(k, [t]) == 0.0
+        assert key_distance(keys_of(["a", "b"]), [t.keys()]) == 0.0
 
     def test_disjoint_is_one(self):
         t = Template(frozenset({Literal("q", "==", "x")}))
-        assert template_distance(conj_with(["a", "b"]), [t]) == 1.0
+        assert key_distance(keys_of(["a", "b"]), [t.keys()]) == 1.0
 
     def test_half_shared(self):
         t = Template(
             frozenset({Literal("a", "==", "x"), Literal("z", "==", "x")})
         )
-        assert template_distance(conj_with(["a", "b"]), [t]) == 0.5
+        assert key_distance(keys_of(["a", "b"]), [t.keys()]) == 0.5
 
     def test_empty_template_set_errors(self):
         with pytest.raises(ValueError):
-            template_distance(conj_with(["a"]), [])
+            key_distance(keys_of(["a"]), [])
 
     @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True))
     @settings(max_examples=60)
@@ -184,16 +237,14 @@ class TestTemplateDistance:
             frozenset({Literal("a", "==", "x"), Literal("c", "==", "x")})
         )
         prev = 1.0
-        lits = set()
-        for n in names:
-            lits.add(Literal(n, "==", "x"))
-            d = template_distance(Conjunction(frozenset(lits)), [t])
+        for k in range(1, len(names) + 1):
+            d = key_distance(keys_of(names[:k]), [t.keys()])
             assert d <= prev + 1e-12
             prev = d
 
 
-def conj_with(names):
-    return Conjunction(frozenset(Literal(n, "==", "x") for n in names))
+def keys_of(names):
+    return {Literal(n, "==", "x").key() for n in names}
 
 
 def test_eval_report_csv(tmp_path):
