@@ -135,6 +135,8 @@ class Params:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.columns_per_round < 1:
             raise ValueError("columns per round must be >= 1")
+        if self.max_cg_rounds < 0:
+            raise ValueError("max_cg_rounds must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -583,23 +585,31 @@ def train(
     round is logged at DEBUG level on the ``corules`` logger.  The reported
     objective is recomputed from the returned rule set through
     :mod:`corules.metrics`: Hamming loss plus ``human_weight * n`` per
-    unselected human rule.
+    unselected human rule.  Human input the mode does not use raises
+    :class:`TrainingError`.
     """
     t0 = time.perf_counter()
     report = TrainReport(mode=params.mode, n_samples=dataset.n, params=params)
 
+    human = human or HumanInput()
+    rules = human.rules.conjunctions if human.rules is not None else ()
+    templates: tuple[Template, ...] = tuple(human.templates)
+    if rules and params.mode not in (MODE_SOFT, MODE_HARD):
+        raise TrainingError(
+            f"{params.mode} mode ignores human rules; use soft or hard mode"
+        )
+    if templates and params.mode != MODE_TEMPLATES:
+        raise TrainingError(f"{params.mode} mode ignores templates; use templates mode")
+
     human_col_sets: tuple[frozenset[int], ...] = ()
     template_col_sets: tuple[frozenset[int], ...] = ()
-    templates: tuple[Template, ...] = ()
-    if params.mode in (MODE_SOFT, MODE_HARD):
-        if human is not None and human.rules is not None and len(human.rules):
-            bound, dataset = bind(human.rules, dataset)
-            human_col_sets = bound.column_sets
-            report.human_rules = [c.render() for c in human.rules.conjunctions]
+    if rules:
+        bound, dataset = bind(human.rules, dataset)
+        human_col_sets = bound.column_sets
+        report.human_rules = [c.render() for c in rules]
     elif params.mode == MODE_TEMPLATES:
-        if human is None or not human.templates:
+        if not templates:
             raise TrainingError("templates mode requires a non-empty template set")
-        templates = tuple(human.templates)
         # templates are valid conjunctions themselves (distance zero); bind
         # them all first so any synthesized columns exist before seeding
         rs = RuleSet(tuple(Conjunction(t.literals, HUMAN) for t in templates))

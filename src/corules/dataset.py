@@ -10,15 +10,15 @@ a number, its value as a label) depends only on that key, so it is made
 once per level and gathered to the rows by code.
 
 Binarization turns every feature into a block of 0/1 columns: categoricals
-are one-hot encoded (optionally with ``!=`` one-hots), numerics are split
-at quantile thresholds into ``<= t`` / ``> t`` pairs.  Each binary column
+are one-hot encoded as ``==`` and ``!=`` columns, numerics are split at
+quantile thresholds into ``<= t`` / ``> t`` pairs.  Each binary column
 remembers the condition it tests (:class:`ColumnMeta`), so any bit can be
-re-derived from the originating raw cell and new data can be binarized
-against a trained model's columns.  Bits are computed feature by feature,
-for every caller, the same way: :func:`feature_values` converts one
-feature's levels once, :func:`column_bits` evaluates a condition on them,
-and :func:`gather_bits` spreads the level bits to the rows by the feature's
-codes.  :func:`cover` is the one kernel that intersects bit columns into a
+re-derived from the originating raw cell.  One function, :func:`column_block`,
+computes bits from raw cells for binning, scoring, synthesized columns and
+the audit alike: it converts each feature's levels once with
+:func:`feature_values`, evaluates conditions on them with :func:`column_bits`
+and spreads the level bits to the rows with :func:`gather_bits`.
+:func:`cover` is the one kernel that intersects bit columns into a
 conjunction's cover.
 """
 
@@ -355,32 +355,11 @@ class BinaryDataset:
         raw = self.raw.subset(idx) if self.raw is not None else None
         return BinaryDataset(self.columns, self.matrix[idx], self.labels[idx], raw)
 
-    def with_column(self, meta: ColumnMeta, bits: np.ndarray) -> "BinaryDataset":
-        if bits.shape != (self.n,):
-            raise DataError("new column has wrong length")
-        return BinaryDataset(
-            self.columns + (meta,),
-            np.hstack([self.matrix, bits.reshape(-1, 1)]),
-            self.labels,
-            self.raw,
-        )
-
-    def column_bits(self, meta: ColumnMeta) -> np.ndarray:
-        """Evaluate a column condition on the raw cells (synthesis path)."""
-        if self.raw is None:
-            raise DataError("dataset has no raw table to synthesize columns from")
-        numeric = meta.op in (OP_LE, OP_GT)
-        level_bits = column_bits(meta, feature_values(self.raw, meta.feature, numeric))
-        return gather_bits(level_bits, self.raw.encoded(meta.feature)[1])
-
     def verify_against_raw(self) -> bool:
         """Full-matrix audit: every bit equals its condition on the raw cell."""
         if self.raw is None:
             raise DataError("no raw table attached")
-        for j, meta in enumerate(self.columns):
-            if not np.array_equal(self.column_bits(meta), self.matrix[:, j]):
-                return False
-        return True
+        return np.array_equal(column_block(self.raw, self.columns), self.matrix)
 
 
 def quantile_thresholds(values: np.ndarray, bins: int) -> list[float]:
@@ -405,61 +384,57 @@ def quantile_thresholds(values: np.ndarray, bins: int) -> list[float]:
     return sorted(set(thresholds))
 
 
-def binarize(
-    raw: RawTable, bins: int = 10, include_negations: bool = True
-) -> BinaryDataset:
+def binarize(raw: RawTable, bins: int = 10) -> BinaryDataset:
     """Binarize a raw table into a :class:`BinaryDataset`.
 
     Categorical features with v distinct values expand into v equality
-    columns (plus v ``!=`` columns when ``include_negations``).  Numeric
-    features expand into ``<= t`` / ``> t`` pairs at quantile thresholds.
-    Constant features contribute nothing; a table with no usable feature
-    raises.
+    columns, then v ``!=`` columns.  Numeric features expand into ``<= t``
+    / ``> t`` pairs at quantile thresholds.  Constant features contribute
+    nothing; a table with no usable feature raises.  The bits come from
+    :func:`column_block`, reusing the levels converted here.
     """
     if raw.n_rows == 0:
         raise DataError("empty table")
     if bins < 2:
         raise DataError("bins must be >= 2")
-    labels = label_bools(raw)
 
     metas: list[ColumnMeta] = []
-    bit_cols: list[np.ndarray] = []
+    values: dict[tuple[str, bool], np.ndarray] = {}
     for name, kind in zip(raw.names, raw.kinds):
         if name == raw.label:
             continue
-        values = feature_values(raw, name, kind == NUMERIC)
+        numeric = kind == NUMERIC
+        levels = values[name, numeric] = feature_values(raw, name, numeric)
         codes = raw.encoded(name)[1]
-        if kind == NUMERIC:
-            cuts = quantile_thresholds(values[codes], bins)
-            block = [ColumnMeta(name, op, t) for t in cuts for op in (OP_LE, OP_GT)]
+        if numeric:
+            cuts = quantile_thresholds(levels[codes], bins)
+            metas += [ColumnMeta(name, op, t) for t in cuts for op in (OP_LE, OP_GT)]
         else:
-            distinct = sorted(set(values[np.unique(codes)].tolist()))
-            if len(distinct) < 2:
-                continue
-            ops = (OP_EQ, OP_NE) if include_negations else (OP_EQ,)
-            block = [ColumnMeta(name, op, v) for op in ops for v in distinct]
-        metas += block
-        bit_cols += [gather_bits(column_bits(meta, values), codes) for meta in block]
+            distinct = sorted(set(levels[np.unique(codes)].tolist()))
+            ops = (OP_EQ, OP_NE) if len(distinct) > 1 else ()
+            metas += [ColumnMeta(name, op, v) for op in ops for v in distinct]
 
     if not metas:
         raise DataError("no usable features")
-    return BinaryDataset(tuple(metas), np.column_stack(bit_cols), labels, raw)
+    matrix = column_block(raw, metas, values)
+    return BinaryDataset(tuple(metas), matrix, label_bools(raw), raw)
 
 
-def apply_columns(raw: RawTable, columns: Sequence[ColumnMeta]) -> BinaryDataset:
-    """Binarize new raw data against an existing column vocabulary.
+def column_block(
+    raw: RawTable,
+    columns: Sequence[ColumnMeta],
+    values: dict[tuple[str, bool], np.ndarray] | None = None,
+) -> np.ndarray:
+    """Evaluate column conditions on the raw cells: a column-major bool block.
 
-    Feature by feature: each feature's levels are converted once with
-    :func:`feature_values`, every column on that feature is evaluated on
-    the converted levels, and :func:`gather_bits` spreads the level bits by
-    code into a column-major bool matrix.
+    Each feature's levels are converted once with :func:`feature_values`
+    (or taken from ``values``, levels the caller already converted, keyed
+    by ``(feature, numeric)``); every column on the feature is evaluated on
+    them, and :func:`gather_bits` spreads its level bits to the rows.
     """
-    if raw.n_rows == 0:
-        raise DataError("empty table")
-    labels = label_bools(raw)
     features = set(raw.schema.feature_names)
-    values: dict[tuple[str, bool], np.ndarray] = {}
-    matrix = np.empty((raw.n_rows, len(columns)), dtype=bool, order="F")
+    values = dict(values or {})
+    block = np.empty((raw.n_rows, len(columns)), dtype=bool, order="F")
     for j, meta in enumerate(columns):
         if meta.feature not in features:
             raise DataError(f"data has no feature {meta.feature!r}")
@@ -467,8 +442,16 @@ def apply_columns(raw: RawTable, columns: Sequence[ColumnMeta]) -> BinaryDataset
         if key not in values:
             values[key] = feature_values(raw, *key)
         codes = raw.encoded(meta.feature)[1]
-        gather_bits(column_bits(meta, values[key]), codes, out=matrix[:, j])
-    return BinaryDataset(tuple(columns), matrix, labels, raw)
+        gather_bits(column_bits(meta, values[key]), codes, out=block[:, j])
+    return block
+
+
+def apply_columns(raw: RawTable, columns: Sequence[ColumnMeta]) -> BinaryDataset:
+    """Binarize new raw data against an existing column vocabulary."""
+    if raw.n_rows == 0:
+        raise DataError("empty table")
+    labels = label_bools(raw)
+    return BinaryDataset(tuple(columns), column_block(raw, columns), labels, raw)
 
 
 # --- tic-tac-toe endgame -------------------------------------------------

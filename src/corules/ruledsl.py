@@ -22,9 +22,9 @@ matters when a cell equals a threshold exactly, which binning thresholds
 (midpoints between observed values) never do.
 
 Binding resolves each literal to a column of a :class:`BinaryDataset`.
-Numeric thresholds with no exact binned counterpart get a freshly
-synthesized column, so human-provided cut points are honored exactly
-rather than snapped to the nearest bin.
+Literals with no exact counterpart, such as thresholds binning never made,
+get columns synthesized from the raw cells, so human-provided cut points
+are honored exactly rather than snapped to the nearest bin.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .dataset import (
     ORIGIN_SYNTHESIZED,
     BinaryDataset,
     ColumnMeta,
+    column_block,
     condition_key,
     cover,
 )
@@ -390,19 +391,21 @@ def bind(
 ) -> tuple[BoundRuleSet, BinaryDataset]:
     """Resolve every literal to a column index, synthesizing columns at need.
 
-    Returns the bound rule set together with the (possibly extended) dataset.
-    Binding is stable: a literal that already matches a column, including one
-    synthesized by an earlier bind, never adds another.
+    Every literal is resolved, in rule order, before any column is built.
+    Those that match no column get new columns, numbered in order of first
+    appearance and computed by one :func:`~corules.dataset.column_block`
+    call.  Returns the bound rule set together with the (possibly extended)
+    dataset.  Binding is stable: a literal that already matches a column,
+    including one synthesized by an earlier bind, never adds another.
     """
     by_key = {meta.key(): j for j, meta in enumerate(dataset.columns)}
-    if dataset.raw is not None:
-        schema = dataset.raw.schema
-        feature_kinds = {n: schema.kind_of(n) for n in schema.feature_names}
-    else:
-        feature_kinds = None
+    new: list[ColumnMeta] = []
+    raw = dataset.raw
+    feature_kinds = None if raw is None else {
+        name: kind for name, kind in zip(raw.names, raw.kinds) if name != raw.label
+    }
 
     def resolve(lit: Literal) -> int:
-        nonlocal dataset
         if lit.key() in by_key:
             return by_key[lit.key()]
         if feature_kinds is None:
@@ -418,22 +421,22 @@ def bind(
             )
         if lit.op in (OP_EQ, OP_NE) and kind != CATEGORICAL:
             raise RuleError(f"equality literal {lit.render()!r} on numeric feature")
-        meta = ColumnMeta(lit.feature, lit.op, lit.value, ORIGIN_SYNTHESIZED)
-        bits = dataset.column_bits(meta)
-        if lit.op == OP_EQ and not bits.any():
-            warnings.warn(
-                f"category {lit.value!r} never observed for {lit.feature!r}; "
-                "column is constant false",
-                BindingWarning,
-                stacklevel=3,
-            )
-        dataset = dataset.with_column(meta, bits)
-        j = dataset.n_columns - 1
-        by_key[lit.key()] = j
+        new.append(ColumnMeta(lit.feature, lit.op, lit.value, ORIGIN_SYNTHESIZED))
+        by_key[lit.key()] = j = dataset.n_columns + len(new) - 1
         return j
 
-    column_sets = []
-    for conj in rule_set.conjunctions:
-        column_sets.append(frozenset(resolve(lit) for lit in conj.sorted_literals()))
-    bound = BoundRuleSet(rule_set, tuple(column_sets), dataset.n_columns)
-    return bound, dataset
+    column_sets = tuple(
+        frozenset(resolve(lit) for lit in conj.sorted_literals())
+        for conj in rule_set.conjunctions
+    )
+    if new:
+        block = column_block(raw, new)
+        for meta, bits in zip(new, block.T):
+            if meta.op == OP_EQ and not bits.any():
+                warnings.warn(
+                    f"category {meta.value!r} never observed for {meta.feature!r}; "
+                    "column is constant false", BindingWarning, stacklevel=2,
+                )
+        matrix = np.hstack([dataset.matrix, block])
+        dataset = BinaryDataset(dataset.columns + tuple(new), matrix, dataset.labels, raw)
+    return BoundRuleSet(rule_set, column_sets, dataset.n_columns), dataset

@@ -18,6 +18,7 @@ from corules.colgen import (
     HumanInput,
     NoPositivesError,
     Params,
+    TrainingError,
     TrainReport,
     build_master,
     price,
@@ -82,6 +83,8 @@ def seeded_pool(dataset, human_sets=(), templates=()):
         ("tolerance", 0.0),
         ("tolerance", -1.0),
         ("mip_node_limit", 0),
+        ("max_cg_rounds", -1),
+        ("max_cg_rounds", -2),
     ],
 )
 def test_params_reject_values_that_hang_or_mislead_train(name, value):
@@ -671,6 +674,25 @@ class TestTrain:
         with pytest.raises(Exception, match="template"):
             train(ttt_dataset, None, Params(mode=MODE_TEMPLATES))
 
+    @pytest.mark.parametrize("mode", [MODE_MACHINE, MODE_TEMPLATES])
+    def test_rules_outside_soft_and_hard_mode_raise(self, ttt_dataset, eight_rules, mode):
+        templates = tuple(parse_templates("cell_r1_c1 == x"))
+        human = HumanInput(rules=eight_rules, templates=templates)
+        with pytest.raises(TrainingError, match=f"{mode} mode ignores human rules"):
+            train(ttt_dataset, human, Params(mode=mode))
+
+    @pytest.mark.parametrize("mode", [MODE_MACHINE, MODE_SOFT, MODE_HARD])
+    def test_templates_outside_templates_mode_raise(self, ttt_dataset, mode):
+        human = HumanInput(templates=tuple(parse_templates("cell_r1_c1 == x")))
+        with pytest.raises(TrainingError, match=f"{mode} mode ignores templates"):
+            train(ttt_dataset, human, Params(mode=mode))
+
+    def test_zero_rounds_is_no_column_generation(self, ttt_dataset):
+        ds = ttt_dataset.subset(range(0, ttt_dataset.n, 20))
+        _, report = train(ds, None, Params(max_cg_rounds=0))
+        assert report.rounds == []
+        assert report.stop_reason == colgen.STOP_ROUND_LIMIT
+
     def test_no_positive_fold_errors(self):
         matrix = np.ones((4, 2), dtype=bool)
         cols = (ColumnMeta("a", "==", "x"), ColumnMeta("b", "==", "x"))
@@ -789,7 +811,10 @@ def test_templates_pool_distances_match_oracle(ttt_dataset, monkeypatch):
     ds = ttt_dataset.subset(rng.choice(ttt_dataset.n, size=60, replace=False))
     # a second "cell_r0_c0 == x" column with other bits
     j = ds.columns.index(ColumnMeta("cell_r0_c0", "==", "x"))
-    ds = ds.with_column(ds.columns[j], rng.random(ds.n) < 0.5)
+    bits = rng.random((ds.n, 1)) < 0.5
+    ds = BinaryDataset(
+        ds.columns + (ds.columns[j],), np.hstack([ds.matrix, bits]), ds.labels, ds.raw
+    )
     dup = ds.n_columns - 1
     templates = parse_templates(
         "cell_r0_c0 == x AND cell_r0_c1 == x\nOR cell_r1_c1 == x"

@@ -7,6 +7,7 @@ from corules.dataset import (
     CATEGORICAL,
     NUMERIC,
     TTT_FEATURES,
+    BinaryDataset,
     ColumnMeta,
     DataError,
     RawTable,
@@ -74,12 +75,25 @@ class TestBinarize:
         )
 
     def test_without_negations(self, ttt):
-        ds = binarize(ttt, include_negations=False)
-        assert ds.n_columns == 9 * 3
+        # an equality-only vocabulary: apply binarize's == columns
+        ds = binarize(ttt)
+        keep = [j for j, meta in enumerate(ds.columns) if meta.op == "=="]
+        eq = apply_columns(ttt, [ds.columns[j] for j in keep])
+        assert eq.n_columns == 9 * 3
+        assert np.array_equal(eq.matrix, ds.matrix[:, keep])
 
     def test_full_matrix_audit(self, ttt):
         ds = binarize(ttt.subset(range(50)))
         assert ds.verify_against_raw()
+
+    def test_audit_catches_one_flipped_bit(self, ttt):
+        ds = binarize(ttt.subset(range(50)))
+        matrix = ds.matrix.copy()
+        matrix[17, 5] = not matrix[17, 5]
+        assert not BinaryDataset(ds.columns, matrix, ds.labels, ds.raw).verify_against_raw()
+
+    def test_matrix_is_column_major(self, ttt):
+        assert binarize(ttt).matrix.flags.f_contiguous
 
     def test_constant_numeric_feature_rejected(self):
         t = RawTable(

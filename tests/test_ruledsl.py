@@ -28,6 +28,8 @@ from corules.ruledsl import (
     print_rules,
 )
 
+from oracles import cell_condition
+
 TOP_ROW = "cell_r0_c0 == x AND cell_r0_c1 == x AND cell_r0_c2 == x"
 
 EIGHT_RULES = " OR ".join(
@@ -247,6 +249,47 @@ class TestBind:
             bound, ds = bind(parse_rules("cell_r0_c0 == q"), ttt_dataset)
         j = next(iter(bound.column_sets[0]))
         assert not ds.matrix[:, j].any()
+
+    def test_several_literals_synthesize_in_one_block(self):
+        rows = [
+            [20.0, 1e4, "red", "no"],
+            [35.0, 3e4, "blue", "yes"],
+            [50.0, 2e4, "red", "no"],
+            [70.0, 5e4, "green", "yes"],
+        ]
+        kinds = [NUMERIC, NUMERIC, CATEGORICAL, CATEGORICAL]
+        t = RawTable(["age", "income", "color", "y"], kinds, rows, "y")
+        ds = binarize(t, bins=2)
+        rs = parse_rules(
+            "(age > 30.5 AND color == purple) OR (age <= 61.0 AND income > 4e4)"
+            " OR (color == purple AND income > 4e4 AND color != red)"
+        )
+        with pytest.warns(BindingWarning, match="purple") as record:
+            bound, ds2 = bind(rs, ds)
+        assert len(record) == 1
+        new = [
+            ColumnMeta("age", ">", 30.5, "synthesized-from-human-literal"),
+            ColumnMeta("color", "==", "purple", "synthesized-from-human-literal"),
+            ColumnMeta("age", "<=", 61.0, "synthesized-from-human-literal"),
+            ColumnMeta("income", ">", 4e4, "synthesized-from-human-literal"),
+        ]
+        assert ds2.columns == ds.columns + tuple(new)
+        k = ds.n_columns
+        red = ds.columns.index(ColumnMeta("color", "!=", "red"))
+        assert bound.column_sets == (
+            frozenset({k, k + 1}), frozenset({k + 2, k + 3}), frozenset({k + 1, k + 3, red})
+        )
+        assert np.array_equal(ds2.matrix[:, :k], ds.matrix)
+        for i, row in enumerate(rows):
+            for j, meta in enumerate(new, start=k):
+                cell = row[t.names.index(meta.feature)]
+                assert ds2.matrix[i, j] == cell_condition(meta, cell), (i, meta)
+        assert ds2.verify_against_raw()
+
+        again, ds3 = bind(rs, ds2)
+        assert ds3.columns == ds2.columns
+        assert np.array_equal(ds3.matrix, ds2.matrix)
+        assert again.column_sets == bound.column_sets
 
     def test_predict_shapes_and_mismatch(self, ttt_dataset):
         bound, ds = bind(parse_rules(TOP_ROW), ttt_dataset)
