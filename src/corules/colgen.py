@@ -21,12 +21,12 @@ search for out-of-pool conjunctions whose reduced cost
 
 is negative under the LP duals (mu on covering rows, lambda on the
 budget).  Pricing is an exact search over literal sets up to a degree cap
-for the ``columns_per_round`` most negative of them.  It evaluates the
+for the ``COLUMNS_PER_ROUND`` most negative of them.  It evaluates the
 children of a whole block of search nodes with two matrix products (mu
 mass and false positives) and prunes with an admissible bound (the
 false-positive term is nonnegative, the mu term only shrinks as literals
 are added, and the degree term grows): a node is descended only while its
-bound is negative and no worse than the running ``columns_per_round``-th
+bound is negative and no worse than the running ``COLUMNS_PER_ROUND``-th
 best reduced cost.  No conjunction that could make the cut is skipped, so
 an empty result certifies that no bounded-degree conjunction can improve
 the relaxation.
@@ -47,9 +47,11 @@ Expert knowledge enters three ways, chosen by ``Params.mode``:
   overriding the expert.
 * ``hard``: provided rules are forced into the model by fixing their
   selection variables at one (infeasible budgets are reported as such).
-* ``templates``: partial conjunctions act as attractors; every candidate
-  pays ``template_weight`` times its distance to the nearest template, on
-  condition keys (:func:`corules.metrics.key_distance`).
+* ``templates``: partial templates, a :class:`~corules.ruledsl.RuleSet`
+  written in the rule syntax, act as attractors; every candidate pays
+  ``template_weight`` times its distance to the nearest template, on
+  condition keys (:func:`corules.metrics.key_distance`).  The templates
+  also seed the pool, at distance zero.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -66,16 +68,7 @@ from scipy import sparse
 from .dataset import BinaryDataset, cover
 from . import metrics
 from .metrics import key_distance
-from .ruledsl import (
-    HUMAN,
-    MACHINE,
-    BoundRuleSet,
-    Conjunction,
-    Literal,
-    RuleSet,
-    Template,
-    bind,
-)
+from .ruledsl import BoundRuleSet, Conjunction, Literal, RuleSet, bind
 from . import solver
 from .solver import LiveLp, solve_binary_mip, solve_lp
 
@@ -88,6 +81,9 @@ MODES = (MODE_MACHINE, MODE_SOFT, MODE_HARD, MODE_TEMPLATES)
 STOP_NO_IMPROVING_COLUMN = "no-improving-column"
 STOP_ROUND_LIMIT = "round-limit"
 STOP_LP_STATUS = "lp-status:"  # followed by the status the LP ended with
+
+COLUMNS_PER_ROUND = 20  # most columns one pricing round adds
+TOLERANCE = 1e-6  # a reduced cost must be below -TOLERANCE to improve
 
 log = logging.getLogger("corules")
 
@@ -114,8 +110,6 @@ class Params:
     max_degree: int = 4
     mode: str = MODE_MACHINE
     max_cg_rounds: int = 50
-    columns_per_round: int = 20
-    tolerance: float = 1e-6
     mip_node_limit: int = 200_000
 
     def __post_init__(self):
@@ -125,16 +119,12 @@ class Params:
             raise ValueError("human_weight must be finite and >= 0")
         if not 0 <= self.template_weight < math.inf:
             raise ValueError("template_weight must be finite and >= 0")
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be finite and > 0")
         if self.mip_node_limit < 1:
             raise ValueError("mip_node_limit must be >= 1")
         if self.max_degree < 1:
             raise ValueError("max degree must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.columns_per_round < 1:
-            raise ValueError("columns per round must be >= 1")
         if self.max_cg_rounds < 0:
             raise ValueError("max_cg_rounds must be >= 0")
 
@@ -144,16 +134,20 @@ class Params:
 
 @dataclass(frozen=True)
 class HumanInput:
-    """Exact rules and/or partial templates provided by a person."""
+    """Rules or partial templates a person provides, each as a RuleSet.
+
+    ``rules`` serve soft and hard mode, ``templates`` templates mode; both
+    are written in the rule syntax and read with
+    :func:`~corules.ruledsl.parse_rules`.
+    """
 
     rules: RuleSet | None = None
-    templates: tuple[Template, ...] = ()
+    templates: RuleSet | None = None
 
 
 @dataclass
 class PoolColumn:
     cols: frozenset[int]
-    provenance: str  # MACHINE or HUMAN, as first added
     pos_cover: np.ndarray  # bool over positive samples, in dataset.P order
     fp_count: int
     is_human: bool
@@ -167,9 +161,9 @@ class PoolColumn:
 class ColumnPool:
     """The restricted candidate set, with cached coverage per column."""
 
-    def __init__(self, dataset: BinaryDataset, templates: Sequence[Template] = ()):
+    def __init__(self, dataset: BinaryDataset, templates: RuleSet = RuleSet(())):
         self.dataset = dataset
-        self._template_keys = [t.keys() for t in templates]
+        self._template_keys = [t.keys() for t in templates.conjunctions]
         self.columns: list[PoolColumn] = []
         self._index: dict[frozenset[int], int] = {}
         self._pos = dataset.P
@@ -178,14 +172,11 @@ class ColumnPool:
     def __len__(self):
         return len(self.columns)
 
-    def __iter__(self):
-        return iter(self.columns)
-
     @property
     def keys(self) -> set[frozenset[int]]:
         return set(self._index)
 
-    def add(self, cols: Iterable[int], provenance: str, is_human: bool = False) -> bool:
+    def add(self, cols: Iterable[int], is_human: bool = False) -> bool:
         key = frozenset(int(j) for j in cols)
         if not key:
             raise ValueError("empty conjunction")
@@ -202,7 +193,6 @@ class ColumnPool:
         self.columns.append(
             PoolColumn(
                 cols=key,
-                provenance=provenance,
                 pos_cover=covered[self._pos],
                 fp_count=int(np.count_nonzero(covered[self._neg])),
                 is_human=is_human,
@@ -219,7 +209,6 @@ class MasterModel:
     n_pool: int
     n_pos: int
     pool: ColumnPool
-    params: Params
 
 
 @dataclass
@@ -301,13 +290,13 @@ def build_master(
         lp.add_columns(cost, lower, upper, columns)
 
     offset = cu_n * n_human if params.mode == MODE_SOFT else 0.0
-    return MasterModel(lp, offset, len(pool), n_pos, pool, params)
+    return MasterModel(lp, offset, len(pool), n_pos, pool)
 
 
 def solve_master(model: MasterModel) -> MasterSolution:
     if model.lp.n_vars != model.n_pool + model.n_pos:
         raise ValueError("a later build_master has grown this master's model")
-    sol = solve_lp(model.lp, eps=model.params.tolerance)
+    sol = solve_lp(model.lp)
     if sol.status != solver.OPTIMAL:
         return MasterSolution(
             np.zeros(model.n_pool), np.zeros(model.n_pos),
@@ -334,7 +323,7 @@ class PricedCandidates(list):
 
     ``nodes`` counts the search nodes whose children were evaluated, the
     empty root included.  ``pruned`` counts the children that passed the
-    ``-tolerance`` descent test but that the running ``limit``-th best
+    ``-TOLERANCE`` descent test but that the running ``limit``-th best
     reduced cost cut.
     """
 
@@ -358,7 +347,7 @@ def price(
     duals: tuple[np.ndarray, float],
     dataset: BinaryDataset,
     params: Params,
-    templates: Sequence[Template] = (),
+    templates: RuleSet = RuleSet(()),
     exclude: set[frozenset[int]] | frozenset = frozenset(),
     limit: int | None = None,
 ) -> PricedCandidates:
@@ -370,15 +359,15 @@ def price(
     product with the mu-weighted positive bits gives every child's mu mass
     and one with the negative bits its false positives (exact integers in
     float64).  A child is a hit when its reduced cost is below
-    ``-tolerance`` and it is not in ``exclude`` (the pool; pool members are
+    ``-TOLERANCE`` and it is not in ``exclude`` (the pool; pool members are
     still searched through).
 
     The hits so far are kept in a buffer sorted by reduced cost, ties by
     column tuple, and cut to ``limit``.  Its threshold is its ``limit``-th
-    reduced cost once full, and ``-tolerance`` before.  A child is searched
+    reduced cost once full, and ``-TOLERANCE`` before.  A child is searched
     further only while its best imaginable descendant (zero false
     positives, the same mu mass, one more literal of degree cost) is below
-    ``-tolerance`` and at most the threshold plus ``tolerance``; the slack
+    ``-TOLERANCE`` and at most the threshold plus ``TOLERANCE``; the slack
     keeps rounding from cutting a descendant that ties the threshold and
     would win on column order.  The bound is admissible (false positives
     are nonnegative, the mu mass only shrinks as literals are added and the
@@ -395,15 +384,14 @@ def price(
     exact: the distance is nonnegative, so no other node could qualify, and
     the descent bound never uses it.  The distance is
     :func:`corules.metrics.key_distance` of the hit's column keys
-    (``ColumnMeta.key``) to the templates' literal keys; no conjunction is
-    built.
+    (``ColumnMeta.key``) to the templates' condition keys
+    (``Conjunction.keys``); no conjunction is built.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
     mu, lam = duals
     mu = np.maximum(np.asarray(mu, dtype=float), 0.0)
     lam = max(float(lam), 0.0)
-    eps = params.tolerance
     m = dataset.n_columns
     depth = min(params.max_degree, m)
     if depth == 0:
@@ -443,14 +431,14 @@ def price(
     templated = params.mode == MODE_TEMPLATES and params.template_weight > 0.0
     if templated:
         col_keys = [meta.key() for meta in dataset.columns]
-        template_keys = [t.keys() for t in templates]
+        template_keys = [t.keys() for t in templates.conjunctions]
 
     # the buffer, in pieces: with a limit, merged and cut to the best
     # ``limit`` whenever it holds that many, and its last becomes the threshold
     best_rc = [np.empty(0)]
     best_code = [np.empty(0, dtype=code_type)]
     held = 0
-    threshold = -eps
+    threshold = -TOLERANCE
     nodes = pruned = 0
 
     def admit(rc, codes):
@@ -465,7 +453,7 @@ def price(
                 for code in codes.tolist()
             ])
             rc = rc + params.template_weight * distance
-            keep = (rc < -eps) & (rc <= threshold)
+            keep = (rc < -TOLERANCE) & (rc <= threshold)
             rc, codes = rc[keep], codes[keep]
         if not rc.size:
             return
@@ -490,11 +478,11 @@ def price(
         mu_sum = cov_p.astype(float) @ mass
         rc = cov_z.astype(float) @ fp_bits - mu_sum + lam * degree
         fresh = col_index > last[:, None]
-        rows, js = np.nonzero(fresh & (rc < -eps) & (rc <= threshold))
+        rows, js = np.nonzero(fresh & (rc < -TOLERANCE) & (rc <= threshold))
         admit(rc[rows, js], (codes[rows] * radix + js + 1) * pad[degree])
         if degree < depth:
             bound = lam * (degree + 1) - mu_sum
-            rows, js = np.nonzero(fresh & (bound < -eps))
+            rows, js = np.nonzero(fresh & (bound < -TOLERANCE))
             for s in range(0, rows.size, _PRICE_BLOCK):
                 part = slice(s, s + _PRICE_BLOCK)
                 stack.append((
@@ -511,7 +499,7 @@ def price(
     )
     while stack:
         degree, codes, cov_p, cov_z, rows, js, bound = stack.pop()
-        keep = bound <= threshold + eps
+        keep = bound <= threshold + TOLERANCE
         pruned += rows.size - int(np.count_nonzero(keep))
         if not keep.any():
             continue
@@ -565,9 +553,7 @@ class TrainReport:
 def _conjunction(dataset: BinaryDataset, col: PoolColumn) -> Conjunction:
     """The rule a pool column stands for, in the dataset's column conditions."""
     metas = (dataset.columns[j] for j in col.cols)
-    return Conjunction(
-        frozenset(Literal(m.feature, m.op, m.value) for m in metas), col.provenance
-    )
+    return Conjunction(frozenset(Literal(m.feature, m.op, m.value) for m in metas))
 
 
 def train(
@@ -577,55 +563,51 @@ def train(
 ) -> tuple[RuleSet, TrainReport]:
     """Run the full column-generation loop and return the selected rule set.
 
-    Seeds the pool with every provided rule plus all degree-1 conjunctions,
-    alternates restricted LP solves with exact pricing until no improving
-    conjunction exists (or the round limit trips, or the LP ends other than
-    optimal, each with a warning), then solves the pool-restricted binary
-    problem.  ``TrainReport.stop_reason`` says which ended the loop, and each
-    round is logged at DEBUG level on the ``corules`` logger.  The reported
-    objective is recomputed from the returned rule set through
-    :mod:`corules.metrics`: Hamming loss plus ``human_weight * n`` per
-    unselected human rule.  Human input the mode does not use raises
+    Seeds the pool with every provided rule or template plus all degree-1
+    conjunctions, alternates restricted LP solves with exact pricing until
+    no improving conjunction exists (or the round limit trips, or the LP
+    ends other than optimal, each with a warning), then solves the
+    pool-restricted binary problem.  ``TrainReport.stop_reason`` says which
+    ended the loop, and each round is logged at DEBUG level on the
+    ``corules`` logger.  The reported objective is recomputed from the
+    returned rule set through :mod:`corules.metrics`: Hamming loss plus
+    ``human_weight * n`` per unselected human rule.  Human input the mode
+    does not use, or templates mode without templates, raises
     :class:`TrainingError`.
     """
     t0 = time.perf_counter()
     report = TrainReport(mode=params.mode, n_samples=dataset.n, params=params)
 
     human = human or HumanInput()
-    rules = human.rules.conjunctions if human.rules is not None else ()
-    templates: tuple[Template, ...] = tuple(human.templates)
+    rules = human.rules or RuleSet(())
+    templates = human.templates or RuleSet(())
     if rules and params.mode not in (MODE_SOFT, MODE_HARD):
         raise TrainingError(
             f"{params.mode} mode ignores human rules; use soft or hard mode"
         )
     if templates and params.mode != MODE_TEMPLATES:
         raise TrainingError(f"{params.mode} mode ignores templates; use templates mode")
+    if params.mode == MODE_TEMPLATES and not templates:
+        raise TrainingError("templates mode requires a non-empty template set")
 
-    human_col_sets: tuple[frozenset[int], ...] = ()
-    template_col_sets: tuple[frozenset[int], ...] = ()
-    if rules:
-        bound, dataset = bind(human.rules, dataset)
-        human_col_sets = bound.column_sets
-        report.human_rules = [c.render() for c in rules]
-    elif params.mode == MODE_TEMPLATES:
-        if not templates:
-            raise TrainingError("templates mode requires a non-empty template set")
-        # templates are valid conjunctions themselves (distance zero); bind
-        # them all first so any synthesized columns exist before seeding
-        rs = RuleSet(tuple(Conjunction(t.literals, HUMAN) for t in templates))
-        bound, dataset = bind(rs, dataset)
-        template_col_sets = bound.column_sets
+    # the input the mode uses seeds the pool: rules as human rules, templates
+    # as conjunctions at distance zero; binding first synthesizes the columns
+    # either needs before seeding
+    given = rules or templates
+    seeds: tuple[frozenset[int], ...] = ()
+    if given:
+        bound, dataset = bind(given, dataset)
+        seeds = bound.column_sets
+    report.human_rules = [c.render() for c in rules.conjunctions]
 
     if dataset.P.size == 0:
         raise NoPositivesError("training data has no positive samples")
 
     pool = ColumnPool(dataset, templates=templates)
-    for cols in human_col_sets:
-        pool.add(cols, HUMAN, is_human=True)
-    for cols in template_col_sets:
-        pool.add(cols, HUMAN)
+    for cols in seeds:
+        pool.add(cols, is_human=bool(rules))
     for j in range(dataset.n_columns):
-        pool.add((j,), MACHINE)
+        pool.add((j,))
 
     master = None
     for round_no in range(params.max_cg_rounds):
@@ -647,7 +629,7 @@ def train(
             params,
             templates=templates,
             exclude=pool.keys,
-            limit=params.columns_per_round,
+            limit=COLUMNS_PER_ROUND,
         )
         row = {
             "round": round_no,
@@ -672,7 +654,7 @@ def train(
             report.stop_reason = STOP_NO_IMPROVING_COLUMN
             break
         for cand in candidates:
-            pool.add(cand.cols, MACHINE)
+            pool.add(cand.cols)
     else:
         report.warnings.append("column generation stopped at the round limit")
         report.stop_reason = STOP_ROUND_LIMIT
@@ -681,9 +663,7 @@ def train(
     # xi is binary at any optimum, so branch and bound treats every variable
     # as binary and rounds integral objectives' bounds up
     t_mip = time.perf_counter()
-    mip = solve_binary_mip(
-        master.lp, eps=params.tolerance, node_limit=params.mip_node_limit
-    )
+    mip = solve_binary_mip(master.lp, node_limit=params.mip_node_limit)
     report.mip_seconds = time.perf_counter() - t_mip
     report.mip_status = mip.status
     report.mip_nodes = mip.nodes
@@ -707,9 +687,7 @@ def train(
     rule_set = RuleSet(tuple(conj for conj, _ in selected))
 
     # Eq-style accounting, recomputed from the returned rule set
-    bound = BoundRuleSet(
-        rule_set, tuple(col.cols for _, col in selected), dataset.n_columns
-    )
+    bound = BoundRuleSet(tuple(col.cols for _, col in selected), dataset.n_columns)
     hamming = metrics.hamming_loss(bound, dataset)
     selected_keys = {col.cols for _, col in selected}
     human_keys = {col.cols for col in pool.columns if col.is_human}

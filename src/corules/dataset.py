@@ -79,9 +79,6 @@ class TableSchema:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(n for n in self.names if n != self.label)
 
-    def kind_of(self, name: str) -> str:
-        return self.kinds[self.names.index(name)]
-
 
 class RawTable:
     """An in-memory table: header, per-column kinds, label column and cells.

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .dataset import BinaryDataset
-from .ruledsl import BoundRuleSet, Conjunction, RuleError, RuleSet, bind
+from .ruledsl import BoundRuleSet, Conjunction, RuleSet, bind
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,6 @@ def _ensure_bound(
     rule_set: RuleSet | BoundRuleSet, dataset: BinaryDataset
 ) -> tuple[BoundRuleSet, BinaryDataset]:
     if isinstance(rule_set, BoundRuleSet):
-        if rule_set.n_columns > dataset.n_columns:
-            raise RuleError(
-                "rule set is bound to a wider column vocabulary than the data"
-            )
         return rule_set, dataset
     return bind(rule_set, dataset)
 
@@ -85,10 +81,8 @@ def accuracy(rule_set: RuleSet | BoundRuleSet, dataset: BinaryDataset) -> float:
 
 def conjunction_similarity(a: Conjunction, b: Conjunction) -> float:
     """Jaccard overlap of the two literal sets (1.0 iff identical)."""
-    ka = {lit.key() for lit in a.literals}
-    kb = {lit.key() for lit in b.literals}
-    union = ka | kb
-    return len(ka & kb) / len(union)
+    ka, kb = a.keys(), b.keys()
+    return len(ka & kb) / len(ka | kb)
 
 
 def similarity_matrix(a: RuleSet, b: RuleSet) -> np.ndarray:

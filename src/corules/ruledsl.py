@@ -1,4 +1,4 @@
-"""Parsing, printing, and dataset binding for DNF rules and partial templates.
+"""Parsing, printing, and dataset binding for DNF rules.
 
 Rules are written as OR-of-ANDs over feature conditions::
 
@@ -19,7 +19,12 @@ categorical values and ``<=`` / ``>`` for numeric thresholds.  ``NOT``
 flips within each pair, so double negation collapses.  ``<`` is absorbed
 into ``<=`` and ``>=`` into ``>``; the strict/non-strict distinction only
 matters when a cell equals a threshold exactly, which binning thresholds
-(midpoints between observed values) never do.
+(midpoints between observed values) never do.  A number after ``==`` or
+``!=`` keeps the text written, since categorical cells are compared as
+text; a threshold after ``<=``, ``<``, ``>=`` or ``>`` is a float.
+
+A partial template is written and parsed as a rule: a conjunction that
+stands for every conjunction containing it.
 
 Binding resolves each literal to a column of a :class:`BinaryDataset`.
 Literals with no exact counterpart, such as thresholds binning never made,
@@ -31,8 +36,8 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -50,10 +55,6 @@ from .dataset import (
     condition_key,
     cover,
 )
-
-MACHINE = "machine"
-HUMAN = "human"
-
 
 class RuleError(ValueError):
     """Base class for rule parsing and binding problems."""
@@ -121,16 +122,38 @@ class Conjunction:
     """An AND of literals; complexity is the literal count (its degree)."""
 
     literals: frozenset[Literal]
-    provenance: str = MACHINE
 
     def __post_init__(self):
         if not self.literals:
             raise RuleError("a conjunction needs at least one literal")
-        _check_consistent(self.literals)
+        by_feature: dict[str, list[Literal]] = {}
+        for lit in self.literals:
+            by_feature.setdefault(lit.feature, []).append(lit)
+        for feature, lits in by_feature.items():
+            eqs = {str(l.value) for l in lits if l.op == OP_EQ}
+            nes = {str(l.value) for l in lits if l.op == OP_NE}
+            if len(eqs) > 1:
+                raise ContradictionError(
+                    f"{feature}: cannot equal {sorted(eqs)} simultaneously"
+                )
+            if eqs & nes:
+                raise ContradictionError(
+                    f"{feature}: == and != on value {sorted(eqs & nes)[0]!r}"
+                )
+            les = [l.value for l in lits if l.op == OP_LE]
+            gts = [l.value for l in lits if l.op == OP_GT]
+            if les and gts and max(gts) >= min(les):
+                raise ContradictionError(
+                    f"{feature}: empty interval > {max(gts)} and <= {min(les)}"
+                )
 
     @property
     def complexity(self) -> int:
         return len(self.literals)
+
+    def keys(self) -> frozenset[tuple]:
+        """The condition keys of the literals."""
+        return frozenset(lit.key() for lit in self.literals)
 
     def sorted_literals(self) -> list[Literal]:
         return sorted(self.literals, key=Literal.sort_key)
@@ -139,29 +162,6 @@ class Conjunction:
         parts = [lit.render() for lit in self.sorted_literals()]
         body = " AND ".join(parts)
         return f"({body})" if len(parts) > 1 else body
-
-
-def _check_consistent(literals: Iterable[Literal]):
-    by_feature: dict[str, list[Literal]] = {}
-    for lit in literals:
-        by_feature.setdefault(lit.feature, []).append(lit)
-    for feature, lits in by_feature.items():
-        eqs = {str(l.value) for l in lits if l.op == OP_EQ}
-        nes = {str(l.value) for l in lits if l.op == OP_NE}
-        if len(eqs) > 1:
-            raise ContradictionError(
-                f"{feature}: cannot equal {sorted(eqs)} simultaneously"
-            )
-        if eqs & nes:
-            raise ContradictionError(
-                f"{feature}: == and != on value {sorted(eqs & nes)[0]!r}"
-            )
-        les = [l.value for l in lits if l.op == OP_LE]
-        gts = [l.value for l in lits if l.op == OP_GT]
-        if les and gts and max(gts) >= min(les):
-            raise ContradictionError(
-                f"{feature}: empty interval > {max(gts)} and <= {min(les)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -187,22 +187,6 @@ def make_ruleset(conjunctions: Iterable[Conjunction]) -> RuleSet:
             seen.add(conj.literals)
             kept.append(conj)
     return RuleSet(tuple(kept))
-
-
-@dataclass(frozen=True)
-class Template:
-    """A partial conjunction: matches any conjunction containing it."""
-
-    literals: frozenset[Literal]
-
-    def __post_init__(self):
-        if not self.literals:
-            raise RuleError("a template needs at least one literal")
-        _check_consistent(self.literals)
-
-    def keys(self) -> frozenset[tuple]:
-        """The condition keys of the template's literals."""
-        return frozenset(lit.key() for lit in self.literals)
 
 
 # --- lexer / parser -------------------------------------------------------
@@ -302,9 +286,7 @@ class _Parser:
             if self.peek().kind != "rparen":
                 self.error("expected ')'")
             self.next()
-        lits = frozenset(literals)
-        _check_consistent(lits)
-        return lits
+        return frozenset(literals)
 
     def literal(self) -> Literal:
         flip = False
@@ -324,7 +306,8 @@ class _Parser:
         op = _OP_ALIASES[op_text]
         tok = self.peek()
         if tok.kind == "number":
-            value: object = float(self.next().text)
+            text = self.next().text
+            value: object = float(text) if op in (OP_LE, OP_GT) else text
         elif tok.kind == "ident":
             value = self.next().text
         elif tok.kind == "string":
@@ -338,14 +321,8 @@ class _Parser:
 
 
 def parse_rules(text: str) -> RuleSet:
-    """Parse DNF rule text into a RuleSet of human-provenance conjunctions."""
-    clauses = _Parser(text).parse_clauses()
-    return make_ruleset(Conjunction(lits, HUMAN) for lits in clauses)
-
-
-def parse_templates(text: str) -> list[Template]:
-    """Parse clause text into partial-conjunction templates."""
-    return [Template(lits) for lits in _Parser(text).parse_clauses()]
+    """Parse DNF rule text, or partial templates, into a RuleSet."""
+    return make_ruleset(Conjunction(lits) for lits in _Parser(text).parse_clauses())
 
 
 def print_rules(rule_set: RuleSet) -> str:
@@ -362,7 +339,6 @@ def print_rules(rule_set: RuleSet) -> str:
 class BoundRuleSet:
     """A RuleSet resolved to column indices of one dataset vocabulary."""
 
-    rule_set: RuleSet
     column_sets: tuple[frozenset[int], ...]
     n_columns: int
 
@@ -439,4 +415,4 @@ def bind(
                 )
         matrix = np.hstack([dataset.matrix, block])
         dataset = BinaryDataset(dataset.columns + tuple(new), matrix, dataset.labels, raw)
-    return BoundRuleSet(rule_set, column_sets, dataset.n_columns), dataset
+    return BoundRuleSet(column_sets, dataset.n_columns), dataset

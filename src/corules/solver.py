@@ -8,7 +8,7 @@ instead of from scratch.  Presolve is off, so cold and warm solves run the
 same dual simplex on the same model.  HiGHS model statuses other than
 optimal, infeasible and unbounded raise :class:`SolverError` with HiGHS's
 message, and an optimal answer whose duality gap (recomputed from the row
-and column duals) exceeds ``eps`` raises too, so no caller sees a
+and column duals) exceeds ``GAP_TOL`` raises too, so no caller sees a
 half-filled solution.
 
 Solutions expose primal values, one dual per row, and the duality gap.
@@ -186,7 +186,7 @@ class LiveLp:
     def set_basis(self, basis):
         _check(self._highs.setBasis(basis), "the basis")
 
-    def solve(self, eps: float = GAP_TOL) -> LpSolution:
+    def solve(self) -> LpSolution:
         """Run the dual simplex from the current basis; see :func:`solve_lp`."""
         self._highs.run()
         model_status = self._highs.getModelStatus()
@@ -210,25 +210,23 @@ class LiveLp:
             + _active_bound(col_dual, self._lower, self._upper) @ col_dual
         )
         gap = abs(objective - dual_objective)
-        if gap > max(eps, eps * abs(objective)):
+        if gap > max(GAP_TOL, GAP_TOL * abs(objective)):
             raise SolverError(f"strong duality violated: gap {gap:.3e}")
         return LpSolution(
             OPTIMAL, self._to_variables(x), duals, objective, iterations, gap
         )
 
 
-def solve_lp(lp: LiveLp, eps: float = GAP_TOL) -> LpSolution:
+def solve_lp(lp: LiveLp) -> LpSolution:
     """Solve the LP in place, warm from its last basis.
 
-    On ``optimal`` the duality gap is checked against eps; primal values,
-    duals and objective are set only then.
+    On ``optimal`` the duality gap is checked against ``GAP_TOL``; primal
+    values, duals and objective are set only then.
     """
-    return lp.solve(eps)
+    return lp.solve()
 
 
-def solve_binary_mip(
-    lp: LiveLp, eps: float = GAP_TOL, node_limit: int = 100_000
-) -> MipSolution:
+def solve_binary_mip(lp: LiveLp, node_limit: int = 100_000) -> MipSolution:
     """Best-bound branch-and-bound forcing every variable to {0, 1}.
 
     Branches on the most fractional variable (ties to the lowest index).
@@ -258,13 +256,13 @@ def solve_binary_mip(
         lp.set_bounds(index, fixed, fixed)
         try:
             lp.set_basis(basis)
-            return lp.solve(eps)
+            return lp.solve()
         finally:
             lp.set_bounds(index, lower[index], upper[index])
 
     lp.set_bounds(clipped, lower[clipped], upper[clipped])
     try:
-        root = lp.solve(eps)
+        root = lp.solve()
         if root.status != OPTIMAL:
             return MipSolution(root.status, None, None, 0)
         relaxation = root.objective

@@ -8,6 +8,7 @@ import pytest
 
 from corules import colgen, solver
 from corules.colgen import (
+    COLUMNS_PER_ROUND,
     MODE_HARD,
     MODE_MACHINE,
     MODE_SOFT,
@@ -17,6 +18,7 @@ from corules.colgen import (
     ColumnPool,
     HumanInput,
     NoPositivesError,
+    TOLERANCE,
     Params,
     TrainingError,
     TrainReport,
@@ -27,7 +29,8 @@ from corules.colgen import (
 )
 from corules.dataset import BinaryDataset, ColumnMeta, binarize, generate_tictactoe
 from corules.metrics import accuracy, hamming_loss, ruleset_similarity
-from corules.ruledsl import RuleError, bind, parse_rules, parse_templates
+from corules.dataset import CATEGORICAL, NUMERIC, RawTable
+from corules.ruledsl import RuleError, RuleSet, bind, parse_rules
 from corules.solver import LiveLp, solve_lp
 
 from oracles import (
@@ -60,12 +63,12 @@ def random_dataset(rng, n_cols=None, n_rows=None):
     return BinaryDataset(cols, matrix, labels)
 
 
-def seeded_pool(dataset, human_sets=(), templates=()):
+def seeded_pool(dataset, human_sets=(), templates=RuleSet(())):
     pool = ColumnPool(dataset, templates=templates)
     for cols in human_sets:
-        pool.add(cols, "human", is_human=True)
+        pool.add(cols, is_human=True)
     for j in range(dataset.n_columns):
-        pool.add((j,), "machine")
+        pool.add((j,))
     return pool
 
 
@@ -78,10 +81,6 @@ def seeded_pool(dataset, human_sets=(), templates=()):
         ("template_weight", math.nan),
         ("template_weight", math.inf),
         ("template_weight", -0.5),
-        ("tolerance", math.nan),
-        ("tolerance", math.inf),
-        ("tolerance", 0.0),
-        ("tolerance", -1.0),
         ("mip_node_limit", 0),
         ("max_cg_rounds", -1),
         ("max_cg_rounds", -2),
@@ -97,7 +96,7 @@ class TestBuildMaster:
         bound, ds = bind(eight_rules, ttt_dataset)
         pool = ColumnPool(ds)
         for cols in bound.column_sets:
-            pool.add(cols, "human", is_human=True)
+            pool.add(cols, is_human=True)
         model = build_master(pool, ds, Params(mode=MODE_MACHINE))
         sol = solve_master(model)
         assert sol.status == "optimal"
@@ -163,12 +162,12 @@ class TestBuildMaster:
             build_master(seeded_pool(ds), ds, Params())
 
 
-def _check_interior_reduced_costs(pool, ds, params, templates=(), rounds=4):
+def _check_interior_reduced_costs(pool, ds, params, templates=RuleSet(()), rounds=4):
     """Solve the master for a few column-generation rounds; every variable
     strictly inside (0, 1) must have a zero reduced cost under the duals.
     Returns how many such variables were checked."""
     checked = 0
-    tol = params.tolerance
+    tol = TOLERANCE
     cu_n = params.human_weight * ds.n
     for _ in range(rounds):
         model = build_master(pool, ds, params)
@@ -190,10 +189,10 @@ def _check_interior_reduced_costs(pool, ds, params, templates=(), rounds=4):
         checked += int(inside.sum())
         cands = price(
             (sol.mu, sol.lam), ds, params, templates=templates,
-            exclude=pool.keys, limit=params.columns_per_round,
+            exclude=pool.keys, limit=COLUMNS_PER_ROUND,
         )
         for cand in cands:
-            pool.add(cand.cols, "machine")
+            pool.add(cand.cols)
     return checked
 
 
@@ -227,10 +226,10 @@ class TestSolveMaster:
 
     def test_templates_mode(self, ttt_dataset):
         ds = self.draw(ttt_dataset, 4)
-        templates = tuple(parse_templates(
+        templates = parse_rules(
             "cell_r0_c0 == x AND cell_r0_c1 == x\n"
             "OR cell_r1_c0 == x AND cell_r1_c1 == x"
-        ))
+        )
         params = Params(mode=MODE_TEMPLATES, template_weight=0.5, max_degree=3,
                         complexity_budget=10)
         pool = seeded_pool(ds, templates=templates)
@@ -270,7 +269,7 @@ def test_live_master_matches_cold_dense_solve(ttt_dataset, eight_rules, mode):
     # each value must equal a cold solve of the whole master built afresh
     ds = TestSolveMaster.draw(ttt_dataset, 5)
     params = Params(mode=mode, max_degree=3, complexity_budget=12)
-    human_sets, templates = (), ()
+    human_sets, templates = (), RuleSet(())
     if mode == MODE_SOFT:
         bound, ds = bind(eight_rules, ds)
         human_sets = bound.column_sets
@@ -278,23 +277,23 @@ def test_live_master_matches_cold_dense_solve(ttt_dataset, eight_rules, mode):
         bound, ds = bind(parse_rules("cell_r1_c1 == x AND cell_r0_c0 == x"), ds)
         human_sets = bound.column_sets
     if mode == MODE_TEMPLATES:
-        templates = tuple(parse_templates("cell_r0_c0 == x AND cell_r0_c1 == x"))
+        templates = parse_rules("cell_r0_c0 == x AND cell_r0_c1 == x")
     pool = seeded_pool(ds, human_sets=human_sets, templates=templates)
     master = None
     for _ in range(6):
         master = build_master(pool, ds, params, master)
         live = solve_master(master)
-        cold = solve_lp(dense_master(pool, ds, params), eps=params.tolerance)
+        cold = solve_lp(dense_master(pool, ds, params))
         assert live.status == cold.status == "optimal"
         assert live.objective == pytest.approx(cold.objective + master.offset, abs=1e-9)
         cands = price(
             (live.mu, live.lam), ds, params, templates=templates,
-            exclude=pool.keys, limit=params.columns_per_round,
+            exclude=pool.keys, limit=COLUMNS_PER_ROUND,
         )
         if not cands:
             break
         for cand in cands:
-            pool.add(cand.cols, "machine")
+            pool.add(cand.cols)
     assert len(pool) > ds.n_columns + len(human_sets)  # some round added columns
 
 
@@ -321,7 +320,7 @@ class TestPrice:
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(2024)
-        params = Params(max_degree=3, tolerance=1e-6)
+        params = Params(max_degree=3)
         for _ in range(120):
             ds = random_dataset(rng, n_cols=int(rng.integers(3, 7)))
             mu_full = np.zeros(ds.n)
@@ -333,7 +332,7 @@ class TestPrice:
             got = price((mu_full[ds.P], lam), ds, params)
             want = sorted(
                 (rc, tuple(sorted(cols))) for cols, rc in oracle.items()
-                if rc < -params.tolerance
+                if rc < -TOLERANCE
             )
             assert len(got) == len(want)
             for cand, (rc, cols) in zip(got, want):
@@ -353,10 +352,10 @@ class TestPrice:
         one_hot = tuple(
             ColumnMeta(f"f{f}", "==", v) for f in range(3) for v in values
         )
-        templates = parse_templates("f0 == x AND f1 == o\nOR f2 == b")
+        templates = parse_rules("f0 == x AND f1 == o\nOR f2 == b")
         template_keys = [
             [(lit.feature, lit.op, str(lit.value)) for lit in t.literals]
-            for t in templates
+            for t in templates.conjunctions
         ]
         params = Params(mode=MODE_TEMPLATES, template_weight=1.5, max_degree=3)
         for _ in range(25):
@@ -385,7 +384,7 @@ class TestPrice:
                 rc += params.template_weight * overlap_template_distance(
                     [col_keys[j] for j in key], template_keys
                 )
-                if rc < -params.tolerance:
+                if rc < -TOLERANCE:
                     want[key] = rc
             got = price((mu_full[ds.P], lam), ds, params, templates=templates)
             assert {c.cols for c in got} == set(want)
@@ -403,7 +402,7 @@ class TestPrice:
             oracle = brute_force_reduced_costs(
                 ds.matrix, ds.labels, mu_full, lam, params.max_degree
             )
-            want = sorted(rc for rc in oracle.values() if rc < -params.tolerance)
+            want = sorted(rc for rc in oracle.values() if rc < -TOLERANCE)
             full = price((mu_full[ds.P], lam), ds, params)
             got = price((mu_full[ds.P], lam), ds, params, limit=7)
             assert len(full) == len(want)
@@ -432,7 +431,7 @@ class TestPrice:
         oracle = brute_force_reduced_costs(
             ds.matrix, ds.labels, mu_full, 0.01, params.max_degree
         )
-        want = {cols: rc for cols, rc in oracle.items() if rc < -params.tolerance}
+        want = {cols: rc for cols, rc in oracle.items() if rc < -TOLERANCE}
         assert max(len(cols) for cols in want) >= 12
         got = price((mu_full[ds.P], 0.01), ds, params)
         assert {c.cols for c in got} == set(want)
@@ -502,8 +501,8 @@ class TestPrice:
         rng = np.random.default_rng(1906)
         params = Params(mode=mode, max_degree=3, template_weight=1.0)
         templates = (
-            tuple(parse_templates("f0 == x AND f1 == o\nOR f2 == b"))
-            if mode == MODE_TEMPLATES else ()
+            parse_rules("f0 == x AND f1 == o\nOR f2 == b")
+            if mode == MODE_TEMPLATES else RuleSet(())
         )
         straddled = 0
         for ds, mu, lam in self.tie_heavy_instances(rng, mode):
@@ -661,12 +660,12 @@ class TestTrain:
         rng = np.random.default_rng(31)
         idx = rng.choice(ttt_dataset.n, size=60, replace=False)
         ds = ttt_dataset.subset(idx)
-        templates = parse_templates(
+        templates = parse_rules(
             "cell_r0_c0 == x AND cell_r0_c1 == x\n"
             "OR cell_r1_c0 == x AND cell_r1_c1 == x"
         )
         params = Params(mode=MODE_TEMPLATES, template_weight=2.0, max_degree=3)
-        rs, report = train(ds, HumanInput(templates=tuple(templates)), params)
+        rs, report = train(ds, HumanInput(templates=templates), params)
         assert report.pricing_exact_within_degree
         assert rs.total_complexity <= params.complexity_budget
 
@@ -676,14 +675,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", [MODE_MACHINE, MODE_TEMPLATES])
     def test_rules_outside_soft_and_hard_mode_raise(self, ttt_dataset, eight_rules, mode):
-        templates = tuple(parse_templates("cell_r1_c1 == x"))
-        human = HumanInput(rules=eight_rules, templates=templates)
+        human = HumanInput(rules=eight_rules, templates=parse_rules("cell_r1_c1 == x"))
         with pytest.raises(TrainingError, match=f"{mode} mode ignores human rules"):
             train(ttt_dataset, human, Params(mode=mode))
 
     @pytest.mark.parametrize("mode", [MODE_MACHINE, MODE_SOFT, MODE_HARD])
     def test_templates_outside_templates_mode_raise(self, ttt_dataset, mode):
-        human = HumanInput(templates=tuple(parse_templates("cell_r1_c1 == x")))
+        human = HumanInput(templates=parse_rules("cell_r1_c1 == x"))
         with pytest.raises(TrainingError, match=f"{mode} mode ignores templates"):
             train(ttt_dataset, human, Params(mode=mode))
 
@@ -703,7 +701,7 @@ class TestTrain:
     def test_round_limit_warns(self, ttt_dataset):
         rng = np.random.default_rng(41)
         idx = rng.choice(ttt_dataset.n, size=120, replace=False)
-        params = Params(max_cg_rounds=1, columns_per_round=2)
+        params = Params(max_cg_rounds=1)
         _, report = train(ttt_dataset.subset(idx), None, params)
         assert any("round limit" in w for w in report.warnings)
         assert report.stop_reason == colgen.STOP_ROUND_LIMIT
@@ -816,30 +814,62 @@ def test_templates_pool_distances_match_oracle(ttt_dataset, monkeypatch):
         ds.columns + (ds.columns[j],), np.hstack([ds.matrix, bits]), ds.labels, ds.raw
     )
     dup = ds.n_columns - 1
-    templates = parse_templates(
+    templates = parse_rules(
         "cell_r0_c0 == x AND cell_r0_c1 == x\nOR cell_r1_c1 == x"
     )
     params = Params(mode=MODE_TEMPLATES, template_weight=1.5, max_degree=3)
-    train(ds, HumanInput(templates=tuple(templates)), params)
+    train(ds, HumanInput(templates=templates), params)
     (pool,) = pools
-    pool.add((j, dup), "machine")  # one key twice: it counts once
+    pool.add((j, dup))  # one key twice: it counts once
     col_keys = [(c.feature, c.op, str(c.value)) for c in pool.dataset.columns]
     template_keys = [
         [(lit.feature, lit.op, str(lit.value)) for lit in t.literals]
-        for t in templates
+        for t in templates.conjunctions
     ]
     assert {frozenset({dup}), frozenset({j, dup})} <= pool.keys
-    for col in pool:
+    for col in pool.columns:
         want = overlap_template_distance([col_keys[k] for k in col.cols], template_keys)
         assert col.distance == want, col.cols
+
+
+def test_templates_mode_on_a_numeric_table(monkeypatch):
+    pools = []
+
+    class RecordedPool(ColumnPool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(colgen, "ColumnPool", RecordedPool)
+    cells = [(22, 1.5e4), (25, 8.1e4), (31, 2.2e4), (36, 4.4e4), (41, 3.1e4), (45, 5.2e4),
+             (48, 1.9e4), (53, 6.6e4), (57, 2.8e4), (62, 7.5e4), (66, 3.9e4), (70, 1.2e4)]
+    rows = [[a, i, (a > 40 and i > 3e4) or i > 7e4] for a, i in cells]
+    ds = binarize(RawTable(["age", "income", "y"], [NUMERIC, NUMERIC, CATEGORICAL], rows, "y"),
+                  bins=3)
+    assert ColumnMeta("age", ">", 38.5) in ds.columns
+    assert ColumnMeta("income", ">", 48000.0) in ds.columns
+    # binning made no 3e4 threshold; the last clause repeats the first
+    templates = parse_rules(
+        "(age > 38.5 AND income > 3e4) OR income > 48000 OR (income > 3e4 AND age > 38.5)"
+    )
+    params = Params(mode=MODE_TEMPLATES, max_degree=2)
+    _, report = train(ds, HumanInput(templates=templates), params)
+    assert report.stop_reason == colgen.STOP_NO_IMPROVING_COLUMN
+    (pool,) = pools
+    synthesized = ColumnMeta("income", ">", 3e4, "synthesized-from-human-literal")
+    assert pool.dataset.columns == ds.columns + (synthesized,)
+    seeded = frozenset({ds.columns.index(ColumnMeta("age", ">", 38.5)), ds.n_columns})
+    (col,) = [col for col in pool.columns if col.cols == seeded]
+    assert col.distance == 0.0
+    assert not col.is_human
 
 
 def test_pool_audit_and_dedup(ttt_dataset):
     pool = seeded_pool(ttt_dataset)
     assert len(pool) == ttt_dataset.n_columns
-    assert not pool.add((0,), "machine")  # duplicate
-    assert pool.add((0, 20, 40), "machine") and pool.add((3, 30), "machine")
-    for col in pool:
+    assert not pool.add((0,))  # duplicate
+    assert pool.add((0, 20, 40)) and pool.add((3, 30))
+    for col in pool.columns:
         cov = conjunction_cover(ttt_dataset.matrix, col.cols)
         assert np.array_equal(col.pos_cover, cov[ttt_dataset.P]), col.cols
         assert col.fp_count == np.count_nonzero(cov[ttt_dataset.Z]), col.cols

@@ -18,8 +18,8 @@ from corules.ruledsl import (
     BoundRuleSet,
     Conjunction,
     Literal,
+    RuleError,
     RuleSet,
-    Template,
     make_ruleset,
     parse_rules,
 )
@@ -93,7 +93,7 @@ class TestScoresAgainstCoverOracle:
         ds = tiny_dataset(rng.random((n, m)) < 0.6, rng.random(n) < 0.5)
         cols = st.frozensets(st.integers(0, m - 1), max_size=3)
         column_sets = tuple(data.draw(st.lists(cols, max_size=6)))
-        bound = BoundRuleSet(RuleSet(()), column_sets, m)
+        bound = BoundRuleSet(column_sets, m)
         want_hamming, want_accuracy = oracle_scores(ds.matrix, ds.labels, column_sets)
         assert hamming_loss(bound, ds) == want_hamming
         assert accuracy(bound, ds) == want_accuracy
@@ -101,7 +101,7 @@ class TestScoresAgainstCoverOracle:
     def test_empty_rule_set(self):
         rng = np.random.default_rng(3)
         ds = tiny_dataset(rng.random((50, 4)) < 0.5, rng.random(50) < 0.3)
-        bound = BoundRuleSet(RuleSet(()), (), 4)
+        bound = BoundRuleSet((), 4)
         want_hamming, want_accuracy = oracle_scores(ds.matrix, ds.labels, ())
         assert hamming_loss(bound, ds) == want_hamming == int(ds.labels.sum())
         assert accuracy(bound, ds) == want_accuracy
@@ -117,10 +117,17 @@ class TestScoresAgainstCoverOracle:
             frozenset(rng.choice(8, rng.integers(1, 4), replace=False).tolist())
             for _ in range(300)
         )
-        bound = BoundRuleSet(RuleSet(()), column_sets, 8)
+        bound = BoundRuleSet(column_sets, 8)
         assert oracle_scores(ds.matrix, ds.labels, column_sets) == (300, 19 / 20)
         assert hamming_loss(bound, ds) == 300
         assert accuracy(bound, ds) == 19 / 20
+
+    def test_data_narrower_than_the_binding_is_rejected(self):
+        ds = tiny_dataset(np.ones((5, 3), dtype=bool), np.ones(5, dtype=bool))
+        bound = BoundRuleSet((frozenset({0}), frozenset({3})), 4)
+        for score in (hamming_loss, accuracy):
+            with pytest.raises(RuleError, match="3 columns"):
+                score(bound, ds)
 
 
 class TestAccuracy:
@@ -213,15 +220,15 @@ class TestRulesetSimilarity:
 
 class TestTemplateDistance:
     def test_containment_is_zero(self):
-        t = Template(frozenset({Literal("a", "==", "x")}))
+        t = Conjunction(frozenset({Literal("a", "==", "x")}))
         assert key_distance(keys_of(["a", "b"]), [t.keys()]) == 0.0
 
     def test_disjoint_is_one(self):
-        t = Template(frozenset({Literal("q", "==", "x")}))
+        t = Conjunction(frozenset({Literal("q", "==", "x")}))
         assert key_distance(keys_of(["a", "b"]), [t.keys()]) == 1.0
 
     def test_half_shared(self):
-        t = Template(
+        t = Conjunction(
             frozenset({Literal("a", "==", "x"), Literal("z", "==", "x")})
         )
         assert key_distance(keys_of(["a", "b"]), [t.keys()]) == 0.5
@@ -233,7 +240,7 @@ class TestTemplateDistance:
     @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True))
     @settings(max_examples=60)
     def test_monotone_as_literals_added(self, names):
-        t = Template(
+        t = Conjunction(
             frozenset({Literal("a", "==", "x"), Literal("c", "==", "x")})
         )
         prev = 1.0

@@ -48,3 +48,20 @@ def test_numpy_floor_admits_no_version_scipy_refuses():
         ours = _numpy_floor(tomllib.load(fh)["project"]["dependencies"])
     theirs = _numpy_floor(metadata.requires("scipy"))
     assert ours >= theirs, (ours, theirs)
+
+
+def _script(name: str, spec: str) -> metadata.EntryPoint:
+    return metadata.EntryPoint(name=name, value=spec, group="console_scripts")
+
+
+def test_every_declared_script_resolves_to_a_callable():
+    # an entry point naming a missing module installs a command that fails
+    with (ROOT / "pyproject.toml").open("rb") as fh:
+        scripts = tomllib.load(fh)["project"].get("scripts", {})
+    for name, spec in scripts.items():
+        assert callable(_script(name, spec).load()), (name, spec)
+
+
+def test_script_check_catches_a_missing_module():
+    with pytest.raises(ModuleNotFoundError):
+        _script("corules", "corules.no_such_module:main").load()

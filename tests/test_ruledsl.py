@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from corules.dataset import (
     RawTable,
     binarize,
     generate_tictactoe,
+    load_csv,
+    save_csv,
 )
 from corules.ruledsl import (
     BindingWarning,
@@ -19,12 +23,10 @@ from corules.ruledsl import (
     RuleSyntaxError,
     RuleError,
     RuleSet,
-    Template,
     UnknownFeatureError,
     bind,
     make_ruleset,
     parse_rules,
-    parse_templates,
     print_rules,
 )
 
@@ -127,17 +129,18 @@ class TestParse:
 
 
 class TestTemplates:
+    # partial templates are written and parsed as rules
     def test_two_literal_template(self):
-        ts = parse_templates("UseDrug1 == true AND UseDrug2 == true")
+        ts = parse_rules("UseDrug1 == true AND UseDrug2 == true")
         assert len(ts) == 1
-        assert len(ts[0].literals) == 2
+        assert len(ts.conjunctions[0].literals) == 2
 
     def test_empty_text(self):
-        assert parse_templates("") == []
+        assert parse_rules("") == RuleSet(())
 
     def test_single_literal_template(self):
-        ts = parse_templates("a > 5")
-        assert len(ts[0].literals) == 1
+        ts = parse_rules("a > 5")
+        assert ts.conjunctions[0].keys() == {("a", ">", "5.0")}
 
 
 class TestPrintRoundTrip:
@@ -291,6 +294,40 @@ class TestBind:
         assert np.array_equal(ds3.matrix, ds2.matrix)
         assert again.column_sets == bound.column_sets
 
+    @staticmethod
+    def grades(tmp_path, from_csv):
+        rows = [[1, "no"], [2, "yes"], [3, "yes"], [1, "no"]]
+        t = RawTable(["grade", "y"], [CATEGORICAL, CATEGORICAL], rows, "y")
+        if from_csv:  # the cells come back as text
+            save_csv(t, tmp_path / "grades.csv")
+            t = load_csv(tmp_path / "grades.csv", t.schema)
+        return binarize(t)
+
+    @pytest.mark.parametrize("from_csv", [False, True])
+    def test_number_after_equality_binds_the_binned_column(self, tmp_path, from_csv):
+        ds = self.grades(tmp_path, from_csv)
+        rs = parse_rules("grade == 1 OR NOT grade == 1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound, ds2 = bind(rs, ds)
+        assert ds2.n_columns == ds.n_columns
+        assert bound.column_sets == (
+            frozenset({ds.columns.index(ColumnMeta("grade", "==", "1"))}),
+            frozenset({ds.columns.index(ColumnMeta("grade", "!=", "1"))}),
+        )
+        assert np.array_equal(ds.matrix[:, min(bound.column_sets[0])],
+                              [True, False, False, True])
+
+    def test_number_after_equality_round_trips(self):
+        rs = parse_rules("grade == 1 OR NOT grade == 2.50 OR score <= 1")
+        again = parse_rules(print_rules(rs))
+        assert [c.keys() for c in again.conjunctions] == [
+            {("grade", "==", "1")}, {("grade", "!=", "2.50")}, {("score", "<=", "1.0")},
+        ]
+        assert [c.literals for c in again.conjunctions] == [
+            c.literals for c in rs.conjunctions
+        ]
+
     def test_predict_shapes_and_mismatch(self, ttt_dataset):
         bound, ds = bind(parse_rules(TOP_ROW), ttt_dataset)
         preds = bound.predict(ds.matrix)
@@ -304,6 +341,11 @@ def test_conjunction_rejects_empty():
         Conjunction(frozenset())
 
 
-def test_template_checks_consistency():
-    with pytest.raises(ContradictionError):
-        Template(frozenset({Literal("a", "==", "x"), Literal("a", "!=", "x")}))
+def test_conjunction_checks_consistency():
+    for lits in (
+        {Literal("a", "==", "x"), Literal("a", "!=", "x")},
+        {Literal("a", "==", "x"), Literal("a", "==", "y")},
+        {Literal("a", "<=", 1.0), Literal("a", ">", 2.0)},
+    ):
+        with pytest.raises(ContradictionError):
+            Conjunction(frozenset(lits))

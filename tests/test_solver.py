@@ -55,8 +55,8 @@ def random_boxed_lp(rng):
     return DenseLp(c, rows, senses, rhs, lo, up)
 
 
-def check_against_oracle(lp, eps=1e-6):
-    sol = solve_lp(lp.live(), eps=eps)
+def check_against_oracle(lp):
+    sol = solve_lp(lp.live())
     status, best = lp_vertex_minimum(*lp)
     assert sol.status == status, f"status {sol.status} vs oracle {status}"
     if status == OPTIMAL:
@@ -379,12 +379,12 @@ class BasisRecordingLp(LiveLp):
             self.solves[-1]["handed"] = _statuses(basis)
         return basis
 
-    def solve(self, eps=solver.GAP_TOL):
+    def solve(self):
         fixed = frozenset(
             (j, lo) for j, (lo, up) in enumerate(zip(self.lower, self.upper)) if lo == up
         )
         start = _statuses(super().basis())
-        sol = super().solve(eps)
+        sol = super().solve()
         self.solves.append({"fixed": fixed, "start": start, "handed": None})
         return sol
 
