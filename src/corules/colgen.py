@@ -34,7 +34,7 @@ the relaxation.
 A training keeps the restricted LP as one live HiGHS model: each round
 appends the new columns and re-solves from the last basis.  The loop ends
 with one binary solve restricted to the generated pool, by branch and bound
-on that same model.
+on that same model that branches on the rules before any slack.
 
 Inside the loop a conjunction is a set of column indices and nothing more;
 ``train`` builds a :class:`~corules.ruledsl.Conjunction` only for the rules
@@ -660,10 +660,14 @@ def train(
         report.stop_reason = STOP_ROUND_LIMIT
 
     master = build_master(pool, dataset, params, master)
-    # xi is binary at any optimum, so branch and bound treats every variable
-    # as binary and rounds integral objectives' bounds up
+    # only the rules are decisions: each xi is the unit-cost slack of one
+    # covering row, integral once w is, so branch and bound branches on the
+    # pool first; every variable stays binary and integral objectives'
+    # bounds are rounded up
     t_mip = time.perf_counter()
-    mip = solve_binary_mip(master.lp, node_limit=params.mip_node_limit)
+    mip = solve_binary_mip(
+        master.lp, node_limit=params.mip_node_limit, branch_first=master.n_pool
+    )
     report.mip_seconds = time.perf_counter() - t_mip
     report.mip_status = mip.status
     report.mip_nodes = mip.nodes

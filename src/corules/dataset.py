@@ -262,6 +262,13 @@ def feature_values(raw: RawTable, feature: str, numeric: bool) -> np.ndarray:
     """
     levels, codes = raw.encoded(feature)
     if numeric:
+        try:
+            values = np.fromiter(map(float, levels), float, len(levels))
+        except (TypeError, ValueError):
+            pass  # the per-level path below names the first row holding the cell
+        else:
+            if np.isfinite(values).all():
+                return values
         return _convert_levels(
             levels, codes, lambda cell, row: _as_float(cell, feature, row), float
         )

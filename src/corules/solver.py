@@ -17,21 +17,34 @@ Sign convention for duals of a minimization: a row held at its lower bound
 bound (a ``<=`` row) a nonpositive one.
 
 ``solve_binary_mip`` runs our own best-bound branch-and-bound on one live
-model with every variable binary, branching on the most fractional one
-(ties to the lowest index) so runs are deterministic.  A
-node sets its bound changes on the model, restarts the dual simplex from
-its parent's basis, which a bound change leaves dual feasible, and puts the
-bounds back once solved.  It stays ours rather than HiGHS's own MILP solver
-(as scipy exposes it) for memory: on the ~130-variable masters of the
-``soft-100`` benchmark each HiGHS MILP solve peaked 7-11 MB above its start
-and lifted the run's peak RSS from about 86 MB to about 103 MB.  With one
-live model per training, that run peaks at 87.2 MB (median of ten seeds on
-a 2-core VM), against 87.7 MB when every LP and node was a cold solve.
-Open nodes hold their fixings and their parent's basis, so a search that
-runs to the 200,000 nodes ``train`` allows by default grows: on a
-130-column, 235-row covering master that never found an incumbent, the run
-peaked 230 MB above its start, 40 MB of it bases, and took 149 s against
-256 s without them.
+model with every variable binary, so runs are deterministic:
+
+- **Branching.**  It branches on the most fractional of the first
+  ``branch_first`` variables while one of them is fractional, and on the
+  most fractional variable otherwise, ties to the lowest index.  A covering
+  master passes its pool size: only the rules are decisions, and each
+  slack is integral once the rules are.
+- **Order.**  Open nodes come off a heap by bound; among equal (rounded)
+  bounds the one pushed last comes first, so the search dives to an
+  incumbent instead of widening level by level.
+- **Bounds as a diff.**  The fixings on the model are tracked, and a node
+  sends only those that differ from the node solved before it, new ones
+  and released ones in one bound change.  The model gets its own bounds
+  back on every exit, the node limit and an error included.
+- **Bases.**  A node restarts the dual simplex from its parent's basis,
+  which a bound change leaves dual feasible.  When the parent is the node
+  solved just before it, the model still holds that basis and its
+  factorization, so none is set; otherwise the parent's saved basis is.
+- **Checks.**  Every node solve checks the duality gap like any other
+  :meth:`LiveLp.solve`.
+
+It stays ours rather than HiGHS's own MILP solver (as scipy exposes it)
+for time and memory: on the sixteen budget-15 masters of ``soft-100``
+seeds 1 and 2 (about 130 variables each, rebuilt cold, 2-core VM), HiGHS's
+MILP took 6.9 s in all against 0.44 s for ours, and each of its solves
+peaked 1.8-16.4 MB above its start against at most 0.7 MB for ours.
+Open nodes hold their fixings and their parent's basis, which siblings
+share, so memory grows with the open list that ``node_limit`` bounds.
 
 This module is the only user of ``scipy.optimize._highspy``, the HiGHS
 binding scipy ships but does not document; ``tests/test_solver.py`` checks
@@ -136,7 +149,7 @@ class LiveLp:
         return self._cost.size
 
     def _to_variables(self, values: np.ndarray) -> np.ndarray:
-        return np.roll(values, -self._n_last)
+        return np.concatenate((values[self._n_last:], values[:self._n_last]))
 
     def _to_columns(self, index) -> np.ndarray:
         return (np.asarray(index, dtype=np.int32) + self._n_last) % self.n_vars
@@ -226,18 +239,26 @@ def solve_lp(lp: LiveLp) -> LpSolution:
     return lp.solve()
 
 
-def solve_binary_mip(lp: LiveLp, node_limit: int = 100_000) -> MipSolution:
+def solve_binary_mip(
+    lp: LiveLp, node_limit: int = 100_000, branch_first: int = 0
+) -> MipSolution:
     """Best-bound branch-and-bound forcing every variable to {0, 1}.
 
-    Branches on the most fractional variable (ties to the lowest index).
-    Every node is one dual simplex solve on the same live model: the root
-    starts from the model's current basis, any other node sets its fixings
-    with one bound change and starts from its parent's basis.  The model
-    gets its own bounds back on return.  When every cost is an integer,
-    every solution's objective is an integer too, so a node's LP bound is
-    rounded up before it is compared with the incumbent.  Exhausting the
-    node budget reports ``iteration-limit`` together with the best incumbent
-    found so far.
+    Branches on the most fractional of the first ``branch_first`` variables
+    while one of them is fractional, and on the most fractional variable
+    otherwise; ties go to the lowest index.  Open nodes of equal bound are
+    taken last pushed first, so the search dives to an incumbent.  Every
+    node is one dual simplex solve on the same live model, with the
+    duality-gap check of :meth:`LiveLp.solve`: the root starts from the
+    model's current basis; any other node changes, in one bound change, the
+    fixings that differ from the node solved before it, and starts from its
+    parent's basis: the one the model still holds when the parent was
+    solved just before it, else the one saved with the parent.  The model
+    gets its own bounds back on return, also from an error.  When every
+    cost is an integer, every solution's objective is an integer too, so a
+    node's LP bound is rounded up before it is compared with the incumbent.
+    Exhausting the node budget reports ``iteration-limit`` together with the
+    best incumbent found so far.
     """
     own_lower, own_upper = lp.lower, lp.upper
     lower = np.maximum(own_lower, 0.0)
@@ -250,15 +271,21 @@ def solve_binary_mip(lp: LiveLp, node_limit: int = 100_000) -> MipSolution:
     def node_bound(value: float) -> float:
         return float(np.ceil(value - INT_TOL)) if integral else value
 
+    held: dict[int, float] = {}  # the fixings on the model now
+
     def solve_node(patch: dict, basis) -> LpSolution:
-        index = np.fromiter(patch, dtype=np.int32, count=len(patch))
-        fixed = np.array(list(patch.values()))
-        lp.set_bounds(index, fixed, fixed)
-        try:
+        fix = [j for j, value in patch.items() if held.get(j) != value]
+        release = [j for j in held if j not in patch]
+        lp.set_bounds(
+            np.array(fix + release, dtype=np.int32),
+            [patch[j] for j in fix] + [lower[j] for j in release],
+            [patch[j] for j in fix] + [upper[j] for j in release],
+        )
+        held.clear()
+        held.update(patch)
+        if basis is not None:
             lp.set_basis(basis)
-            return lp.solve()
-        finally:
-            lp.set_bounds(index, lower[index], upper[index])
+        return lp.solve()
 
     lp.set_bounds(clipped, lower[clipped], upper[clipped])
     try:
@@ -267,16 +294,18 @@ def solve_binary_mip(lp: LiveLp, node_limit: int = 100_000) -> MipSolution:
             return MipSolution(root.status, None, None, 0)
         relaxation = root.objective
 
-        # an entry is (bound, tie-break counter, fixings, solution if known,
-        # parent basis); a fixing maps a variable to the value it is held at
+        # an entry is (bound, minus a push counter, fixings, solution if
+        # known, parent's node number, parent's basis); a fixing maps a
+        # variable to the value it is held at
         counter = 0
-        heap: list[tuple] = [(node_bound(root.objective), counter, {}, root, None)]
+        heap: list[tuple] = [(node_bound(root.objective), counter, {}, root, 0, None)]
         best_x: np.ndarray | None = None
         best_obj = np.inf
         nodes = 0
+        hot = 1  # the node whose solve left its basis on the model: the root
         status = OPTIMAL
         while heap:
-            bound, _, patch, sol, basis = heapq.heappop(heap)
+            bound, _, patch, sol, parent, basis = heapq.heappop(heap)
             if best_x is not None and bound >= best_obj - 1e-9:
                 break  # best-bound order: every open node is at least this bad
             if nodes >= node_limit:
@@ -284,7 +313,8 @@ def solve_binary_mip(lp: LiveLp, node_limit: int = 100_000) -> MipSolution:
                 break
             nodes += 1
             if sol is None:
-                sol = solve_node(patch, basis)
+                sol = solve_node(patch, None if parent == hot else basis)
+                hot = nodes
             if sol.status == INFEASIBLE:
                 continue
             if sol.status != OPTIMAL:
@@ -293,7 +323,8 @@ def solve_binary_mip(lp: LiveLp, node_limit: int = 100_000) -> MipSolution:
             if best_x is not None and node_bound(sol.objective) >= best_obj - 1e-9:
                 continue
             frac = np.abs(sol.x - np.round(sol.x))
-            var = int(np.argmax(frac))
+            head = frac[:branch_first]
+            var = int(np.argmax(head if head.max(initial=0.0) > INT_TOL else frac))
             if frac[var] <= INT_TOL:
                 xi = np.round(sol.x)
                 obj = float(objective @ xi)
@@ -303,14 +334,16 @@ def solve_binary_mip(lp: LiveLp, node_limit: int = 100_000) -> MipSolution:
                 continue
             basis = lp.basis()
             for value in (0.0, 1.0):
-                counter += 1
+                counter -= 1
                 child = dict(patch)
                 child[var] = value
                 heapq.heappush(
-                    heap, (node_bound(sol.objective), counter, child, None, basis)
+                    heap,
+                    (node_bound(sol.objective), counter, child, None, nodes, basis),
                 )
     finally:
-        lp.set_bounds(clipped, own_lower[clipped], own_upper[clipped])
+        restore = np.union1d(np.fromiter(held, dtype=np.int32, count=len(held)), clipped)
+        lp.set_bounds(restore, own_lower[restore], own_upper[restore])
 
     if best_x is None:
         return MipSolution(

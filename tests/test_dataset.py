@@ -13,7 +13,10 @@ from corules.dataset import (
     RawTable,
     TableSchema,
     apply_columns,
+    _as_float,
+    _convert_levels,
     binarize,
+    feature_values,
     gather_bits,
     generate_tictactoe,
     label_bools,
@@ -450,3 +453,38 @@ class TestNarrowCodes:
             binarize(bad)
         with pytest.raises(DataError, match=r"'oops' at row 290$"):
             apply_columns(bad, (ColumnMeta("a", "<=", 1.5),))
+
+
+def _per_level_values(raw, feature):
+    """The reference: ``feature_values`` through one ``_as_float`` per level."""
+    levels, codes = raw.encoded(feature)
+    return _convert_levels(
+        levels, codes, lambda cell, row: _as_float(cell, feature, row), float
+    )
+
+
+def _values_or_error(read):
+    try:
+        return read().tolist()
+    except DataError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("cells, bad", [
+    ([3, 2.5, " 1.5 ", "1_000", -0.0, 3, True], []),  # int, float and text cells
+    ([1.0, float("inf"), 2.0], [1]),
+    ([2, "nan", -float("inf")], [1, 2]),
+    ([1.0, None, "oops", 4], [1, 2]),
+], ids=["int-float-text", "inf", "nan", "non-numeric"])
+def test_numeric_levels_match_the_per_level_path(cells, bad):
+    t = RawTable(["a", "y"], [NUMERIC, CATEGORICAL], [[c, "no"] for c in cells], "y")
+    fast = _values_or_error(lambda: feature_values(t, "a", True))
+    assert fast == _values_or_error(lambda: _per_level_values(t, "a"))
+    assert isinstance(fast, str) == bool(bad)
+    # a subset keeps every level, bad ones too; no row of this one holds a
+    # bad cell, so it converts without raising
+    good = [i for i in range(len(cells)) if i not in bad]
+    sub = t.subset(good)
+    values = feature_values(sub, "a", True)
+    assert values.tolist() == _per_level_values(sub, "a").tolist()
+    assert values[sub.codes[0]].tolist() == [float(cells[i]) for i in good]

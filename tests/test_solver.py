@@ -286,6 +286,20 @@ class TestSolveBinaryMip:
         assert sol.status == ITERATION_LIMIT
         assert sol.objective == pytest.approx(-7.5)
 
+    @pytest.mark.parametrize("n", [9, 11, 13, 15])
+    def test_equal_bounds_dive_to_an_incumbent(self, n):
+        # max sum x s.t. 2 sum x <= n: every node's rounded bound is the
+        # optimum, so only the tie rule orders the search; taking equal
+        # bounds first in, first out doubled the nodes with n (32 to 256)
+        lp = make_lp(
+            np.full(n, -1.0), np.full((1, n), 2.0), ["<="], [float(n)],
+            np.zeros(n), np.ones(n),
+        )
+        sol = solve_binary_mip(lp)
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(-(n - 1) / 2)
+        assert sol.nodes <= 2 * n
+
     def test_node_budget_reports_limit(self):
         rng = np.random.default_rng(5)
         n = 10
@@ -338,6 +352,44 @@ def test_mip_gives_the_live_model_its_bounds_back():
     assert np.array_equal(live.upper, upper)
     root = solve_lp(live)
     assert root.objective == pytest.approx(mip.relaxation_objective, abs=1e-9)
+
+
+@pytest.mark.parametrize("exit_by", ["node limit", "solver error"])
+def test_mip_gives_the_live_model_its_bounds_back_on_early_exits(exit_by, monkeypatch):
+    # the instance above with a seed that branches well past four nodes:
+    # four nodes in, fixings of earlier nodes are on the model
+    rng = np.random.default_rng(10)
+    lp = random_set_cover(rng, 12)
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    lower[3] = 1.0
+    upper[5] = 2.0
+    lp = lp._replace(lower=lower, upper=upper)
+    live = lp.live()
+    if exit_by == "node limit":
+        mip = solve_binary_mip(live, node_limit=4)
+        assert mip.status == ITERATION_LIMIT and mip.nodes == 4
+    else:
+        solve = LiveLp.solve
+        calls = []
+
+        def failing_solve(self):
+            calls.append(None)
+            if len(calls) == 5:  # the root's, then four nodes'
+                raise SolverError("injected")
+            return solve(self)
+
+        monkeypatch.setattr(LiveLp, "solve", failing_solve)
+        with pytest.raises(SolverError, match="injected"):
+            solve_binary_mip(live)
+        monkeypatch.undo()
+    assert np.array_equal(live.lower, lower)
+    assert np.array_equal(live.upper, upper)
+    # what HiGHS holds, in variable order, not only the mirror LiveLp keeps
+    held = live._highs.getLp()
+    assert np.array_equal(live._to_variables(np.array(held.col_lower_)), lower)
+    assert np.array_equal(live._to_variables(np.array(held.col_upper_)), upper)
+    want = solve_lp(lp.live()).objective
+    assert solve_lp(live).objective == pytest.approx(want, abs=1e-9)
 
 
 # every _Highs method solver calls; scipy does not document this binding
@@ -412,3 +464,46 @@ def test_every_node_starts_from_its_parents_basis():
         handed[fixed] = k, node["handed"]
     # without the parent's basis, these nodes would start from another node's
     assert not_after_parent > 0
+
+
+def random_master(rng, cls=LiveLp):
+    """A small covering master shaped as ``colgen.build_master`` builds one.
+
+    Row i asks positive i to be covered by a rule or paid for by its slack
+    ``xi_i`` at unit cost; the last row bounds the rules' total degree.  The
+    rules come first, the xi block (the constructor's columns) last.  Costs
+    are false-positive counts, less a soft-mode credit for a few rules.
+    Returns the model and the enumeration optimum over the rules alone.
+    """
+    n_pool, n_pos = int(rng.integers(8, 13)), int(rng.integers(10, 20))
+    cover = rng.random((n_pos, n_pool)) < 0.3
+    degree = rng.integers(1, 4, size=n_pool)
+    cost = rng.integers(0, 5, size=n_pool) - 6.0 * (rng.random(n_pool) < 0.2)
+    budget = float(rng.integers(2, 7))
+    live = cls(
+        np.append(np.ones(n_pos), -np.inf), np.append(np.full(n_pos, np.inf), budget),
+        np.ones(n_pos), np.zeros(n_pos), np.ones(n_pos), np.eye(n_pos + 1, n_pos),
+    )
+    live.add_columns(cost, np.zeros(n_pool), np.ones(n_pool), np.vstack([cover, degree]))
+    w = np.array(list(np.ndindex(*(2,) * n_pool)), dtype=float)
+    uncovered = (w @ cover.T == 0).sum(axis=1)
+    best = (w @ cost + uncovered)[w @ degree <= budget].min()
+    return live, n_pool, best
+
+
+def test_rule_first_branching_matches_enumeration_over_the_rules():
+    branched = slack_fixings = 0
+    for seed in range(30):
+        live, n_pool, best = random_master(np.random.default_rng(seed), BasisRecordingLp)
+        mip = solve_binary_mip(live, branch_first=n_pool)
+        assert mip.status == OPTIMAL
+        assert mip.objective == pytest.approx(best)
+        assert all(j < n_pool for node in live.solves for j, _ in node["fixed"])
+        branched += mip.nodes > 1
+        # the same master, branching on every variable alike
+        live, _, _ = random_master(np.random.default_rng(seed), BasisRecordingLp)
+        mip = solve_binary_mip(live)
+        assert mip.objective == pytest.approx(best)
+        slack_fixings += any(j >= n_pool for node in live.solves for j, _ in node["fixed"])
+    # enough instances branch, and the default rule does fix some slacks
+    assert branched >= 10 and slack_fixings > 0, (branched, slack_fixings)
