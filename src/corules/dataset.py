@@ -308,15 +308,24 @@ def gather_bits(
     return np.take(level_bits, codes, out=out)
 
 
-def cover(matrix: np.ndarray, cols: Iterable[int]) -> np.ndarray:
+def cover(
+    matrix: np.ndarray, cols: Iterable[int], out: np.ndarray | None = None
+) -> np.ndarray:
     """Rows of a bit matrix whose columns ``cols`` are all set.
 
     The cover of the conjunction of those columns; with no column, every
     row.  Reads one column of ``matrix`` per literal, so a column-major
-    matrix reads contiguous memory.
+    matrix reads contiguous memory.  The cover is written into ``out``
+    (a bool vector, one entry per row) when given, else into a new one.
     """
-    out = np.ones(matrix.shape[0], dtype=bool)
-    for j in cols:
+    cols = list(cols)
+    if out is None:
+        out = np.empty(matrix.shape[0], dtype=bool)
+    if len(cols) < 2:
+        out[:] = matrix[:, cols[0]] if cols else True
+        return out
+    np.logical_and(matrix[:, cols[0]], matrix[:, cols[1]], out=out)
+    for j in cols[2:]:
         out &= matrix[:, j]
     return out
 

@@ -79,17 +79,23 @@ def accuracy(rule_set: RuleSet | BoundRuleSet, dataset: BinaryDataset) -> float:
     return int(np.count_nonzero(bound.predict(ds.matrix) == dataset.labels)) / dataset.n
 
 
-def conjunction_similarity(a: Conjunction, b: Conjunction) -> float:
-    """Jaccard overlap of the two literal sets (1.0 iff identical)."""
-    ka, kb = a.keys(), b.keys()
+def _jaccard(ka: AbstractSet[tuple], kb: AbstractSet[tuple]) -> float:
     return len(ka & kb) / len(ka | kb)
 
 
+def conjunction_similarity(a: Conjunction, b: Conjunction) -> float:
+    """Jaccard overlap of the two literal sets (1.0 iff identical)."""
+    return _jaccard(a.keys(), b.keys())
+
+
 def similarity_matrix(a: RuleSet, b: RuleSet) -> np.ndarray:
+    """:func:`conjunction_similarity` of every pair, each side's keys built once."""
+    keys_a = [c.keys() for c in a.conjunctions]
+    keys_b = [c.keys() for c in b.conjunctions]
     out = np.zeros((len(a), len(b)))
-    for i, ca in enumerate(a.conjunctions):
-        for j, cb in enumerate(b.conjunctions):
-            out[i, j] = conjunction_similarity(ca, cb)
+    for i, ka in enumerate(keys_a):
+        for j, kb in enumerate(keys_b):
+            out[i, j] = _jaccard(ka, kb)
     return out
 
 

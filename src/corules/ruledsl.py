@@ -355,7 +355,7 @@ class BoundRuleSet:
             )
         out = np.empty((matrix.shape[0], len(self.column_sets)), dtype=bool, order="F")
         for k, cols in enumerate(self.column_sets):
-            out[:, k] = cover(matrix, cols)
+            cover(matrix, cols, out=out[:, k])
         return out
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:

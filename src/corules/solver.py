@@ -55,9 +55,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize._highspy import _core as highs
 
 OPTIMAL = "optimal"
@@ -117,11 +117,33 @@ def _active_bound(dual: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.
     return np.where(np.isfinite(bound), bound, 0.0)
 
 
+class CompressedColumns(NamedTuple):
+    """A block of ``k`` columns in compressed sparse column form: column
+    ``c`` holds ``data[indptr[c]:indptr[c + 1]]`` in the rows
+    ``indices[indptr[c]:indptr[c + 1]]``."""
+
+    indptr: np.ndarray  # k + 1 offsets
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_dense(cls, block) -> CompressedColumns:
+        """The nonzeros of a dense ``(n_rows, k)`` block."""
+        by_column = np.asarray(block).T
+        k, n_rows = by_column.shape
+        at = np.flatnonzero(by_column)
+        indptr = np.searchsorted(at, np.arange(k + 1) * n_rows)
+        return cls(indptr, at % n_rows, by_column.ravel()[at])
+
+
 class LiveLp:
     """min c.x  s.t. row_lower <= A.x <= row_upper, lower <= x <= upper,
     held by one HiGHS instance and changed in place between solves.
 
-    ``columns`` are ``(n_rows, k)`` coefficient blocks, dense or sparse.
+    ``columns`` are blocks of ``k`` coefficient columns: a dense
+    ``(n_rows, k)`` array, or :class:`CompressedColumns`, which a block
+    too large to hold densely, such as the identity of a master's slack
+    columns, can be handed over as.
     Variables are numbered in the order their columns arrive, except that
     the constructor's columns come after every column :meth:`add_columns`
     appends later.  HiGHS stores those first, so a model can start with a
@@ -167,17 +189,21 @@ class LiveLp:
         return self._to_variables(self._upper)
 
     def add_columns(self, cost, lower, upper, columns):
-        columns = sparse.csc_array(columns)
+        if not isinstance(columns, CompressedColumns):
+            columns = CompressedColumns.from_dense(columns)
+        indptr, indices, data = columns
         cost = np.asarray(cost, dtype=float)
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
         if np.any(lower > upper):
             raise ValueError("some lower bound exceeds its upper bound")
+        if len(indptr) != cost.size + 1:
+            raise ValueError(f"{len(indptr) - 1} columns for {cost.size} costs")
         _check(self._highs.addCols(
-            cost.size, cost, lower, upper, columns.nnz,
-            columns.indptr[:-1].astype(np.int32),
-            columns.indices.astype(np.int32),
-            columns.data.astype(float),
+            cost.size, cost, lower, upper, len(indices),
+            np.asarray(indptr[:-1], dtype=np.int32),
+            np.asarray(indices, dtype=np.int32),
+            np.asarray(data, dtype=float),
         ), "the new columns")
         self._cost = np.concatenate([self._cost, cost])
         self._lower = np.concatenate([self._lower, lower])

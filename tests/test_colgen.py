@@ -438,6 +438,68 @@ class TestPrice:
         for cand in got:
             assert cand.reduced_cost == pytest.approx(want[cand.cols], abs=1e-9)
 
+    @staticmethod
+    def assert_matches_brute_force(ds, mu, lam, params, limit=5):
+        """Unlimited pricing returns exactly the oracle's improving
+        conjunctions, and ``limit`` pricing the head of that list."""
+        mu_full = np.zeros(ds.n)
+        mu_full[ds.P] = mu
+        oracle = brute_force_reduced_costs(
+            ds.matrix, ds.labels, mu_full, lam, params.max_degree
+        )
+        want = {cols: rc for cols, rc in oracle.items() if rc < -TOLERANCE}
+        full = price((mu, lam), ds, params)
+        assert {c.cols for c in full} == set(want)
+        for cand in full:
+            assert cand.reduced_cost == pytest.approx(want[cand.cols], abs=1e-9)
+        got = price((mu, lam), ds, params, limit=limit)
+        assert [c.cols for c in got] == [c.cols for c in full[:limit]]
+        return full
+
+    def test_rows_without_dual_weight_match_brute_force(self):
+        # at an LP vertex most covering rows have mu == 0, and pricing reads
+        # only the others
+        rng = np.random.default_rng(515)
+        params = Params(max_degree=3)
+        found = 0
+        for _ in range(60):
+            ds = random_dataset(rng)
+            mu = rng.random(ds.P.size) * 3
+            mu[rng.random(ds.P.size) < 0.8] = 0.0
+            lam = float(rng.random() * 0.5)
+            found += bool(self.assert_matches_brute_force(ds, mu, lam, params))
+        assert found >= 20
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_all_zero_duals_match_brute_force(self, lam):
+        rng = np.random.default_rng(516)
+        for _ in range(10):
+            ds = random_dataset(rng)
+            mu = np.zeros(ds.P.size)
+            full = self.assert_matches_brute_force(ds, mu, lam, Params(max_degree=3))
+            assert full == [] and full.nodes == 1
+
+    def test_wide_blocks_match_brute_force(self):
+        # with 20 to 30 columns the root's children have hundreds of
+        # children between them, one block of more than one slab, so that
+        # block's children are priced in several column windows
+        rng = np.random.default_rng(3030)
+        params = Params(max_degree=3)
+        for _ in range(4):
+            n_cols = int(rng.integers(20, 31))
+            ds = random_dataset(rng, n_cols=n_cols, n_rows=int(rng.integers(20, 41)))
+            mu = rng.random(ds.P.size) * 3
+            full = self.assert_matches_brute_force(ds, mu, 0.1, params, limit=20)
+            assert full.nodes - 1 - n_cols > colgen._PRICE_SLAB_MIN
+
+    def test_small_slabs_match_brute_force(self, monkeypatch):
+        # every block of four nodes or more is cut into four slabs
+        monkeypatch.setattr(colgen, "_PRICE_SLAB_MIN", 1)
+        self.test_matches_brute_force_on_random_instances()
+        self.test_templates_mode_matches_brute_force()
+        self.test_degree_four_limit_matches_brute_force()
+        self.test_rows_without_dual_weight_match_brute_force()
+
     def test_excluded_pool_members_not_returned(self):
         matrix = np.array([[1], [0]], dtype=bool)
         labels = np.array([1, 0], dtype=bool)

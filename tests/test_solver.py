@@ -10,6 +10,7 @@ from corules.solver import (
     ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
+    CompressedColumns,
     LiveLp,
     SolverError,
     solve_binary_mip,
@@ -188,6 +189,34 @@ class TestSolveLp:
         live = make_lp([1.0], [[1.0]], [">="], [0.0], [0.0], [1.0])
         with pytest.raises(ValueError, match="lower bound exceeds"):
             live.add_columns([1.0, 1.0], [0.0, 1.0], [1.0, 0.0], np.ones((1, 2)))
+        assert live.n_vars == 1
+
+    def test_dense_block_with_an_all_zero_column(self):
+        # the middle variable is in no row: HiGHS holds an empty column for
+        # it, and it sits at the bound its cost prefers
+        lp = DenseLp(
+            np.array([1.0, -1.0, 1.0]),
+            np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0]]),
+            (">=", ">="), np.array([1.0, 2.0]), np.zeros(3), np.array([4.0, 3.0, 4.0]),
+        )
+        live = lp.live()
+        held = live._highs.getLp().a_matrix_
+        assert list(held.start_) == [0, 1, 1, 3]
+        assert list(held.index_) == [0, 0, 1]
+        assert list(held.value_) == [1.0, 2.0, 1.0]
+        sol = check_against_oracle(lp)
+        assert sol.x.tolist() == [0.0, 3.0, 2.0]
+        # the same block handed over as compressed columns solves alike
+        compressed = CompressedColumns(
+            np.array([0, 1, 1, 3]), np.array([0, 0, 1]), np.array([1.0, 2.0, 1.0])
+        )
+        same = lp._replace(rows=compressed).live()
+        assert solve_lp(same).x.tolist() == sol.x.tolist()
+
+    def test_block_width_must_match_the_costs(self):
+        live = make_lp([1.0], [[1.0]], [">="], [0.0], [0.0], [1.0])
+        with pytest.raises(ValueError, match="2 columns for 3 costs"):
+            live.add_columns(np.ones(3), np.zeros(3), np.ones(3), np.ones((1, 2)))
         assert live.n_vars == 1
 
 
