@@ -7,7 +7,9 @@ and a covered negative costs one per selected conjunction covering it.
 Rule-set similarity pairs up conjunctions across two rule sets by solving
 an assignment problem over pairwise Jaccard scores, then divides the best
 total by the larger set size, giving 1.0 for semantically identical sets
-and 0.0 for sets sharing no literal.
+and 0.0 for sets sharing no literal.  The assignment is scipy's
+``linear_sum_assignment``, which ``solver`` loads from its compiled module
+so that ``scipy.optimize`` is never imported.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from pathlib import Path
 from typing import AbstractSet, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dataset import BinaryDataset
 from .ruledsl import BoundRuleSet, Conjunction, RuleSet, bind
+from .solver import linear_sum_assignment
 
 
 @dataclass(frozen=True)

@@ -46,19 +46,56 @@ peaked 1.8-16.4 MB above its start against at most 0.7 MB for ours.
 Open nodes hold their fixings and their parent's basis, which siblings
 share, so memory grows with the open list that ``node_limit`` bounds.
 
-This module is the only user of ``scipy.optimize._highspy``, the HiGHS
-binding scipy ships but does not document; ``tests/test_solver.py`` checks
-that every method used here is still there.
+The HiGHS binding ``scipy.optimize._highspy._core`` and the assignment
+solver ``scipy.optimize._lsap`` (which ``metrics`` uses) are scipy's
+compiled modules, and ``_scipy_extension`` loads each straight from its
+file.  ``import scipy.optimize`` would run the package's ``__init__``,
+which pulls in ``scipy.linalg`` and the ``linprog`` family: about 0.6 s of
+the 0.7 s that ``import corules`` took on the 2-core VM, for two modules
+that need none of it.  The loaded modules are kept out of ``sys.modules``,
+so a later ``import scipy.optimize`` runs as usual; once it has run, they
+are taken from there.  Where scipy moved the files, the loader falls back
+to the ordinary import.  Both module paths are private to scipy; this
+module is the only one that names them, and ``tests/test_solver.py``
+checks that every HiGHS method used here is still there.
 """
 
 from __future__ import annotations
 
 import heapq
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
+import scipy
+
+
+def _scipy_extension(name: str):
+    """scipy's compiled module ``name``, loaded from its file without
+    importing the packages above it; the ordinary import if no file is
+    found."""
+    if name in sys.modules:  # scipy.optimize is imported already
+        return sys.modules[name]
+    path = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(path + suffix):
+            spec = importlib.util.spec_from_file_location(name, path + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # a single-phase module enters itself in sys.modules; taken out,
+            # it leaves a later import of scipy.optimize to bind it as usual
+            sys.modules.pop(name, None)
+            return module
+    return importlib.import_module(name)
+
+
+highs = _scipy_extension("scipy.optimize._highspy._core")
+linear_sum_assignment = _scipy_extension("scipy.optimize._lsap").linear_sum_assignment
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import tomllib
 from importlib import metadata
 from pathlib import Path
@@ -65,3 +68,31 @@ def test_every_declared_script_resolves_to_a_callable():
 def test_script_check_catches_a_missing_module():
     with pytest.raises(ModuleNotFoundError):
         _script("corules", "corules.no_such_module:main").load()
+
+
+IMPORT_ALL = """
+import pkgutil
+import sys
+
+import corules
+
+names = [m.name for m in pkgutil.walk_packages(corules.__path__, "corules.")]
+for name in names:
+    __import__(name)
+assert len(names) >= 5, names
+heavy = [m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules]
+assert not heavy, heavy
+print("ok")
+"""
+
+
+def test_importing_corules_leaves_scipy_optimize_out():
+    # a fresh interpreter: pytest's own may already hold scipy.optimize
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_ALL], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

@@ -1,3 +1,7 @@
+import importlib.machinery
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -437,13 +441,83 @@ def test_highs_binding_has_every_method_solver_uses():
     )
 
 
-def test_solver_is_the_only_highspy_importer():
+def test_solver_is_the_only_private_scipy_importer():
     src = Path(solver.__file__).resolve().parent.parent
     importers = sorted(
         str(path.relative_to(src)) for path in src.rglob("*.py")
-        if "_highspy" in path.read_text()
+        if "scipy.optimize._" in path.read_text()
     )
     assert importers == ["corules/solver.py"]
+
+
+def test_extension_loader_falls_back_to_the_ordinary_import(monkeypatch):
+    # with no file to find, the loader must hand back what import gives
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    core_name, lsap_name = "scipy.optimize._highspy._core", "scipy.optimize._lsap"
+    for name in (core_name, lsap_name):  # else the loader returns these
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    core = solver._scipy_extension(core_name)
+    assert core is sys.modules[core_name]
+    assert all(hasattr(core._Highs, name) for name in HIGHS_METHODS)
+    lsap = solver._scipy_extension(lsap_name)
+    assert lsap is sys.modules[lsap_name]
+    sims = np.array([[0.2, 0.9, 0.1], [0.8, 0.7, 0.0], [0.3, 0.4, 0.6]])
+    want = solver.linear_sum_assignment(sims, maximize=True)
+    got = lsap.linear_sum_assignment(sims, maximize=True)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want] == [[0, 1, 2], [1, 0, 2]]
+
+
+# whichever of corules and scipy.optimize is imported first, both must work
+# side by side, and scipy.optimize must hold its modules as usual
+IMPORT_CORULES = "from corules import metrics, solver\n"
+IMPORT_SCIPY = "import scipy.optimize\n"
+COEXIST = """
+import sys
+from operator import attrgetter
+
+import numpy as np
+from corules.ruledsl import parse_rules
+
+for name in ("_highspy._core", "_lsap"):
+    held = sys.modules["scipy.optimize." + name]
+    assert held is attrgetter(name)(scipy.optimize), name
+
+cost = np.array([-1.0, -2.0])
+rows = np.array([[1.0, 1.0], [1.0, 3.0]])
+theirs = scipy.optimize.linprog(
+    cost, A_ub=rows, b_ub=[4.0, 6.0], bounds=[(0, 3)] * 2, method="highs"
+)
+ours = solver.solve_lp(solver.LiveLp(
+    [-np.inf] * 2, [4.0, 6.0], cost, [0.0] * 2, [3.0] * 2, rows
+))
+assert theirs.status == 0 and ours.status == solver.OPTIMAL
+assert np.isclose(theirs.fun, -5.0) and np.isclose(ours.objective, -5.0)
+assert np.allclose(theirs.x, ours.x)
+
+a = parse_rules("(a == 1 AND b == 1) OR (c == 1) OR (d == 1 AND e == 1)")
+b = parse_rules("(c == 1 AND d == 1) OR (a == 1)")
+sims = metrics.similarity_matrix(a, b)
+r, c = scipy.optimize.linear_sum_assignment(sims, maximize=True)
+mr, mc = metrics.linear_sum_assignment(sims, maximize=True)
+assert r.tolist() == mr.tolist() and c.tolist() == mc.tolist()
+assert np.isclose(metrics.ruleset_similarity(a, b), sims[r, c].sum() / 3)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("corules_first", [True, False])
+def test_corules_and_scipy_optimize_coexist(corules_first):
+    src = Path(solver.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    )}
+    imports = [IMPORT_CORULES, IMPORT_SCIPY][::1 if corules_first else -1]
+    done = subprocess.run(
+        [sys.executable, "-c", "".join(imports) + COEXIST],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 class BasisRecordingLp(LiveLp):
