@@ -39,8 +39,8 @@ with one binary solve restricted to the generated pool, by branch and bound
 on that same model that branches on the rules before any slack.
 
 Inside the loop a conjunction is a set of column indices and nothing more;
-``train`` builds a :class:`~corules.ruledsl.Conjunction` only for the rules
-it returns and the human rules it reports on.
+``train`` builds a :class:`~corules.ruledsl.Conjunction` of the columns'
+literals only for the rules it returns and the human rules it reports on.
 
 Expert knowledge enters three ways, chosen by ``Params.mode``:
 
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
@@ -69,7 +70,7 @@ import numpy as np
 from .dataset import BinaryDataset, cover
 from . import metrics
 from .metrics import key_distance
-from .ruledsl import BoundRuleSet, Conjunction, Literal, RuleSet, bind
+from .ruledsl import BoundRuleSet, Conjunction, RuleSet, bind
 from . import solver
 from .solver import CompressedColumns, LiveLp, solve_binary_mip, solve_lp
 
@@ -114,6 +115,10 @@ class Params:
     mip_node_limit: int = 200_000
 
     def __post_init__(self):
+        for name in ("max_degree", "max_cg_rounds", "mip_node_limit"):
+            # a float here fails deep inside train; numpy integers are fine
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.complexity_budget < 1:
             raise ValueError("complexity budget must be >= 1")
         if not 0 <= self.human_weight < math.inf:
@@ -123,7 +128,7 @@ class Params:
         if self.mip_node_limit < 1:
             raise ValueError("mip_node_limit must be >= 1")
         if self.max_degree < 1:
-            raise ValueError("max degree must be >= 1")
+            raise ValueError("max_degree must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_cg_rounds < 0:
@@ -404,7 +409,7 @@ def price(
     exact: the distance is nonnegative, so no other node could qualify, and
     the descent bound never uses it.  The distance is
     :func:`corules.metrics.key_distance` of the hit's column keys
-    (``ColumnMeta.key``) to the templates' condition keys
+    (``Literal.key``) to the templates' condition keys
     (``Conjunction.keys``); no conjunction is built.
     """
     if limit is not None and limit < 1:
@@ -452,7 +457,7 @@ def price(
     )
     templated = params.mode == MODE_TEMPLATES and params.template_weight > 0.0
     if templated:
-        col_keys = [meta.key() for meta in dataset.columns]
+        col_keys = [lit.key() for lit in dataset.columns]
         template_keys = [t.keys() for t in templates.conjunctions]
 
     # the buffer, in pieces: with a limit, merged and cut to the best
@@ -591,10 +596,8 @@ class TrainReport:
     objective: float = float("nan")  # hamming + human_weight * n * unselected
     hamming: int = 0
     template_penalty: float = 0.0
-    human_rules: list[str] = field(default_factory=list)
     human_selected: dict[str, bool] = field(default_factory=dict)
     unselected_human_count: int = 0
-    pricing_exact_within_degree: bool = True
     stop_reason: str = ""  # why column generation ended: a STOP_* value
     warnings: list[str] = field(default_factory=list)
     train_accuracy: float = float("nan")
@@ -602,12 +605,6 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _conjunction(dataset: BinaryDataset, col: PoolColumn) -> Conjunction:
-    """The rule a pool column stands for, in the dataset's column conditions."""
-    metas = (dataset.columns[j] for j in col.cols)
-    return Conjunction(frozenset(Literal(m.feature, m.op, m.value) for m in metas))
 
 
 def train(
@@ -652,7 +649,6 @@ def train(
     if given:
         bound, dataset = bind(given, dataset)
         seeds = bound.column_sets
-    report.human_rules = [c.render() for c in rules.conjunctions]
 
     if dataset.P.size == 0:
         raise NoPositivesError("training data has no positive samples")
@@ -738,7 +734,7 @@ def train(
     report.mip_objective = float(mip.objective + master.offset)
 
     selected = [
-        (_conjunction(dataset, col), col)
+        (Conjunction(frozenset(dataset.columns[j] for j in col.cols)), col)
         for k, col in enumerate(pool.columns) if mip.x[k] > 0.5
     ]
     selected.sort(key=lambda pair: sorted(lit.sort_key() for lit in pair[0].literals))
@@ -771,7 +767,8 @@ def train(
         )
 
     report.human_selected = {
-        _conjunction(dataset, col).render(): col.cols in selected_keys
+        Conjunction(frozenset(dataset.columns[j] for j in col.cols)).render():
+            col.cols in selected_keys
         for col in pool.columns if col.is_human
     }
 

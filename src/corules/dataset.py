@@ -12,8 +12,9 @@ once per level and gathered to the rows by code.
 Binarization turns every feature into a block of 0/1 columns: categoricals
 are one-hot encoded as ``==`` and ``!=`` columns, numerics are split at
 quantile thresholds into ``<= t`` / ``> t`` pairs.  Each binary column
-remembers the condition it tests (:class:`ColumnMeta`), so any bit can be
-re-derived from the originating raw cell.  One function, :func:`column_block`,
+is the condition it tests, a :class:`Literal`, the same type a rule is made
+of, so any bit can be re-derived from the originating raw cell and any
+column printed as rule text.  One function, :func:`column_block`,
 computes bits from raw cells for binning, scoring, synthesized columns and
 the audit alike: it converts each feature's levels once with
 :func:`feature_values`, evaluates conditions on them with :func:`column_bits`
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -42,9 +44,6 @@ OP_EQ = "=="
 OP_NE = "!="
 OP_LE = "<="
 OP_GT = ">"
-
-ORIGIN_BINNED = "derived-from-binning"
-ORIGIN_SYNTHESIZED = "synthesized-from-human-literal"
 
 _TRUTHY = {"true", "t", "1", "yes", "y", "pos", "positive"}
 _FALSY = {"false", "f", "0", "no", "n", "neg", "negative"}
@@ -227,30 +226,51 @@ def _as_float(value, feature: str, row: int) -> float:
     return out
 
 
-def condition_key(feature: str, op: str, value) -> tuple:
-    """``(feature, op, value text)``: the identity of a column or literal."""
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def _render_value(value) -> str:
     if isinstance(value, float):
-        # 12 significant digits: thresholds within rel. 1e-9 share a key
-        value = float(f"{value:.12g}")
-    return (feature, op, str(value))
+        return repr(value)
+    text = str(value)
+    if _IDENT_RE.match(text):
+        return text
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-@dataclass(frozen=True)
-class ColumnMeta:
-    """The condition one binary column tests on one raw feature.
+@dataclass(frozen=True, eq=False)
+class Literal:
+    """One condition on one raw feature: a binary column, or a rule's literal.
 
-    ``op`` is one of ``==``/``!=`` (categorical value) or ``<=``/``>``
-    (numeric threshold).  ``origin`` records whether the column came from
-    binning or was synthesized to honor a human-provided threshold exactly.
+    ``op`` is one of ``==``/``!=`` (categorical value, compared as text) or
+    ``<=``/``>`` (numeric threshold).  Literals are equal when their
+    :meth:`key` is, so a rule's literal finds its column by key.
     """
 
     feature: str
     op: str
     value: object
-    origin: str = ORIGIN_BINNED
 
     def key(self) -> tuple:
-        return condition_key(self.feature, self.op, self.value)
+        """``(feature, op, value text)``: the identity of a column or literal."""
+        value = self.value
+        if isinstance(value, float):
+            # rounded to 12 significant digits, so 0.1 + 0.2 and 0.3 share a
+            # key while 1.0 and 1.000000001 do not
+            value = float(f"{value:.12g}")
+        return (self.feature, self.op, str(value))
+
+    def __eq__(self, other):
+        return isinstance(other, Literal) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def sort_key(self) -> tuple:
+        return (self.feature, self.op, str(self.value))
+
+    def render(self) -> str:
+        return f"{self.feature} {self.op} {_render_value(self.value)}"
 
 
 def feature_values(raw: RawTable, feature: str, numeric: bool) -> np.ndarray:
@@ -275,17 +295,17 @@ def feature_values(raw: RawTable, feature: str, numeric: bool) -> np.ndarray:
     return np.array([str(c) for c in levels], dtype=str)
 
 
-def column_bits(meta: ColumnMeta, values: np.ndarray) -> np.ndarray:
+def column_bits(lit: Literal, values: np.ndarray) -> np.ndarray:
     """Evaluate one column condition on its feature's :func:`feature_values`."""
-    if meta.op == OP_EQ:
-        return values == str(meta.value)
-    if meta.op == OP_NE:
-        return values != str(meta.value)
-    if meta.op == OP_LE:
-        return values <= meta.value
-    if meta.op == OP_GT:
-        return values > meta.value
-    raise DataError(f"unknown column operator {meta.op!r}")
+    if lit.op == OP_EQ:
+        return values == str(lit.value)
+    if lit.op == OP_NE:
+        return values != str(lit.value)
+    if lit.op == OP_LE:
+        return values <= lit.value
+    if lit.op == OP_GT:
+        return values > lit.value
+    raise DataError(f"unknown column operator {lit.op!r}")
 
 
 def gather_bits(
@@ -334,14 +354,14 @@ def cover(
 class BinaryDataset:
     """Binarized samples: column conditions, bit matrix, labels, P/Z split."""
 
-    columns: tuple[ColumnMeta, ...]
+    columns: tuple[Literal, ...]
     matrix: np.ndarray  # bool, shape (n, len(columns))
     labels: np.ndarray  # bool, shape (n,)
     raw: RawTable | None = None
 
     def __post_init__(self):
         if self.matrix.ndim != 2 or self.matrix.shape[1] != len(self.columns):
-            raise DataError("matrix width does not match column metadata")
+            raise DataError("matrix width does not match the column count")
         if self.matrix.shape[0] != self.labels.shape[0]:
             raise DataError("matrix and labels disagree on sample count")
 
@@ -411,7 +431,7 @@ def binarize(raw: RawTable, bins: int = 10) -> BinaryDataset:
     if bins < 2:
         raise DataError("bins must be >= 2")
 
-    metas: list[ColumnMeta] = []
+    columns: list[Literal] = []
     values: dict[tuple[str, bool], np.ndarray] = {}
     for name, kind in zip(raw.names, raw.kinds):
         if name == raw.label:
@@ -421,21 +441,21 @@ def binarize(raw: RawTable, bins: int = 10) -> BinaryDataset:
         codes = raw.encoded(name)[1]
         if numeric:
             cuts = quantile_thresholds(levels[codes], bins)
-            metas += [ColumnMeta(name, op, t) for t in cuts for op in (OP_LE, OP_GT)]
+            columns += [Literal(name, op, t) for t in cuts for op in (OP_LE, OP_GT)]
         else:
             distinct = sorted(set(levels[np.unique(codes)].tolist()))
             ops = (OP_EQ, OP_NE) if len(distinct) > 1 else ()
-            metas += [ColumnMeta(name, op, v) for op in ops for v in distinct]
+            columns += [Literal(name, op, v) for op in ops for v in distinct]
 
-    if not metas:
+    if not columns:
         raise DataError("no usable features")
-    matrix = column_block(raw, metas, values)
-    return BinaryDataset(tuple(metas), matrix, label_bools(raw), raw)
+    matrix = column_block(raw, columns, values)
+    return BinaryDataset(tuple(columns), matrix, label_bools(raw), raw)
 
 
 def column_block(
     raw: RawTable,
-    columns: Sequence[ColumnMeta],
+    columns: Sequence[Literal],
     values: dict[tuple[str, bool], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Evaluate column conditions on the raw cells: a column-major bool block.
@@ -448,18 +468,18 @@ def column_block(
     features = set(raw.schema.feature_names)
     values = dict(values or {})
     block = np.empty((raw.n_rows, len(columns)), dtype=bool, order="F")
-    for j, meta in enumerate(columns):
-        if meta.feature not in features:
-            raise DataError(f"data has no feature {meta.feature!r}")
-        key = (meta.feature, meta.op in (OP_LE, OP_GT))
+    for j, lit in enumerate(columns):
+        if lit.feature not in features:
+            raise DataError(f"data has no feature {lit.feature!r}")
+        key = (lit.feature, lit.op in (OP_LE, OP_GT))
         if key not in values:
             values[key] = feature_values(raw, *key)
-        codes = raw.encoded(meta.feature)[1]
-        gather_bits(column_bits(meta, values[key]), codes, out=block[:, j])
+        codes = raw.encoded(lit.feature)[1]
+        gather_bits(column_bits(lit, values[key]), codes, out=block[:, j])
     return block
 
 
-def apply_columns(raw: RawTable, columns: Sequence[ColumnMeta]) -> BinaryDataset:
+def apply_columns(raw: RawTable, columns: Sequence[Literal]) -> BinaryDataset:
     """Binarize new raw data against an existing column vocabulary."""
     if raw.n_rows == 0:
         raise DataError("empty table")

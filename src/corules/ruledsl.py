@@ -48,13 +48,12 @@ from .dataset import (
     OP_GT,
     OP_LE,
     OP_NE,
-    ORIGIN_SYNTHESIZED,
     BinaryDataset,
-    ColumnMeta,
+    Literal,
     column_block,
-    condition_key,
     cover,
 )
+
 
 class RuleError(ValueError):
     """Base class for rule parsing and binding problems."""
@@ -79,42 +78,8 @@ class BindingWarning(UserWarning):
     """Non-fatal binding oddity, e.g. a never-observed category."""
 
 
-@dataclass(frozen=True, eq=False)
-class Literal:
-    """One condition on one feature, in one of the four kinds above."""
-
-    feature: str
-    op: str  # "==", "!=", "<=", ">"
-    value: object
-
-    def key(self) -> tuple:
-        return condition_key(self.feature, self.op, self.value)
-
-    def __eq__(self, other):
-        return isinstance(other, Literal) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def sort_key(self) -> tuple:
-        return (self.feature, self.op, str(self.value))
-
-    def render(self) -> str:
-        return f"{self.feature} {self.op} {_render_value(self.value)}"
-
-
 _NEGATE = {OP_EQ: OP_NE, OP_NE: OP_EQ, OP_LE: OP_GT, OP_GT: OP_LE}
 _OP_ALIASES = {"<": OP_LE, ">=": OP_GT, "==": OP_EQ, "!=": OP_NE, "<=": OP_LE, ">": OP_GT}
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-def _render_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    text = str(value)
-    if _IDENT_RE.match(text):
-        return text
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 @dataclass(frozen=True)
@@ -343,7 +308,7 @@ class BoundRuleSet:
     n_columns: int
 
     def covers(self, matrix: np.ndarray) -> np.ndarray:
-        """Bool matrix (n_samples, n_conjunctions): who satisfies what.
+        """Who satisfies what: a bool matrix, a row per sample, a column per conjunction.
 
         Column-major, so a reduction over the conjunctions (``axis=1``)
         reads each conjunction's cover contiguously.
@@ -374,8 +339,8 @@ def bind(
     dataset.  Binding is stable: a literal that already matches a column,
     including one synthesized by an earlier bind, never adds another.
     """
-    by_key = {meta.key(): j for j, meta in enumerate(dataset.columns)}
-    new: list[ColumnMeta] = []
+    by_key = {lit.key(): j for j, lit in enumerate(dataset.columns)}
+    new: list[Literal] = []
     raw = dataset.raw
     feature_kinds = None if raw is None else {
         name: kind for name, kind in zip(raw.names, raw.kinds) if name != raw.label
@@ -397,7 +362,7 @@ def bind(
             )
         if lit.op in (OP_EQ, OP_NE) and kind != CATEGORICAL:
             raise RuleError(f"equality literal {lit.render()!r} on numeric feature")
-        new.append(ColumnMeta(lit.feature, lit.op, lit.value, ORIGIN_SYNTHESIZED))
+        new.append(lit)
         by_key[lit.key()] = j = dataset.n_columns + len(new) - 1
         return j
 
@@ -407,10 +372,10 @@ def bind(
     )
     if new:
         block = column_block(raw, new)
-        for meta, bits in zip(new, block.T):
-            if meta.op == OP_EQ and not bits.any():
+        for lit, bits in zip(new, block.T):
+            if lit.op == OP_EQ and not bits.any():
                 warnings.warn(
-                    f"category {meta.value!r} never observed for {meta.feature!r}; "
+                    f"category {lit.value!r} never observed for {lit.feature!r}; "
                     "column is constant false", BindingWarning, stacklevel=2,
                 )
         matrix = np.hstack([dataset.matrix, block])

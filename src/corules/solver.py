@@ -263,7 +263,11 @@ class LiveLp:
         _check(self._highs.setBasis(basis), "the basis")
 
     def solve(self) -> LpSolution:
-        """Run the dual simplex from the current basis; see :func:`solve_lp`."""
+        """Solve the LP in place by the dual simplex, warm from its last basis.
+
+        On ``optimal`` the duality gap is checked against ``GAP_TOL``; primal
+        values, duals and objective are set only then.
+        """
         self._highs.run()
         model_status = self._highs.getModelStatus()
         status = _HIGHS_STATUS.get(model_status)
@@ -293,13 +297,7 @@ class LiveLp:
         )
 
 
-def solve_lp(lp: LiveLp) -> LpSolution:
-    """Solve the LP in place, warm from its last basis.
-
-    On ``optimal`` the duality gap is checked against ``GAP_TOL``; primal
-    values, duals and objective are set only then.
-    """
-    return lp.solve()
+solve_lp = LiveLp.solve
 
 
 def solve_binary_mip(

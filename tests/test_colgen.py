@@ -27,10 +27,10 @@ from corules.colgen import (
     solve_master,
     train,
 )
-from corules.dataset import BinaryDataset, ColumnMeta, binarize, generate_tictactoe
+from corules.dataset import BinaryDataset, Literal, binarize, generate_tictactoe
 from corules.metrics import accuracy, hamming_loss, ruleset_similarity
 from corules.dataset import CATEGORICAL, NUMERIC, RawTable
-from corules.ruledsl import RuleError, RuleSet, bind, parse_rules
+from corules.ruledsl import RuleError, RuleSet, bind, parse_rules, print_rules
 from corules.solver import LiveLp, solve_lp
 
 from oracles import (
@@ -59,7 +59,7 @@ def random_dataset(rng, n_cols=None, n_rows=None):
     labels = rng.random(n_rows) < 0.5
     if not labels.any():
         labels[0] = True
-    cols = tuple(ColumnMeta(f"f{j}", "==", "a") for j in range(n_cols))
+    cols = tuple(Literal(f"f{j}", "==", "a") for j in range(n_cols))
     return BinaryDataset(cols, matrix, labels)
 
 
@@ -84,11 +84,19 @@ def seeded_pool(dataset, human_sets=(), templates=RuleSet(())):
         ("mip_node_limit", 0),
         ("max_cg_rounds", -1),
         ("max_cg_rounds", -2),
+        ("max_degree", 2.0),
+        ("max_cg_rounds", 1.5),
+        ("mip_node_limit", 2.5),
     ],
 )
 def test_params_reject_values_that_hang_or_mislead_train(name, value):
     with pytest.raises(ValueError, match=name):
         Params(**{name: value})
+
+
+def test_params_accept_numpy_integers():
+    given = Params(max_degree=np.int64(3), max_cg_rounds=np.int32(5), mip_node_limit=np.uint16(9))
+    assert given == Params(max_degree=3, max_cg_rounds=5, mip_node_limit=9)
 
 
 class TestBuildMaster:
@@ -108,7 +116,7 @@ class TestBuildMaster:
         # a pool whose columns are useless forces every xi to one
         matrix = np.zeros((6, 2), dtype=bool)
         labels = np.array([1, 1, 1, 1, 0, 0], dtype=bool)
-        cols = (ColumnMeta("a", "==", "x"), ColumnMeta("b", "==", "x"))
+        cols = (Literal("a", "==", "x"), Literal("b", "==", "x"))
         ds = BinaryDataset(cols, matrix, labels)
         pool = seeded_pool(ds)
         model = build_master(pool, ds, Params(mode=MODE_MACHINE))
@@ -133,7 +141,7 @@ class TestBuildMaster:
         # pure loss, dropping it costs the violation penalty
         matrix = np.array([[1, 0], [1, 0], [0, 1]], dtype=bool)
         labels = np.array([1, 1, 0], dtype=bool)
-        cols = (ColumnMeta("a", "==", "x"), ColumnMeta("b", "==", "x"))
+        cols = (Literal("a", "==", "x"), Literal("b", "==", "x"))
         ds = BinaryDataset(cols, matrix, labels)
         params = Params(mode=MODE_SOFT, human_weight=0.5, complexity_budget=1,
                         max_degree=1)
@@ -156,7 +164,7 @@ class TestBuildMaster:
     def test_no_positives_rejected(self):
         matrix = np.ones((3, 1), dtype=bool)
         ds = BinaryDataset(
-            (ColumnMeta("a", "==", "x"),), matrix, np.zeros(3, dtype=bool)
+            (Literal("a", "==", "x"),), matrix, np.zeros(3, dtype=bool)
         )
         with pytest.raises(NoPositivesError):
             build_master(seeded_pool(ds), ds, Params())
@@ -312,7 +320,7 @@ class TestPrice:
         # no negatives prices at -2
         matrix = np.array([[1], [0]], dtype=bool)
         labels = np.array([1, 0], dtype=bool)
-        ds = BinaryDataset((ColumnMeta("a", "==", "x"),), matrix, labels)
+        ds = BinaryDataset((Literal("a", "==", "x"),), matrix, labels)
         out = price((np.array([2.0]), 0.0), ds, Params(max_degree=1))
         assert len(out) == 1
         assert out[0].reduced_cost == pytest.approx(-2.0)
@@ -350,7 +358,7 @@ class TestPrice:
         dup_rng = np.random.default_rng(4243)
         values = ("x", "o", "b")
         one_hot = tuple(
-            ColumnMeta(f"f{f}", "==", v) for f in range(3) for v in values
+            Literal(f"f{f}", "==", v) for f in range(3) for v in values
         )
         templates = parse_rules("f0 == x AND f1 == o\nOR f2 == b")
         template_keys = [
@@ -503,7 +511,7 @@ class TestPrice:
     def test_excluded_pool_members_not_returned(self):
         matrix = np.array([[1], [0]], dtype=bool)
         labels = np.array([1, 0], dtype=bool)
-        ds = BinaryDataset((ColumnMeta("a", "==", "x"),), matrix, labels)
+        ds = BinaryDataset((Literal("a", "==", "x"),), matrix, labels)
         out = price(
             (np.array([2.0]), 0.0), ds, Params(max_degree=1),
             exclude={frozenset({0})},
@@ -533,7 +541,7 @@ class TestPrice:
             raw = np.column_stack([raw, raw[:, 0]])  # f3 repeats f0
             if mode == MODE_TEMPLATES:
                 cols = tuple(
-                    ColumnMeta(f"f{f}", "==", v) for f in range(4) for v in values
+                    Literal(f"f{f}", "==", v) for f in range(4) for v in values
                 )
                 matrix = np.column_stack(
                     [raw[:, f] == k for f in range(4) for k in range(len(values))]
@@ -541,7 +549,7 @@ class TestPrice:
             else:
                 base = rng.random((n_rows, 4)) < 0.5
                 matrix = np.column_stack([base, base[:, :2]])
-                cols = tuple(ColumnMeta(f"f{j}", "==", "a") for j in range(6))
+                cols = tuple(Literal(f"f{j}", "==", "a") for j in range(6))
             labels = rng.random(n_rows) < 0.5
             labels[0] = True
             ds = BinaryDataset(cols, matrix, labels)
@@ -686,7 +694,7 @@ class TestTrain:
     def test_soft_objective_accounting(self):
         matrix = np.array([[1, 0], [1, 0], [0, 1]], dtype=bool)
         labels = np.array([1, 1, 0], dtype=bool)
-        cols = (ColumnMeta("a", "==", "x"), ColumnMeta("b", "==", "x"))
+        cols = (Literal("a", "==", "x"), Literal("b", "==", "x"))
         ds = BinaryDataset(cols, matrix, labels)
         human = HumanInput(rules=None)
         params = Params(mode=MODE_SOFT, human_weight=0.5, complexity_budget=1,
@@ -728,7 +736,6 @@ class TestTrain:
         )
         params = Params(mode=MODE_TEMPLATES, template_weight=2.0, max_degree=3)
         rs, report = train(ds, HumanInput(templates=templates), params)
-        assert report.pricing_exact_within_degree
         assert rs.total_complexity <= params.complexity_budget
 
     def test_templates_mode_requires_templates(self, ttt_dataset):
@@ -755,7 +762,7 @@ class TestTrain:
 
     def test_no_positive_fold_errors(self):
         matrix = np.ones((4, 2), dtype=bool)
-        cols = (ColumnMeta("a", "==", "x"), ColumnMeta("b", "==", "x"))
+        cols = (Literal("a", "==", "x"), Literal("b", "==", "x"))
         ds = BinaryDataset(cols, matrix, np.zeros(4, dtype=bool))
         with pytest.raises(NoPositivesError):
             train(ds, None, Params())
@@ -870,7 +877,7 @@ def test_templates_pool_distances_match_oracle(ttt_dataset, monkeypatch):
     rng = np.random.default_rng(17)
     ds = ttt_dataset.subset(rng.choice(ttt_dataset.n, size=60, replace=False))
     # a second "cell_r0_c0 == x" column with other bits
-    j = ds.columns.index(ColumnMeta("cell_r0_c0", "==", "x"))
+    j = ds.columns.index(Literal("cell_r0_c0", "==", "x"))
     bits = rng.random((ds.n, 1)) < 0.5
     ds = BinaryDataset(
         ds.columns + (ds.columns[j],), np.hstack([ds.matrix, bits]), ds.labels, ds.raw
@@ -894,6 +901,32 @@ def test_templates_pool_distances_match_oracle(ttt_dataset, monkeypatch):
         assert col.distance == want, col.cols
 
 
+def age_income_dataset():
+    """Twelve rows of two numeric features, binned at three quantiles."""
+    cells = [(22, 1.5e4), (25, 8.1e4), (31, 2.2e4), (36, 4.4e4), (41, 3.1e4), (45, 5.2e4),
+             (48, 1.9e4), (53, 6.6e4), (57, 2.8e4), (62, 7.5e4), (66, 3.9e4), (70, 1.2e4)]
+    rows = [[a, i, (a > 40 and i > 3e4) or i > 7e4] for a, i in cells]
+    return binarize(RawTable(["age", "income", "y"], [NUMERIC, NUMERIC, CATEGORICAL], rows, "y"),
+                    bins=3)
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["tictactoe", "numeric"])
+def test_trained_rules_bind_back_through_their_text(ttt_dataset, numeric):
+    if numeric:
+        ds = age_income_dataset()
+    else:
+        ds = ttt_dataset.subset(np.random.default_rng(4).choice(ttt_dataset.n, 120, replace=False))
+    rule_set, _ = train(ds, None, Params(max_degree=3))
+    assert len(rule_set) > 0
+    want = tuple(
+        frozenset(ds.columns.index(lit) for lit in conj.literals)
+        for conj in rule_set.conjunctions
+    )
+    bound, again = bind(parse_rules(print_rules(rule_set)), ds)
+    assert bound.column_sets == want
+    assert again is ds  # no column synthesized
+
+
 def test_templates_mode_on_a_numeric_table(monkeypatch):
     pools = []
 
@@ -903,13 +936,9 @@ def test_templates_mode_on_a_numeric_table(monkeypatch):
             pools.append(self)
 
     monkeypatch.setattr(colgen, "ColumnPool", RecordedPool)
-    cells = [(22, 1.5e4), (25, 8.1e4), (31, 2.2e4), (36, 4.4e4), (41, 3.1e4), (45, 5.2e4),
-             (48, 1.9e4), (53, 6.6e4), (57, 2.8e4), (62, 7.5e4), (66, 3.9e4), (70, 1.2e4)]
-    rows = [[a, i, (a > 40 and i > 3e4) or i > 7e4] for a, i in cells]
-    ds = binarize(RawTable(["age", "income", "y"], [NUMERIC, NUMERIC, CATEGORICAL], rows, "y"),
-                  bins=3)
-    assert ColumnMeta("age", ">", 38.5) in ds.columns
-    assert ColumnMeta("income", ">", 48000.0) in ds.columns
+    ds = age_income_dataset()
+    assert Literal("age", ">", 38.5) in ds.columns
+    assert Literal("income", ">", 48000.0) in ds.columns
     # binning made no 3e4 threshold; the last clause repeats the first
     templates = parse_rules(
         "(age > 38.5 AND income > 3e4) OR income > 48000 OR (income > 3e4 AND age > 38.5)"
@@ -918,9 +947,9 @@ def test_templates_mode_on_a_numeric_table(monkeypatch):
     _, report = train(ds, HumanInput(templates=templates), params)
     assert report.stop_reason == colgen.STOP_NO_IMPROVING_COLUMN
     (pool,) = pools
-    synthesized = ColumnMeta("income", ">", 3e4, "synthesized-from-human-literal")
+    synthesized = Literal("income", ">", 3e4)
     assert pool.dataset.columns == ds.columns + (synthesized,)
-    seeded = frozenset({ds.columns.index(ColumnMeta("age", ">", 38.5)), ds.n_columns})
+    seeded = frozenset({ds.columns.index(Literal("age", ">", 38.5)), ds.n_columns})
     (col,) = [col for col in pool.columns if col.cols == seeded]
     assert col.distance == 0.0
     assert not col.is_human

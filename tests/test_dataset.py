@@ -8,8 +8,8 @@ from corules.dataset import (
     NUMERIC,
     TTT_FEATURES,
     BinaryDataset,
-    ColumnMeta,
     DataError,
+    Literal,
     RawTable,
     TableSchema,
     apply_columns,
@@ -73,7 +73,7 @@ class TestBinarize:
     def test_tictactoe_column_order(self, ttt):
         ds = binarize(ttt)
         assert ds.columns == tuple(
-            ColumnMeta(f, op, v)
+            Literal(f, op, v)
             for f in TTT_FEATURES for op in ("==", "!=") for v in ("b", "o", "x")
         )
 
@@ -237,7 +237,7 @@ class TestApplyColumns:
         assert np.array_equal(other.matrix, ds.matrix[:100])
 
     def test_unknown_feature_errors(self, ttt):
-        cols = (ColumnMeta("not_a_column", "==", "x"),)
+        cols = (Literal("not_a_column", "==", "x"),)
         with pytest.raises(DataError, match="not_a_column"):
             apply_columns(ttt, cols)
 
@@ -252,10 +252,10 @@ class TestApplyColumns:
             binned = None
         extra = []
         for name, kind in zip(t.names[:-1], t.kinds):
-            extra += [ColumnMeta(name, op, data.draw(CATEGORY_CELLS)) for op in ("==", "!=")]
+            extra += [Literal(name, op, data.draw(CATEGORY_CELLS)) for op in ("==", "!=")]
             if kind == NUMERIC:
                 cut = data.draw(st.floats(-6, 6))
-                extra += [ColumnMeta(name, "<=", cut), ColumnMeta(name, ">", cut)]
+                extra += [Literal(name, "<=", cut), Literal(name, ">", cut)]
         cols = (binned.columns if binned is not None else ()) + tuple(extra)
 
         applied = apply_columns(t, cols)
@@ -271,7 +271,7 @@ class TestApplyColumns:
     def test_labels_one_and_one_point_zero_stay_apart(self):
         t = RawTable(["a", "y"], [CATEGORICAL, CATEGORICAL], [["p", 1], ["q", 1.0]], "y")
         with pytest.raises(DataError, match=r"label value 1\.0 "):
-            apply_columns(t, (ColumnMeta("a", "==", "p"),))
+            apply_columns(t, (Literal("a", "==", "p"),))
         cells = [True, 1, "1", False, 0, "no"]
         t = RawTable(["y", "a"], [CATEGORICAL] * 2, [[c, "p"] for c in cells], "y")
         assert label_bools(t).tolist() == [True] * 3 + [False] * 3
@@ -281,11 +281,11 @@ class TestApplyColumns:
             ["a", "y"], [NUMERIC, CATEGORICAL], [[1.0, "no"], ["oops", "yes"]], "y"
         )
         with pytest.raises(DataError, match=r"feature 'a' .*'oops' at row 1"):
-            apply_columns(t, (ColumnMeta("a", "<=", 1.5),))
+            apply_columns(t, (Literal("a", "<=", 1.5),))
 
     def test_threshold_on_text_category_errors(self, ttt):
         with pytest.raises(DataError, match=r"feature 'cell_r0_c0' .*non-numeric"):
-            apply_columns(ttt, (ColumnMeta("cell_r0_c0", "<=", 0.5),))
+            apply_columns(ttt, (Literal("cell_r0_c0", "<=", 0.5),))
 
 
 def test_subset_keeps_raw_in_sync(ttt):
@@ -335,8 +335,8 @@ class TestEncodedTable:
         cols = []
         for name in t.names[:-1]:  # thresholds on text cells raise
             cols += [
-                ColumnMeta(name, "==", data.draw(CATEGORY_CELLS)),
-                ColumnMeta(name, "<=", data.draw(st.floats(-6, 6))),
+                Literal(name, "==", data.draw(CATEGORY_CELLS)),
+                Literal(name, "<=", data.draw(st.floats(-6, 6))),
             ]
         for read in (
             lambda r: apply_columns(r, cols),
@@ -352,7 +352,7 @@ class TestEncodedTable:
             [[1.0, "no"], [2.0, "maybe"], ["oops", "yes"], [float("inf"), "yes"]],
             "y",
         )
-        cols = (ColumnMeta("a", "<=", 1.5),)
+        cols = (Literal("a", "<=", 1.5),)
         with pytest.raises(DataError, match=r"'oops' at row 1$"):
             binarize(t.subset([0, 2, 3]))
         with pytest.raises(DataError, match=r"non-finite cell at row 0$"):
@@ -429,12 +429,12 @@ class TestNarrowCodes:
         assert t.codes.dtype == np.uint16
         binned = binarize(t, bins=7)
         cols = binned.columns + (
-            ColumnMeta("a", "<=", 0.0),      # true on one level
-            ColumnMeta("a", ">", 0.0),       # false on one level
-            ColumnMeta("a", "<=", 74.75),    # true on every level
-            ColumnMeta("a", ">", 74.75),     # true on none
-            ColumnMeta("c", "==", "b"),
-            ColumnMeta("c", "!=", "b"),
+            Literal("a", "<=", 0.0),      # true on one level
+            Literal("a", ">", 0.0),       # false on one level
+            Literal("a", "<=", 74.75),    # true on every level
+            Literal("a", ">", 74.75),     # true on none
+            Literal("c", "==", "b"),
+            Literal("c", "!=", "b"),
         )
         applied = apply_columns(t, cols)
         for i, row in enumerate(rows):
@@ -452,7 +452,7 @@ class TestNarrowCodes:
         with pytest.raises(DataError, match=r"'oops' at row 290$"):
             binarize(bad)
         with pytest.raises(DataError, match=r"'oops' at row 290$"):
-            apply_columns(bad, (ColumnMeta("a", "<=", 1.5),))
+            apply_columns(bad, (Literal("a", "<=", 1.5),))
 
 
 def _per_level_values(raw, feature):

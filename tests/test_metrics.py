@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corules.dataset import BinaryDataset, ColumnMeta, binarize, generate_tictactoe
+from corules.dataset import BinaryDataset, binarize, generate_tictactoe
 from corules.metrics import (
     EvalReport,
     accuracy,
@@ -41,7 +41,7 @@ def eight_rules():
 def tiny_dataset(matrix, labels):
     matrix = np.array(matrix, dtype=bool)
     cols = tuple(
-        ColumnMeta(f"f{j}", "==", "a") for j in range(matrix.shape[1])
+        Literal(f"f{j}", "==", "a") for j in range(matrix.shape[1])
     )
     return BinaryDataset(cols, matrix, np.array(labels, dtype=bool))
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from corules.dataset import (
     NUMERIC,
     CATEGORICAL,
-    ColumnMeta,
     RawTable,
     binarize,
     generate_tictactoe,
@@ -101,7 +100,6 @@ class TestParse:
         assert twice == Literal("a", "<=", 3.0)
         (once,) = parse_rules("NOT a <= 3").conjunctions[0].literals
         assert once == Literal("a", ">", 3.0)
-        assert once.key() == ColumnMeta("a", ">", 3.0).key()
 
     def test_keywords_case_insensitive_features_not(self):
         rs = parse_rules("a == x and B == y or c == z")
@@ -222,11 +220,12 @@ class TestBind:
             "y",
         )
         ds = binarize(t, bins=2)
-        bound, ds2 = bind(parse_rules("income > 3.5e4"), ds)
+        rs = parse_rules("income > 3.5e4")
+        bound, ds2 = bind(rs, ds)
         assert ds2.n_columns == ds.n_columns + 1
-        meta = ds2.columns[-1]
-        assert meta.origin == "synthesized-from-human-literal"
-        assert meta.value == 3.5e4
+        # the new column is the rule's literal itself
+        assert ds2.columns[-1] is next(iter(rs.conjunctions[0].literals))
+        assert ds2.columns[-1].value == 3.5e4
         # bits honor the threshold exactly
         assert np.array_equal(ds2.matrix[:, -1], np.array([False, False, True, True]))
 
@@ -271,14 +270,14 @@ class TestBind:
             bound, ds2 = bind(rs, ds)
         assert len(record) == 1
         new = [
-            ColumnMeta("age", ">", 30.5, "synthesized-from-human-literal"),
-            ColumnMeta("color", "==", "purple", "synthesized-from-human-literal"),
-            ColumnMeta("age", "<=", 61.0, "synthesized-from-human-literal"),
-            ColumnMeta("income", ">", 4e4, "synthesized-from-human-literal"),
+            Literal("age", ">", 30.5),
+            Literal("color", "==", "purple"),
+            Literal("age", "<=", 61.0),
+            Literal("income", ">", 4e4),
         ]
         assert ds2.columns == ds.columns + tuple(new)
         k = ds.n_columns
-        red = ds.columns.index(ColumnMeta("color", "!=", "red"))
+        red = ds.columns.index(Literal("color", "!=", "red"))
         assert bound.column_sets == (
             frozenset({k, k + 1}), frozenset({k + 2, k + 3}), frozenset({k + 1, k + 3, red})
         )
@@ -312,8 +311,8 @@ class TestBind:
             bound, ds2 = bind(rs, ds)
         assert ds2.n_columns == ds.n_columns
         assert bound.column_sets == (
-            frozenset({ds.columns.index(ColumnMeta("grade", "==", "1"))}),
-            frozenset({ds.columns.index(ColumnMeta("grade", "!=", "1"))}),
+            frozenset({ds.columns.index(Literal("grade", "==", "1"))}),
+            frozenset({ds.columns.index(Literal("grade", "!=", "1"))}),
         )
         assert np.array_equal(ds.matrix[:, min(bound.column_sets[0])],
                               [True, False, False, True])
@@ -334,6 +333,34 @@ class TestBind:
         assert preds.shape == (ds.n,)
         with pytest.raises(RuleError, match="column"):
             bound.predict(ds.matrix[:, :10])
+
+
+def numeric_dataset():
+    """Numeric features binned at three quantiles, with categories that need quoting."""
+    rng = np.random.default_rng(3)
+    kinds = ["a", "light blue", 'say "hi"', "-3", "1.0", "x\\y"]
+    rows = [
+        [float(rng.normal(0, 1e-6)), float(rng.normal(-40, 25)), kinds[i % len(kinds)],
+         "yes" if i % 3 else "no"]
+        for i in range(60)
+    ]
+    table = RawTable(["tiny", "temp", "kind", "y"], [NUMERIC, NUMERIC, CATEGORICAL, CATEGORICAL],
+                     rows, "y")
+    return binarize(table, bins=3)
+
+
+@pytest.mark.parametrize("make", [lambda: binarize(generate_tictactoe()), numeric_dataset],
+                         ids=["tictactoe", "numeric"])
+def test_every_column_round_trips_through_rule_text(make):
+    ds = make()
+    for j, col in enumerate(ds.columns):
+        rs = parse_rules(col.render())
+        (lit,) = rs.conjunctions[0].literals
+        assert lit == col
+        assert lit.render() == col.render()
+        bound, again = bind(rs, ds)
+        assert bound.column_sets == (frozenset({j}),)
+        assert again is ds
 
 
 def test_conjunction_rejects_empty():
