@@ -20,18 +20,26 @@ search for out-of-pool conjunctions whose reduced cost
            + lambda * degree(k)            [+ template-distance penalty]
 
 is negative under the LP duals (mu on covering rows, lambda on the
-budget).  Pricing is an exact search over literal sets up to a degree cap
-for the ``COLUMNS_PER_ROUND`` most negative of them.  It evaluates the
-children of a whole block of search nodes with two matrix products (mu
-mass and false positives) and prunes with an admissible bound (the
-false-positive term is nonnegative, the mu term only shrinks as literals
-are added, and the degree term grows): a node is descended only while its
-bound is negative and no worse than the running ``COLUMNS_PER_ROUND``-th
-best reduced cost.  No conjunction that could make the cut is skipped, so
-an empty result certifies that no bounded-degree conjunction can improve
-the relaxation.  The products read only what the answer depends on: the
-positive rows that carry dual weight (mu > 0), and for each slab of a
-block only the columns after its nodes' last literal, the fresh children.
+budget).  Pricing searches literal sets up to a degree cap for the
+``COLUMNS_PER_ROUND`` most negative of them.  It evaluates the children of
+a whole block of search nodes with two matrix products (mu mass and false
+positives) and prunes with an admissible bound (the false-positive term is
+nonnegative, the mu term only shrinks as literals are added, and the
+degree term grows): a node is descended only while its bound is negative
+and no worse than the running ``COLUMNS_PER_ROUND``-th best reduced cost.
+The products read only what the answer depends on: the positive rows that
+carry dual weight (mu > 0), and for each slab of a block only the columns
+after its nodes' last literal, the fresh children.
+
+Each round first runs a search capped at ``BEAM_WIDTH`` nodes per degree,
+the beam search of Dash, Gunluk & Wei: of the children a level may
+descend, it keeps the ``BEAM_WIDTH`` with the lowest reduced cost.  When
+no level had to drop one, it has seen every node the exhaustive search
+would, and its list is exact.  When it dropped one and found nothing, the
+same round runs the exhaustive depth-first search, which skips no
+conjunction that could make the cut.  So an empty result always certifies
+that no bounded-degree conjunction can improve the relaxation, and only
+the rounds that add columns may add heuristic ones.
 
 A training keeps the restricted LP as one live HiGHS model: each round
 appends the new columns and re-solves from the last basis.  The loop ends
@@ -85,6 +93,9 @@ STOP_ROUND_LIMIT = "round-limit"
 STOP_LP_STATUS = "lp-status:"  # followed by the status the LP ended with
 
 COLUMNS_PER_ROUND = 20  # most columns one pricing round adds
+# nodes per degree that each round's capped pricing search keeps; at least
+# the 54 tic-tac-toe columns, so that a degree-2 search there drops none
+BEAM_WIDTH = 64
 TOLERANCE = 1e-6  # a reduced cost must be below -TOLERANCE to improve
 
 log = logging.getLogger("corules")
@@ -164,23 +175,35 @@ class PoolColumn:
         return len(self.cols)
 
 
+def _code(cols: Iterable[int], radix: int) -> int:
+    """A literal set's columns j + 1 as digits in base ``radix``, the lowest
+    column most significant; no digit is 0, so distinct sets get distinct
+    codes."""
+    code = 0
+    for j in sorted(cols):
+        code = code * radix + j + 1
+    return code
+
+
 class ColumnPool:
-    """The restricted candidate set, with cached coverage per column."""
+    """The restricted candidate set, with cached coverage per column.
+
+    ``codes`` holds each column's :func:`_code` in base ``n_columns + 1``,
+    computed once when the column is added, in pool order; :func:`price`
+    reads them to leave pool members out.
+    """
 
     def __init__(self, dataset: BinaryDataset, templates: RuleSet = RuleSet(())):
         self.dataset = dataset
         self._template_keys = [t.keys() for t in templates.conjunctions]
         self.columns: list[PoolColumn] = []
+        self.codes: list[int] = []
         self._index: dict[frozenset[int], int] = {}
         self._pos = dataset.P
         self._neg = dataset.Z
 
     def __len__(self):
         return len(self.columns)
-
-    @property
-    def keys(self) -> set[frozenset[int]]:
-        return set(self._index)
 
     def add(self, cols: Iterable[int], is_human: bool = False) -> bool:
         key = frozenset(int(j) for j in cols)
@@ -196,6 +219,7 @@ class ColumnPool:
             keys = {self.dataset.columns[j].key() for j in key}
             dist = key_distance(keys, self._template_keys)
         self._index[key] = len(self.columns)
+        self.codes.append(_code(key, self.dataset.n_columns + 1))
         self.columns.append(
             PoolColumn(
                 cols=key,
@@ -330,19 +354,28 @@ class PricedCandidate:
 class PricedCandidates(list):
     """The candidates :func:`price` returns, most negative first.
 
-    ``nodes`` counts the search nodes whose children were evaluated, the
-    empty root included; a child on the last column has no children and is
+    ``nodes`` counts the search nodes whose children the exhaustive search
+    evaluated, the empty root included, and ``capped_nodes`` those of the
+    width-capped search; a child on the last column has no children and is
     never one.  ``pruned`` counts the other children that passed the
     ``-TOLERANCE`` descent test but that the running ``limit``-th best
-    reduced cost cut.
+    reduced cost cut.  ``exact`` says the list is the one the exhaustive
+    search returns, up to the summation order of reduced costs.
     """
 
     def __init__(
-        self, candidates: Iterable[PricedCandidate] = (), nodes: int = 0, pruned: int = 0
+        self,
+        candidates: Iterable[PricedCandidate] = (),
+        nodes: int = 0,
+        pruned: int = 0,
+        capped_nodes: int = 0,
+        exact: bool = True,
     ):
         super().__init__(candidates)
         self.nodes = nodes
         self.pruned = pruned
+        self.capped_nodes = capped_nodes
+        self.exact = exact
 
 
 # Most search nodes that pricing evaluates with one matrix product.  A
@@ -367,42 +400,56 @@ def price(
     dataset: BinaryDataset,
     params: Params,
     templates: RuleSet = RuleSet(()),
-    exclude: set[frozenset[int]] | frozenset = frozenset(),
+    exclude: ColumnPool | Iterable[frozenset[int]] = frozenset(),
     limit: int | None = None,
+    width: int | None = None,
 ) -> PricedCandidates:
-    """The ``limit`` most negative reduced-cost conjunctions, found exactly.
+    """The ``limit`` most negative reduced-cost conjunctions.
+
+    With ``width=None`` the search is exhaustive and the list exact.  With
+    a width, a search capped at ``width`` nodes per degree runs first, and
+    the exhaustive one only when the capped one finds nothing after
+    dropping a node; so an empty return always certifies there is nothing
+    to add within the degree cap.
 
     A search node is a literal set in increasing column order; its
     children, the fresh ones, add one column after its last.  Nodes are
-    evaluated in blocks of at most ``_PRICE_BLOCK``: with the block's
-    covers as bool rows, one product with the mu-weighted positive bits
-    gives every child's mu mass and one with the negative bits its false
-    positives (exact integers in float64).  Only positive rows with
-    ``mu > 0`` are read, since the others add nothing to any mu mass.
-    Children are stacked in column order, so each block is sorted by its
-    nodes' last column; it is cut into at most ``_PRICE_SLABS`` slabs, and
-    a slab's products cover only the columns after its first node's last,
-    which hold every fresh child of the slab.  A child is a hit when it is
-    fresh, its reduced cost is below ``-TOLERANCE`` and it is not in
-    ``exclude`` (the pool; pool members are still searched through).
+    evaluated in blocks: with the block's covers as bool rows, one product
+    with the mu-weighted positive bits gives every child's mu mass and one
+    with the negative bits its false positives (exact integers in float64).
+    Only positive rows with ``mu > 0`` are read, since the others add
+    nothing to any mu mass.  A block is sorted by its nodes' last column;
+    it is cut into at most ``_PRICE_SLABS`` slabs, and a slab's products
+    cover only the columns after its first node's last, which hold every
+    fresh child of the slab.  A child is a hit when it is fresh, its
+    reduced cost is below ``-TOLERANCE`` and it is not in ``exclude``, a
+    :class:`ColumnPool` of this dataset's columns or a collection of column
+    sets (pool members are still searched through).
 
     The hits so far are kept in a buffer sorted by reduced cost, ties by
     column tuple, and cut to ``limit``.  Its threshold is its ``limit``-th
-    reduced cost once full, and ``-TOLERANCE`` before.  A child is searched
-    further only while its best imaginable descendant (zero false
+    reduced cost once full, and ``-TOLERANCE`` before.  A child may be
+    descended only while its best imaginable descendant (zero false
     positives, the same mu mass, one more literal of degree cost) is below
     ``-TOLERANCE`` and at most the threshold plus ``TOLERANCE``; the slack
     keeps rounding from cutting a descendant that ties the threshold and
     would win on column order.  The bound is admissible (false positives
     are nonnegative, the mu mass only shrinks as literals are added and the
-    degree term grows), and the threshold only tightens, so a block is
-    tested again when it is taken off the stack.  The result is therefore
-    the first ``limit`` of the full sorted list, and with ``limit=None`` no
-    threshold applies and the search is exhaustive.  Either way an empty
-    return certifies there is nothing to add within the degree cap.  Only
-    the summation order of the mu mass differs from a one-by-one
-    evaluation (it follows the BLAS product over a slab's rows and
-    columns), so reduced costs agree with it to rounding.
+    degree term grows), and the threshold only tightens, since every hit in
+    the buffer is a real one.
+
+    The exhaustive search is depth first, over blocks of at most
+    ``_PRICE_BLOCK`` nodes; a block is tested against the threshold again
+    when it is taken off the stack.  It returns the first ``limit`` of the
+    full sorted list, and with ``limit=None`` no threshold applies.  The
+    capped search goes level by level from the root: of the children a
+    level may descend, it keeps the ``width`` with the lowest reduced cost,
+    ties by column tuple, as the next level (the beam search of Dash,
+    Gunluk & Wei).  When no level dropped one, it has evaluated every node
+    whose descendants could enter the exhaustive list, so its list is that
+    list and ``exact`` is set.  Only the summation order of the mu mass
+    differs from a one-by-one evaluation (it follows the BLAS product over
+    a slab's rows and columns), so reduced costs agree with it to rounding.
 
     In templates mode the weighted template distance is computed only for
     a hit whose template-free reduced cost could enter the buffer.  That is
@@ -414,6 +461,8 @@ def price(
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
+    if width is not None and width < 1:
+        raise ValueError("width must be >= 1")
     mu, lam = duals
     mu = np.maximum(np.asarray(mu, dtype=float), 0.0)
     lam = max(float(lam), 0.0)
@@ -431,18 +480,13 @@ def price(
     col_bits_z = np.ascontiguousarray(bits_z.T)
     col_index = np.arange(m)
 
-    # A literal set is coded by its digits j + 1 in base m + 1, padded with
-    # zeros to ``depth`` digits, so codes order like column tuples.  Codes
-    # that outgrow int64 stay exact as Python ints.
+    # A node's code is its _code in base m + 1.  A hit's code in the buffer
+    # is padded with zero digits to ``depth`` digits, so that codes order
+    # like column tuples.  Codes that outgrow int64 stay exact as Python ints.
     radix = m + 1
-    code_type = np.int64 if radix**depth < 2**63 else object
+    top = radix**depth  # above every code of at most ``depth`` literals
+    code_type = np.int64 if top < 2**63 else object
     pad = [radix ** (depth - d) for d in range(depth + 1)]
-
-    def encode(cols) -> int:
-        code = 0
-        for j in sorted(cols):
-            code = code * radix + j + 1
-        return code * pad[len(cols)]
 
     def decode(code: int) -> frozenset[int]:
         cols = []
@@ -452,9 +496,13 @@ def price(
                 cols.append(digit - 1)
         return frozenset(cols)
 
-    pool = np.array(
-        sorted(encode(key) for key in exclude if len(key) <= depth), dtype=code_type
-    )
+    if isinstance(exclude, ColumnPool):
+        if exclude.dataset.n_columns != m:
+            raise ValueError("exclude is a pool over another set of columns")
+        codes = exclude.codes
+    else:
+        codes = [_code(key, radix) for key in exclude]
+    pool = np.sort(np.array([c for c in codes if c < top], dtype=code_type))
     templated = params.mode == MODE_TEMPLATES and params.template_weight > 0.0
     if templated:
         col_keys = [lit.key() for lit in dataset.columns]
@@ -468,7 +516,7 @@ def price(
     threshold = -TOLERANCE
     nodes = pruned = 0
 
-    def admit(rc, codes):
+    def admit(rc, codes, degree):
         nonlocal held, threshold
         if pool.size:
             at = np.searchsorted(pool, codes)
@@ -485,7 +533,7 @@ def price(
         if not rc.size:
             return
         best_rc.append(rc)
-        best_code.append(codes)
+        best_code.append(codes * pad[degree])
         held += rc.size
         if limit is not None and held >= limit:
             rc, codes = np.concatenate(best_rc), np.concatenate(best_code)
@@ -494,12 +542,12 @@ def price(
             held = limit
             threshold = best_rc[0][-1]
 
-    # an entry is a block not yet built: its parents' codes and covers,
-    # the rows of those parents, the column each child adds and the
-    # child's descent bound
-    stack: list[tuple[np.ndarray, ...]] = []
-
-    def expand(degree, codes, cov_p, cov_z, last):
+    def score(degree, codes, cov_p, cov_z, last, ranked=False):
+        """Evaluate the fresh children, at ``degree``, of the nodes with
+        these codes, covers and last columns (sorted), and admit the hits.
+        Below ``depth``, return the children that may be descended, in
+        column order: their nodes' rows, their columns, bounds and, when
+        ``ranked``, reduced costs."""
         nonlocal nodes
         n = codes.size
         nodes += n
@@ -507,6 +555,7 @@ def price(
         if grow:
             # child-major, so the children come out in column order
             bound = np.empty((m, n))
+            reduced = np.empty((m, n)) if ranked else None
             descend = np.zeros((m, n), dtype=bool)
         hits = []
         step = max(_PRICE_SLAB_MIN, -(-n // _PRICE_SLABS))
@@ -531,52 +580,105 @@ def price(
                 window = bound[lo:, part].T
                 np.subtract(lam * (degree + 1), mu_sum, out=window)
                 np.less(window, -TOLERANCE, out=descend[lo:, part].T)
+                if ranked:
+                    reduced[lo:, part] = rc.T
         if hits:
             rows, js, rc = (np.concatenate(h) for h in zip(*hits))
             keep = (rc < -TOLERANCE) & (js > last[rows])
             rows, js = rows[keep], js[keep]
-            admit(rc[keep], (codes[rows] * radix + js + 1) * pad[degree])
+            admit(rc[keep], codes[rows] * radix + js + 1, degree)
         if not grow:
-            return
+            return None
         # a child on the last column has no children of its own
         descend &= col_index[:, None] > last
         at = np.flatnonzero(descend[:-1])
         js, rows = np.divmod(at, n)
-        bound = bound.reshape(-1)[at]
-        for s in range(0, at.size, _PRICE_BLOCK):
-            part = slice(s, s + _PRICE_BLOCK)
-            stack.append((
-                degree + 1, codes, cov_p, cov_z, rows[part], js[part], bound[part]
-            ))
+        rc = reduced.reshape(-1)[at] if ranked else None
+        return rows, js, bound.reshape(-1)[at], rc
 
-    expand(
-        1,
-        np.zeros(1, dtype=code_type),
-        np.ones((1, bits_p.shape[0]), dtype=bool),
-        np.ones((1, bits_z.shape[0]), dtype=bool),
-        np.array([-1]),
-    )
-    while stack:
-        degree, codes, cov_p, cov_z, rows, js, bound = stack.pop()
-        keep = bound <= threshold + TOLERANCE
-        pruned += rows.size - int(np.count_nonzero(keep))
-        if not keep.any():
-            continue
-        rows, js = rows[keep], js[keep]
-        expand(
-            degree,
+    def children(codes, cov_p, cov_z, rows, js):
+        """Codes, covers and last columns of the nodes' children ``js``."""
+        return (
             codes[rows] * radix + js + 1,
             cov_p[rows] & col_bits_p[js],
             cov_z[rows] & col_bits_z[js],
             js,
         )
 
+    root = (
+        np.zeros(1, dtype=code_type),
+        np.ones((1, bits_p.shape[0]), dtype=bool),
+        np.ones((1, bits_z.shape[0]), dtype=bool),
+        np.array([-1]),
+    )
+
+    def capped() -> bool:
+        """Search level by level, at most ``width`` nodes a level; whether a
+        level dropped a child that could be descended."""
+        nonlocal pruned
+        level, dropped = root, False
+        for degree in range(1, depth):
+            rows, js, bound, rc = score(degree, *level, ranked=True)
+            keep = bound <= threshold + TOLERANCE
+            pruned += rows.size - int(np.count_nonzero(keep))
+            if not keep.any():
+                return dropped
+            rows, js, rc = rows[keep], js[keep], rc[keep]
+            if rows.size > width:
+                dropped = True
+                codes = level[0][rows] * radix + js + 1
+                # the best ``width``, put back in column order for ``score``
+                best = np.sort(np.lexsort((codes, rc))[:width])
+                rows, js = rows[best], js[best]
+            level = children(*level[:3], rows, js)
+        score(depth, *level)
+        return dropped
+
+    def exhaustive():
+        nonlocal pruned
+        # an entry is a block not yet built: its parents' codes and covers,
+        # the rows of those parents, the column each child adds and the
+        # child's descent bound
+        stack = []
+
+        def expand(degree, codes, cov_p, cov_z, last):
+            found = score(degree, codes, cov_p, cov_z, last)
+            if found is None:
+                return
+            rows, js, bound, _ = found
+            for s in range(0, rows.size, _PRICE_BLOCK):
+                part = slice(s, s + _PRICE_BLOCK)
+                stack.append((
+                    degree + 1, (codes, cov_p, cov_z), rows[part], js[part], bound[part]
+                ))
+
+        expand(1, *root)
+        while stack:
+            degree, parents, rows, js, bound = stack.pop()
+            keep = bound <= threshold + TOLERANCE
+            pruned += rows.size - int(np.count_nonzero(keep))
+            if keep.any():
+                expand(degree, *children(*parents, rows[keep], js[keep]))
+
+    capped_nodes, exact = 0, True
+    if width is None:
+        exhaustive()
+    else:
+        exact = not capped()
+        capped_nodes = nodes
+        if not exact and not held:
+            # nothing found, but a dropped node may lead to a hit
+            exhaustive()
+            exact = True
+
     rc, codes = np.concatenate(best_rc), np.concatenate(best_code)
     order = np.lexsort((codes, rc))[:limit]
     return PricedCandidates(
         (PricedCandidate(decode(int(codes[i])), float(rc[i])) for i in order),
-        nodes=nodes,
+        nodes=nodes - capped_nodes,
         pruned=pruned,
+        capped_nodes=capped_nodes,
+        exact=exact,
     )
 
 
@@ -615,7 +717,8 @@ def train(
     """Run the full column-generation loop and return the selected rule set.
 
     Seeds the pool with every provided rule or template plus all degree-1
-    conjunctions, alternates restricted LP solves with exact pricing until
+    conjunctions, alternates restricted LP solves with pricing (capped at
+    ``BEAM_WIDTH`` nodes a degree, exhaustive when that finds nothing) until
     no improving conjunction exists (or the round limit trips, or the LP
     ends other than optimal, each with a warning), then solves the
     pool-restricted binary problem.  ``TrainReport.stop_reason`` says which
@@ -678,8 +781,9 @@ def train(
             dataset,
             params,
             templates=templates,
-            exclude=pool.keys,
+            exclude=pool,
             limit=COLUMNS_PER_ROUND,
+            width=BEAM_WIDTH,
         )
         row = {
             "round": round_no,
@@ -690,15 +794,19 @@ def train(
             "lp_seconds": lp_seconds,
             "lp_iterations": msol.iterations,
             "price_seconds": time.perf_counter() - t_price,
-            "price_nodes": candidates.nodes,
+            "price_exact": candidates.exact,
+            "price_capped_nodes": candidates.capped_nodes,
+            "price_exact_nodes": candidates.nodes,
             "price_pruned": candidates.pruned,
         }
         report.rounds.append(row)
         log.debug(
-            "round %d: lp %.9g in %d iterations, price_nodes %d, price_pruned %d, "
-            "%d columns added, best reduced cost %.9g",
-            round_no, row["lp_objective"], row["lp_iterations"], row["price_nodes"],
-            row["price_pruned"], row["columns_added"], row["min_reduced_cost"],
+            "round %d: lp %.9g in %d iterations, price_exact %s, price_capped_nodes %d, "
+            "price_exact_nodes %d, price_pruned %d, %d columns added, "
+            "best reduced cost %.9g",
+            round_no, row["lp_objective"], row["lp_iterations"], row["price_exact"],
+            row["price_capped_nodes"], row["price_exact_nodes"], row["price_pruned"],
+            row["columns_added"], row["min_reduced_cost"],
         )
         if not candidates:
             report.stop_reason = STOP_NO_IMPROVING_COLUMN

@@ -197,7 +197,7 @@ def _check_interior_reduced_costs(pool, ds, params, templates=RuleSet(()), round
         checked += int(inside.sum())
         cands = price(
             (sol.mu, sol.lam), ds, params, templates=templates,
-            exclude=pool.keys, limit=COLUMNS_PER_ROUND,
+            exclude=pool, limit=COLUMNS_PER_ROUND,
         )
         for cand in cands:
             pool.add(cand.cols)
@@ -296,7 +296,7 @@ def test_live_master_matches_cold_dense_solve(ttt_dataset, eight_rules, mode):
         assert live.objective == pytest.approx(cold.objective + master.offset, abs=1e-9)
         cands = price(
             (live.mu, live.lam), ds, params, templates=templates,
-            exclude=pool.keys, limit=COLUMNS_PER_ROUND,
+            exclude=pool, limit=COLUMNS_PER_ROUND,
         )
         if not cands:
             break
@@ -610,6 +610,111 @@ class TestPrice:
         assert capped.pruned > 0
         assert 1 <= capped.nodes < full.nodes
 
+    def test_a_cap_of_the_node_count_is_exact(self):
+        # no level holds more nodes than the whole unlimited search
+        rng = np.random.default_rng(6161)
+        params = Params(max_degree=3)
+        for _ in range(30):
+            ds = random_dataset(rng)
+            mu = rng.random(ds.P.size) * 3
+            lam = float(rng.random() * 0.5)
+            width = price((mu, lam), ds, params).nodes
+            for limit in (None, 5):
+                want = price((mu, lam), ds, params, limit=limit)
+                got = price((mu, lam), ds, params, limit=limit, width=width)
+                assert got.exact and got.nodes == 0 and got.capped_nodes >= 1
+                assert [c.cols for c in got] == [c.cols for c in want]
+                for cand, ref in zip(got, want):
+                    assert cand.reduced_cost == pytest.approx(ref.reduced_cost, abs=1e-9)
+
+    def test_capped_candidates_match_brute_force(self):
+        rng = np.random.default_rng(7070)
+        params = Params(max_degree=3)
+        seen = {"exact": 0, "inexact": 0, "fallback": 0}
+        for _ in range(40):
+            ds = random_dataset(rng, n_cols=int(rng.integers(4, 10)))
+            mu_full = np.zeros(ds.n)
+            mu_full[ds.P] = rng.random(ds.P.size) * 3
+            lam = float(rng.random() * 0.5)
+            oracle = brute_force_reduced_costs(
+                ds.matrix, ds.labels, mu_full, lam, params.max_degree
+            )
+            exclude = {cols for cols in oracle if rng.random() < 0.2}
+            pool = ColumnPool(ds)
+            for cols in exclude:
+                pool.add(cols)
+            want = sorted(
+                rc for cols, rc in oracle.items() if rc < -TOLERANCE and cols not in exclude
+            )
+            for width in (1, 2, 4, 16):
+                for limit in (None, 3):
+                    got = price(
+                        (mu_full[ds.P], lam), ds, params,
+                        exclude=exclude, limit=limit, width=width,
+                    )
+                    again = price(
+                        (mu_full[ds.P], lam), ds, params,
+                        exclude=pool, limit=limit, width=width,
+                    )
+                    assert [c.cols for c in again] == [c.cols for c in got]
+                    assert again.exact == got.exact
+                    for cand in got:
+                        assert cand.cols not in exclude
+                        assert cand.reduced_cost < -TOLERANCE
+                        assert cand.reduced_cost == pytest.approx(oracle[cand.cols], abs=1e-9)
+                    if not got.exact:
+                        assert got  # only a capped search that found hits is inexact
+                        seen["inexact"] += 1
+                        continue
+                    seen["exact"] += 1
+                    seen["fallback"] += got.nodes > 0
+                    assert [c.reduced_cost for c in got] == pytest.approx(want[:limit], abs=1e-9)
+                    full = price((mu_full[ds.P], lam), ds, params, exclude=exclude, limit=limit)
+                    assert [c.cols for c in got] == [c.cols for c in full]
+        assert min(seen.values()) >= 5, seen
+
+    def test_fallback_finds_the_branch_the_cap_dropped(self):
+        # a and b may both be descended; the cap keeps a, whose reduced cost
+        # is lower, but only b AND c improves
+        matrix = np.array([
+            # a  b  c
+            [1, 1, 1],  # positive
+            [1, 0, 0],  # positive
+            [1, 1, 0],
+            [1, 1, 0],
+            [0, 1, 0],
+            [1, 0, 1],
+        ], dtype=bool)
+        labels = np.array([1, 1, 0, 0, 0, 0], dtype=bool)
+        ds = BinaryDataset(
+            tuple(Literal(f, "==", "x") for f in "abc"), matrix, labels
+        )
+        mu, lam = np.ones(2), 0.25
+        params = Params(max_degree=2)
+        oracle = brute_force_reduced_costs(
+            ds.matrix, ds.labels, np.array([1.0, 1, 0, 0, 0, 0]), lam, params.max_degree
+        )
+        assert {cols for cols, rc in oracle.items() if rc < -TOLERANCE} == {
+            frozenset({1, 2})
+        }
+        got = price((mu, lam), ds, params, width=1)
+        assert got.exact
+        assert got.capped_nodes == 2  # the root and a
+        assert got.nodes > 0  # the exhaustive search ran
+        assert [c.cols for c in got] == [frozenset({1, 2})]
+        assert got[0].reduced_cost == pytest.approx(oracle[frozenset({1, 2})], abs=1e-9)
+        wide = price((mu, lam), ds, params, width=2)
+        assert wide.exact and wide.nodes == 0
+        assert [c.cols for c in wide] == [frozenset({1, 2})]
+
+    def test_width_below_one_and_foreign_pool_are_rejected(self, ttt_dataset):
+        mu = np.ones(ttt_dataset.P.size)
+        with pytest.raises(ValueError, match="width"):
+            price((mu, 0.0), ttt_dataset, Params(max_degree=1), width=0)
+        other = ColumnPool(random_dataset(np.random.default_rng(1)))
+        with pytest.raises(ValueError, match="pool"):
+            price((mu, 0.0), ttt_dataset, Params(max_degree=1), exclude=other)
+
 
 class TestTrain:
     def test_full_data_machine_only_perfect(self, ttt_dataset):
@@ -626,7 +731,14 @@ class TestTrain:
         objs = [row["lp_objective"] for row in report.rounds]
         assert all(a >= b - 1e-7 for a, b in zip(objs, objs[1:]))
 
-    def test_pricing_finds_nothing_at_termination(self, ttt_dataset):
+    def test_pricing_finds_nothing_at_termination(self, ttt_dataset, monkeypatch):
+        calls = []
+
+        def recording_price(duals, dataset, params, **kwargs):
+            calls.append((duals, dataset, kwargs["exclude"]))
+            return price(duals, dataset, params, **kwargs)
+
+        monkeypatch.setattr(colgen, "price", recording_price)
         rng = np.random.default_rng(5)
         idx = rng.choice(ttt_dataset.n, size=100, replace=False)
         ds = ttt_dataset.subset(idx)
@@ -637,15 +749,27 @@ class TestTrain:
             assert row["price_seconds"] >= 0.0
             assert row["lp_seconds"] >= 0.0
             assert row["lp_iterations"] >= 0
-            assert row["price_nodes"] >= 1
+            assert row["price_capped_nodes"] >= 1
+            assert row["price_exact_nodes"] >= 0
             assert row["price_pruned"] >= 0
         assert report.rounds[-1]["columns_added"] == 0
         assert report.stop_reason == colgen.STOP_NO_IMPROVING_COLUMN
+        assert report.rounds[-1]["price_exact"]
+        # exhaustive pricing under the final duals finds nothing either
+        assert len(calls) == len(report.rounds)
+        duals, priced, pool = calls[-1]
+        assert price(duals, priced, params, exclude=pool) == []
         # the final master starts where column generation ended
         last_lp = report.rounds[-1]["lp_objective"]
         assert report.mip_relaxation == pytest.approx(last_lp, abs=1e-9)
         assert report.mip_relaxation <= report.mip_objective + 1e-9
         assert 0.0 < report.mip_seconds < report.train_seconds
+
+    def test_every_seventh_board_reaches_the_lp_bound(self, ttt_dataset):
+        ds = ttt_dataset.subset(np.arange(0, ttt_dataset.n, 7))
+        _, report = train(ds, None, Params(mode=MODE_MACHINE))
+        assert report.mip_relaxation == pytest.approx(0.0, abs=1e-9)
+        assert report.mip_objective == pytest.approx(report.mip_relaxation, abs=1e-9)
 
     @pytest.mark.xfail(
         strict=True,
@@ -654,9 +778,9 @@ class TestTrain:
         "on which optimal dual vertex HiGHS returns; here it ends a unit "
         "above an LP bound of 0 that the eight true rules meet",
     )
-    def test_every_seventh_board_reaches_the_lp_bound(self, ttt_dataset):
-        ds = ttt_dataset.subset(np.arange(0, ttt_dataset.n, 7))
-        _, report = train(ds, None, Params(mode=MODE_MACHINE))
+    def test_a_sixty_board_draw_reaches_the_lp_bound(self, ttt_dataset):
+        idx = np.random.default_rng(26).choice(ttt_dataset.n, size=60, replace=False)
+        _, report = train(ttt_dataset.subset(idx), None, Params(mode=MODE_MACHINE))
         assert report.mip_relaxation == pytest.approx(0.0, abs=1e-9)
         assert report.mip_objective == pytest.approx(report.mip_relaxation, abs=1e-9)
 
@@ -805,7 +929,9 @@ class TestTrain:
             text = record.getMessage()
             assert f"round {row['round']}:" in text
             assert f"{row['lp_iterations']} iterations" in text
-            assert f"price_nodes {row['price_nodes']}" in text
+            assert f"price_exact {row['price_exact']}" in text
+            assert f"price_capped_nodes {row['price_capped_nodes']}" in text
+            assert f"price_exact_nodes {row['price_exact_nodes']}" in text
             assert f"price_pruned {row['price_pruned']}" in text
             assert f"{row['columns_added']} columns added" in text
             assert f"lp {row['lp_objective']:.9g}" in text
@@ -895,7 +1021,7 @@ def test_templates_pool_distances_match_oracle(ttt_dataset, monkeypatch):
         [(lit.feature, lit.op, str(lit.value)) for lit in t.literals]
         for t in templates.conjunctions
     ]
-    assert {frozenset({dup}), frozenset({j, dup})} <= pool.keys
+    assert {frozenset({dup}), frozenset({j, dup})} <= {col.cols for col in pool.columns}
     for col in pool.columns:
         want = overlap_template_distance([col_keys[k] for k in col.cols], template_keys)
         assert col.distance == want, col.cols
