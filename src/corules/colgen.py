@@ -213,7 +213,7 @@ class ColumnPool:
             if is_human:
                 self.columns[self._index[key]].is_human = True
             return False
-        covered = cover(self.dataset.matrix, key)
+        covered = cover(self.dataset.matrix, tuple(key))
         dist = 0.0
         if self._template_keys:
             keys = {self.dataset.columns[j].key() for j in key}
@@ -850,7 +850,7 @@ def train(
 
     # Eq-style accounting, recomputed from the returned rule set
     bound = BoundRuleSet(tuple(col.cols for _, col in selected), dataset.n_columns)
-    hamming = metrics.hamming_loss(bound, dataset)
+    hamming, report.train_accuracy = metrics.hamming_and_accuracy(bound, dataset)
     selected_keys = {col.cols for _, col in selected}
     human_keys = {col.cols for col in pool.columns if col.is_human}
     unselected = len(human_keys - selected_keys)
@@ -880,6 +880,5 @@ def train(
         for col in pool.columns if col.is_human
     }
 
-    report.train_accuracy = metrics.accuracy(bound, dataset)
     report.train_seconds = time.perf_counter() - t0
     return rule_set, report

@@ -20,7 +20,8 @@ the audit alike: it converts each feature's levels once with
 :func:`feature_values`, evaluates conditions on them with :func:`column_bits`
 and spreads the level bits to the rows with :func:`gather_bits`.
 :func:`cover` is the one kernel that intersects bit columns into a
-conjunction's cover.
+conjunction's cover, on bool columns or on columns packed 64 rows to a
+word by :func:`pack_bits`.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from __future__ import annotations
 import copy
 import csv
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -244,27 +245,32 @@ class Literal:
 
     ``op`` is one of ``==``/``!=`` (categorical value, compared as text) or
     ``<=``/``>`` (numeric threshold).  Literals are equal when their
-    :meth:`key` is, so a rule's literal finds its column by key.
+    :meth:`key` is, so a rule's literal finds its column by key.  The key is
+    made once, when the literal is.
     """
 
     feature: str
     op: str
     value: object
+    _key: tuple = field(init=False, repr=False)
 
-    def key(self) -> tuple:
-        """``(feature, op, value text)``: the identity of a column or literal."""
+    def __post_init__(self):
         value = self.value
         if isinstance(value, float):
             # rounded to 12 significant digits, so 0.1 + 0.2 and 0.3 share a
             # key while 1.0 and 1.000000001 do not
             value = float(f"{value:.12g}")
-        return (self.feature, self.op, str(value))
+        object.__setattr__(self, "_key", (self.feature, self.op, str(value)))
+
+    def key(self) -> tuple:
+        """``(feature, op, value text)``: the identity of a column or literal."""
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Literal) and self.key() == other.key()
+        return isinstance(other, Literal) and self._key == other._key
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def sort_key(self) -> tuple:
         return (self.feature, self.op, str(self.value))
@@ -328,26 +334,51 @@ def gather_bits(
     return np.take(level_bits, codes, out=out)
 
 
-def cover(
-    matrix: np.ndarray, cols: Iterable[int], out: np.ndarray | None = None
-) -> np.ndarray:
-    """Rows of a bit matrix whose columns ``cols`` are all set.
+def cover(matrix: np.ndarray, cols: Sequence) -> np.ndarray:
+    """Rows of a bit matrix whose columns ``cols`` (one or more) are all set.
 
-    The cover of the conjunction of those columns; with no column, every
-    row.  Reads one column of ``matrix`` per literal, so a column-major
-    matrix reads contiguous memory.  The cover is written into ``out``
-    (a bool vector, one entry per row) when given, else into a new one.
+    The cover of the conjunction of those columns: their bitwise AND, so
+    ``matrix`` may hold a bool per row or 64 rows per word (see
+    :func:`pack_bits`).  Reads one column of ``matrix`` per literal, so a
+    column-major matrix reads contiguous memory.
     """
-    cols = list(cols)
-    if out is None:
-        out = np.empty(matrix.shape[0], dtype=bool)
-    if len(cols) < 2:
-        out[:] = matrix[:, cols[0]] if cols else True
-        return out
-    np.logical_and(matrix[:, cols[0]], matrix[:, cols[1]], out=out)
-    for j in cols[2:]:
+    out = matrix[:, cols[0]].copy()
+    for j in cols[1:]:
         out &= matrix[:, j]
     return out
+
+
+# A matrix with more rows than this packs column by column, reading each
+# column where it lies; a smaller one packs in one call on a copy of the
+# columns, which costs less than a call per column.
+PACK_BY_COLUMN_ROWS = 1 << 15
+
+
+def pack_bits(matrix: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """Columns ``cols`` of a bool matrix as 64-row words: a row of words each.
+
+    ``uint64`` of shape ``(len(cols), ceil(rows / 64))``.  Byte ``b`` of a
+    column's words holds rows ``8b`` to ``8b + 7``, lowest bit first, so on
+    a little-endian machine row ``i`` is bit ``i % 64`` of word ``i // 64``.
+    The bits past the last row are zero.
+    """
+    n = matrix.shape[0]
+    out = np.zeros((len(cols), -(-n // 64)), dtype=np.uint64)
+    octets = out.view(np.uint8)
+    filled = -(-n // 8)
+    if n > PACK_BY_COLUMN_ROWS:
+        for k, j in enumerate(cols):
+            octets[k, :filled] = np.packbits(matrix[:, j], bitorder="little")
+    else:
+        octets[:, :filled] = np.packbits(
+            matrix.T.take(cols, axis=0), axis=1, bitorder="little"
+        )
+    return out
+
+
+def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` rows of one column of :func:`pack_bits` words, a bool each."""
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little").view(bool)
 
 
 @dataclass(frozen=True)
@@ -514,20 +545,22 @@ def generate_tictactoe() -> RawTable:
     """
     finals: set[tuple] = set()
     seen: set[tuple] = set()
-
-    def play(board: tuple, player: str):
+    # an explicit stack, not a recursive closure: a closure that calls
+    # itself is a reference cycle, which would keep every board seen alive
+    # until the cyclic garbage collector next runs
+    stack = [(("b",) * 9, "x")]
+    while stack:
+        board, player = stack.pop()
         if board in seen:
-            return
+            continue
         seen.add(board)
         if _line_winner(board) is not None or "b" not in board:
             finals.add(board)
-            return
+            continue
         nxt = "o" if player == "x" else "x"
         for i, cell in enumerate(board):
             if cell == "b":
-                play(board[:i] + (player,) + board[i + 1 :], nxt)
-
-    play(("b",) * 9, "x")
+                stack.append((board[:i] + (player,) + board[i + 1 :], nxt))
 
     rows = []
     for board in sorted(finals):

@@ -3,6 +3,10 @@
 Hamming loss counts, per sample, how many conjunctions would have to be
 added or removed to classify it correctly: an uncovered positive costs one,
 and a covered negative costs one per selected conjunction covering it.
+Both it and accuracy are counted on packed words: the rule set's
+:meth:`~corules.ruledsl.BoundRuleSet.covers` (64 rows a word) and the
+labels packed alike, with ``np.bitwise_count``, so nothing is unpacked.
+:func:`hamming_and_accuracy` gives both figures from one cover.
 
 Rule-set similarity pairs up conjunctions across two rule sets by solving
 an assignment problem over pairwise Jaccard scores, then divides the best
@@ -21,7 +25,7 @@ from typing import AbstractSet, Sequence
 
 import numpy as np
 
-from .dataset import BinaryDataset
+from .dataset import BinaryDataset, pack_bits
 from .ruledsl import BoundRuleSet, Conjunction, RuleSet, bind
 from .solver import linear_sum_assignment
 
@@ -61,24 +65,34 @@ def _ensure_bound(
     return bind(rule_set, dataset)
 
 
-def hamming_loss(rule_set: RuleSet | BoundRuleSet, dataset: BinaryDataset) -> int:
-    """Uncovered positives plus per-conjunction hits on negatives."""
-    bound, ds = _ensure_bound(rule_set, dataset)
-    covers = bound.covers(ds.matrix)
-    labels = dataset.labels
-    negatives = ~labels
-    false_negatives = int(np.count_nonzero(labels & ~covers.any(axis=1)))
-    false_positive_units = sum(
-        int(np.count_nonzero(covers[:, k] & negatives)) for k in range(covers.shape[1])
-    )
-    return false_negatives + false_positive_units
-
-
-def accuracy(rule_set: RuleSet | BoundRuleSet, dataset: BinaryDataset) -> float:
+def hamming_and_accuracy(
+    rule_set: RuleSet | BoundRuleSet, dataset: BinaryDataset
+) -> tuple[int, float]:
+    """Hamming loss and accuracy, counted on one :meth:`BoundRuleSet.covers`."""
     if dataset.n == 0:
         raise ValueError("empty dataset")
     bound, ds = _ensure_bound(rule_set, dataset)
-    return int(np.count_nonzero(bound.predict(ds.matrix) == dataset.labels)) / dataset.n
+    covers = bound.covers(ds.matrix)
+    labels = pack_bits(dataset.labels[:, None], [0])[0]
+    covered = np.bitwise_or.reduce(covers, axis=0)
+    # one row of words per count: each conjunction's hits on negatives (~labels
+    # sets the bits past the last row, which no cover has), the wrong rows,
+    # and the misses, which are positives no conjunction covers
+    counted = np.empty((len(covers) + 2, covers.shape[1]), dtype=np.uint64)
+    np.bitwise_and(covers, ~labels, out=counted[:-2])
+    np.bitwise_xor(covered, labels, out=counted[-2])
+    np.bitwise_and(labels, ~covered, out=counted[-1])
+    *false_alarms, errors, misses = np.bitwise_count(counted).sum(axis=1).tolist()
+    return sum(false_alarms) + misses, (dataset.n - errors) / dataset.n
+
+
+def hamming_loss(rule_set: RuleSet | BoundRuleSet, dataset: BinaryDataset) -> int:
+    """Uncovered positives plus per-conjunction hits on negatives."""
+    return hamming_and_accuracy(rule_set, dataset)[0]
+
+
+def accuracy(rule_set: RuleSet | BoundRuleSet, dataset: BinaryDataset) -> float:
+    return hamming_and_accuracy(rule_set, dataset)[1]
 
 
 def _jaccard(ka: AbstractSet[tuple], kb: AbstractSet[tuple]) -> float:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -52,6 +52,8 @@ from .dataset import (
     Literal,
     column_block,
     cover,
+    pack_bits,
+    unpack_bits,
 )
 
 
@@ -302,29 +304,62 @@ def print_rules(rule_set: RuleSet) -> str:
 
 @dataclass(frozen=True)
 class BoundRuleSet:
-    """A RuleSet resolved to column indices of one dataset vocabulary."""
+    """A RuleSet resolved to column indices of one dataset vocabulary.
+
+    At construction it notes the columns the conjunctions read and, per
+    literal position, each conjunction's column among them.  A conjunction
+    repeats its first column past its degree; one with no column names a
+    column set on every row, which follows the columns read.
+    """
 
     column_sets: tuple[frozenset[int], ...]
     n_columns: int
+    _used: np.ndarray = field(init=False, repr=False, compare=False)
+    _positions: np.ndarray = field(init=False, repr=False, compare=False)
+    _every_row: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        used = sorted(set().union(*self.column_sets))
+        at = {j: k for k, j in enumerate(used)}
+        degree = max([len(cols) for cols in self.column_sets] + [1])
+        positions = np.empty((degree, len(self.column_sets)), dtype=np.intp)
+        for k, cols in enumerate(self.column_sets):
+            ks = [at[j] for j in sorted(cols)] or [len(used)]
+            positions[:, k] = ks + ks[:1] * (degree - len(ks))
+        object.__setattr__(self, "_used", np.array(used, dtype=np.intp))
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_every_row", not all(self.column_sets))
 
     def covers(self, matrix: np.ndarray) -> np.ndarray:
-        """Who satisfies what: a bool matrix, a row per sample, a column per conjunction.
+        """Who satisfies what, packed: a row of 64-row words per conjunction.
 
-        Column-major, so a reduction over the conjunctions (``axis=1``)
-        reads each conjunction's cover contiguously.
+        ``uint64`` of shape ``(conjunctions, ceil(rows / 64))``, laid out as
+        :func:`~corules.dataset.pack_bits` lays out a column: row ``i`` is
+        bit ``i % 64`` of word ``i // 64`` (on a little-endian machine), and
+        the bits past the last row are zero.  Each column the rule set reads
+        is packed once; the packed columns are gathered by literal position,
+        and :func:`~corules.dataset.cover` ANDs the positions, every
+        conjunction at once.  Count with ``np.bitwise_count``; unpack with
+        :func:`~corules.dataset.unpack_bits`.
         """
         if matrix.shape[1] < self.n_columns:
             raise RuleError(
                 f"sample has {matrix.shape[1]} columns, rule set is bound to "
                 f"{self.n_columns}"
             )
-        out = np.empty((matrix.shape[0], len(self.column_sets)), dtype=bool, order="F")
-        for k, cols in enumerate(self.column_sets):
-            cover(matrix, cols, out=out[:, k])
-        return out
+        words = pack_bits(matrix, self._used)
+        if self._every_row:
+            every_row = pack_bits(np.ones((matrix.shape[0], 1), dtype=bool), [0])
+            words = np.vstack([words, every_row])
+        degree, conjunctions = self._positions.shape
+        literals = words.take(self._positions, axis=0)
+        covered = cover(literals.reshape(degree, -1).T, range(degree))
+        return covered.reshape(conjunctions, words.shape[1])
 
     def predict(self, matrix: np.ndarray) -> np.ndarray:
-        return self.covers(matrix).any(axis=1)
+        """Whether any conjunction covers each row: a bool per row."""
+        covered = np.bitwise_or.reduce(self.covers(matrix), axis=0)
+        return unpack_bits(covered, matrix.shape[0])
 
 
 def bind(

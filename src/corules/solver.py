@@ -276,7 +276,7 @@ class LiveLp:
                 f"HiGHS status {model_status.name}: "
                 f"{self._highs.modelStatusToString(model_status)}"
             )
-        iterations = self._highs.getInfo().simplex_iteration_count
+        _, iterations = self._highs.getInfoValue("simplex_iteration_count")
         if status != OPTIMAL:
             return LpSolution(status, None, None, None, iterations)
 

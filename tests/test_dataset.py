@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from corules.dataset import (
     CATEGORICAL,
     NUMERIC,
+    PACK_BY_COLUMN_ROWS,
     TTT_FEATURES,
     BinaryDataset,
     DataError,
@@ -16,17 +17,20 @@ from corules.dataset import (
     _as_float,
     _convert_levels,
     binarize,
+    cover,
     feature_values,
     gather_bits,
     generate_tictactoe,
     label_bools,
     load_csv,
+    pack_bits,
     parse_label_value,
     quantile_thresholds,
     save_csv,
+    unpack_bits,
 )
 
-from oracles import _wins, cell_condition, tictactoe_final_boards
+from oracles import _wins, cell_condition, conjunction_cover, tictactoe_final_boards
 
 
 @pytest.fixture(scope="module")
@@ -488,3 +492,32 @@ def test_numeric_levels_match_the_per_level_path(cells, bad):
     values = feature_values(sub, "a", True)
     assert values.tolist() == _per_level_values(sub, "a").tolist()
     assert values[sub.codes[0]].tolist() == [float(cells[i]) for i in good]
+
+
+class TestPackedBits:
+    @given(st.data())
+    @settings(deadline=None)
+    def test_one_cover_kernel_for_bools_and_words(self, data):
+        n = data.draw(st.integers(1, 200))
+        m = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        matrix = np.asarray(rng.random((n, m)) < 0.7, order=data.draw(st.sampled_from("CF")))
+        cols = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))
+        words = pack_bits(matrix, range(m))
+        assert words.shape == (m, -(-n // 64)) and words.dtype == np.uint64
+        for j in range(m):
+            assert np.array_equal(unpack_bits(words[j], n), matrix[:, j])
+        want = conjunction_cover(matrix, cols)
+        assert np.array_equal(cover(matrix, cols), want)
+        assert np.array_equal(unpack_bits(cover(words.T, cols), n), want)
+
+    @pytest.mark.parametrize("n", [PACK_BY_COLUMN_ROWS, PACK_BY_COLUMN_ROWS + 1, 40_000])
+    def test_tall_matrices_pack_alike_on_either_side_of_the_threshold(self, n):
+        # above PACK_BY_COLUMN_ROWS each column is packed where it lies
+        matrix = np.asfortranarray(np.random.default_rng(n).random((n, 3)) < 0.5)
+        words = pack_bits(matrix, [2, 0])
+        assert words.shape == (2, -(-n // 64))
+        assert np.array_equal(unpack_bits(words[0], n), matrix[:, 2])
+        assert np.array_equal(unpack_bits(words[1], n), matrix[:, 0])
+        octets = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        assert not octets[:, n:].any()

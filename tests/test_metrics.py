@@ -1,13 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corules.dataset import BinaryDataset, binarize, generate_tictactoe
+from corules import dataset
+from corules.dataset import BinaryDataset, binarize, generate_tictactoe, unpack_bits
 from corules.metrics import (
     EvalReport,
     accuracy,
     conjunction_similarity,
+    hamming_and_accuracy,
     hamming_loss,
     key_distance,
     ruleset_similarity,
@@ -130,6 +134,62 @@ class TestScoresAgainstCoverOracle:
                 score(bound, ds)
 
 
+# row counts on either side of a byte and of a 64-row word
+EDGE_ROWS = (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200)
+
+
+class TestPackedScoring:
+    """Packed covers and the scores counted on them, against the bool oracle."""
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_against_the_cover_oracle(self, data):
+        n = data.draw(st.sampled_from(EDGE_ROWS) | st.integers(1, 200))
+        m = data.draw(st.integers(1, 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        order = data.draw(st.sampled_from("CF"))
+        ds = tiny_dataset(np.asarray(rng.random((n, m)) < 0.6, order=order), rng.random(n) < 0.5)
+        matrix = ds.matrix
+        assert matrix.flags[f"{order}_CONTIGUOUS"]
+        column_sets = tuple(data.draw(
+            st.lists(st.frozensets(st.integers(0, m - 1), max_size=3), max_size=6)
+        ))
+        bound = BoundRuleSet(column_sets, m)
+        # a matrix of fewer rows than the threshold packs column by column too
+        threshold = data.draw(st.sampled_from([dataset.PACK_BY_COLUMN_ROWS, 0]))
+        with mock.patch.object(dataset, "PACK_BY_COLUMN_ROWS", threshold):
+            covers = bound.covers(matrix)
+            predicted = bound.predict(matrix)
+            scores = hamming_and_accuracy(bound, ds)
+            assert (hamming_loss(bound, ds), accuracy(bound, ds)) == scores
+
+        want = [conjunction_cover(matrix, cols) for cols in column_sets]
+        assert covers.dtype == np.uint64
+        assert covers.shape == (len(column_sets), -(-n // 64))
+        bits = np.unpackbits(covers.view(np.uint8), axis=1, bitorder="little")
+        assert not bits[:, n:].any(), "a bit past the last row is set"
+        for words, cover in zip(covers, want):
+            assert np.array_equal(unpack_bits(words, n), cover)
+        assert np.array_equal(predicted, np.any(want, axis=0) if want else np.zeros(n, bool))
+        assert scores == oracle_scores(matrix, ds.labels, column_sets)
+
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    def test_an_empty_column_set_covers_every_row(self, n):
+        matrix = np.zeros((n, 2), dtype=bool)
+        bound = BoundRuleSet((frozenset(), frozenset({1})), 2)
+        covers = bound.covers(matrix)
+        assert np.array_equal(unpack_bits(covers[0], n), np.ones(n, bool))
+        assert not unpack_bits(covers[1], n).any()
+        assert int(np.bitwise_count(covers).sum()) == n
+        assert bound.predict(matrix).all()
+
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    def test_the_empty_rule_set_covers_nothing(self, n):
+        bound = BoundRuleSet((), 3)
+        assert bound.covers(np.ones((n, 3), dtype=bool)).shape == (0, -(-n // 64))
+        assert not bound.predict(np.ones((n, 3), dtype=bool)).any()
+
+
 class TestAccuracy:
     def test_perfect_rules_any_subset(self, ttt_dataset, eight_rules):
         rng = np.random.default_rng(1)
@@ -147,8 +207,9 @@ class TestAccuracy:
 
     def test_empty_dataset_errors(self):
         ds = tiny_dataset(np.ones((0, 1)), [])
-        with pytest.raises(ValueError, match="empty"):
-            accuracy(RuleSet(()), ds)
+        for score in (accuracy, hamming_loss, hamming_and_accuracy):
+            with pytest.raises(ValueError, match="empty"):
+                score(RuleSet(()), ds)
 
 
 class TestConjunctionSimilarity:

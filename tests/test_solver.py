@@ -428,7 +428,7 @@ def test_mip_gives_the_live_model_its_bounds_back_on_early_exits(exit_by, monkey
 # every _Highs method solver calls; scipy does not document this binding
 HIGHS_METHODS = (
     "passModel", "addCols", "changeColsBounds", "getBasis", "setBasis",
-    "getSolution", "getInfo", "run", "getModelStatus", "modelStatusToString",
+    "getSolution", "getInfoValue", "run", "getModelStatus", "modelStatusToString",
     "setOptionValue",
 )
 
