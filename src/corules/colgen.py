@@ -31,12 +31,14 @@ The products read only what the answer depends on: the positive rows that
 carry dual weight (mu > 0), and for each slab of a block only the columns
 after its nodes' last literal, the fresh children.
 
-Each round first runs a search capped at ``BEAM_WIDTH`` nodes per degree,
-the beam search of Dash, Gunluk & Wei: of the children a level may
-descend, it keeps the ``BEAM_WIDTH`` with the lowest reduced cost.  When
-no level had to drop one, it has seen every node the exhaustive search
-would, and its list is exact.  When it dropped one and found nothing, the
-same round runs the exhaustive depth-first search, which skips no
+The search is depth first, over blocks of at most ``_PRICE_BLOCK`` nodes,
+with an optional width: of the children a block may descend, only the
+``width`` with the lowest reduced cost are kept.  Each round first searches
+with a width of ``BEAM_WIDTH``.  A width of at most ``_PRICE_BLOCK`` keeps
+each level in one block, so that pass is the beam search of Dash, Gunluk &
+Wei.  When it dropped no child, it has seen every node the search without
+a width would, and its list is exact.  When it dropped one and found
+nothing, the same round searches again without a width, which skips no
 conjunction that could make the cut.  So an empty result always certifies
 that no bounded-degree conjunction can improve the relaxation, and only
 the rounds that add columns may add heuristic ones.
@@ -93,8 +95,9 @@ STOP_ROUND_LIMIT = "round-limit"
 STOP_LP_STATUS = "lp-status:"  # followed by the status the LP ended with
 
 COLUMNS_PER_ROUND = 20  # most columns one pricing round adds
-# nodes per degree that each round's capped pricing search keeps; at least
-# the 54 tic-tac-toe columns, so that a degree-2 search there drops none
+# the width of each round's first pricing search, the children it keeps a
+# level; at least the 54 tic-tac-toe columns, so that a degree-2 search
+# there drops none
 BEAM_WIDTH = 64
 TOLERANCE = 1e-6  # a reduced cost must be below -TOLERANCE to improve
 
@@ -144,9 +147,6 @@ class Params:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_cg_rounds < 0:
             raise ValueError("max_cg_rounds must be >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -354,13 +354,14 @@ class PricedCandidate:
 class PricedCandidates(list):
     """The candidates :func:`price` returns, most negative first.
 
-    ``nodes`` counts the search nodes whose children the exhaustive search
-    evaluated, the empty root included, and ``capped_nodes`` those of the
-    width-capped search; a child on the last column has no children and is
-    never one.  ``pruned`` counts the other children that passed the
-    ``-TOLERANCE`` descent test but that the running ``limit``-th best
-    reduced cost cut.  ``exact`` says the list is the one the exhaustive
-    search returns, up to the summation order of reduced costs.
+    ``nodes`` counts the search nodes whose children the search without a
+    width evaluated, the empty root included, and ``capped_nodes`` those of
+    the search with a width; a child on the last column has no children and
+    is never one.  ``pruned`` counts, over both, the other children that
+    passed the ``-TOLERANCE`` descent test but that the running
+    ``limit``-th best reduced cost cut.  ``exact`` says the list is the one
+    the search without a width returns, up to the summation order of
+    reduced costs.
     """
 
     def __init__(
@@ -400,17 +401,16 @@ def price(
     dataset: BinaryDataset,
     params: Params,
     templates: RuleSet = RuleSet(()),
-    exclude: ColumnPool | Iterable[frozenset[int]] = frozenset(),
+    exclude: ColumnPool | None = None,
     limit: int | None = None,
     width: int | None = None,
 ) -> PricedCandidates:
     """The ``limit`` most negative reduced-cost conjunctions.
 
     With ``width=None`` the search is exhaustive and the list exact.  With
-    a width, a search capped at ``width`` nodes per degree runs first, and
-    the exhaustive one only when the capped one finds nothing after
-    dropping a node; so an empty return always certifies there is nothing
-    to add within the degree cap.
+    a width, the search runs first with that width, and again without one
+    only when it found nothing after dropping a child; so an empty return
+    always certifies there is nothing to add within the degree cap.
 
     A search node is a literal set in increasing column order; its
     children, the fresh ones, add one column after its last.  Nodes are
@@ -423,8 +423,8 @@ def price(
     cover only the columns after its first node's last, which hold every
     fresh child of the slab.  A child is a hit when it is fresh, its
     reduced cost is below ``-TOLERANCE`` and it is not in ``exclude``, a
-    :class:`ColumnPool` of this dataset's columns or a collection of column
-    sets (pool members are still searched through).
+    :class:`ColumnPool` of this dataset's columns (pool members are still
+    searched through).
 
     The hits so far are kept in a buffer sorted by reduced cost, ties by
     column tuple, and cut to ``limit``.  Its threshold is its ``limit``-th
@@ -438,18 +438,20 @@ def price(
     degree term grows), and the threshold only tightens, since every hit in
     the buffer is a real one.
 
-    The exhaustive search is depth first, over blocks of at most
-    ``_PRICE_BLOCK`` nodes; a block is tested against the threshold again
-    when it is taken off the stack.  It returns the first ``limit`` of the
-    full sorted list, and with ``limit=None`` no threshold applies.  The
-    capped search goes level by level from the root: of the children a
-    level may descend, it keeps the ``width`` with the lowest reduced cost,
-    ties by column tuple, as the next level (the beam search of Dash,
-    Gunluk & Wei).  When no level dropped one, it has evaluated every node
-    whose descendants could enter the exhaustive list, so its list is that
-    list and ``exact`` is set.  Only the summation order of the mu mass
-    differs from a one-by-one evaluation (it follows the BLAS product over
-    a slab's rows and columns), so reduced costs agree with it to rounding.
+    The search is depth first, over blocks of at most ``_PRICE_BLOCK``
+    nodes; a block is tested against the threshold again when it is taken
+    off the stack.  Without a width it returns the first ``limit`` of the
+    full sorted list, and with ``limit=None`` no threshold applies.  With a
+    width, the children of a block that pass the threshold test are cut to
+    the ``width`` with the lowest reduced cost, ties by column tuple, before
+    they are split into blocks.  A width of at most ``_PRICE_BLOCK`` keeps
+    each level in one block, so the search then goes level by level from
+    the root: the beam search of Dash, Gunluk & Wei.  When no cut dropped a
+    child, it has evaluated every node whose descendants could enter the
+    full list, so its list is that list and ``exact`` is set.  Only the
+    summation order of the mu mass differs from a one-by-one evaluation (it
+    follows the BLAS product over a slab's rows and columns), so reduced
+    costs agree with it to rounding.
 
     In templates mode the weighted template distance is computed only for
     a hit whose template-free reduced cost could enter the buffer.  That is
@@ -496,12 +498,11 @@ def price(
                 cols.append(digit - 1)
         return frozenset(cols)
 
-    if isinstance(exclude, ColumnPool):
+    codes = []
+    if exclude is not None:
         if exclude.dataset.n_columns != m:
             raise ValueError("exclude is a pool over another set of columns")
         codes = exclude.codes
-    else:
-        codes = [_code(key, radix) for key in exclude]
     pool = np.sort(np.array([c for c in codes if c < top], dtype=code_type))
     templated = params.mode == MODE_TEMPLATES and params.template_weight > 0.0
     if templated:
@@ -612,40 +613,32 @@ def price(
         np.array([-1]),
     )
 
-    def capped() -> bool:
-        """Search level by level, at most ``width`` nodes a level; whether a
-        level dropped a child that could be descended."""
+    def search(width=None) -> bool:
+        """Depth first over blocks of at most ``_PRICE_BLOCK`` nodes, each
+        block's children cut to the ``width`` best when set; whether a cut
+        dropped a child that could be descended."""
         nonlocal pruned
-        level, dropped = root, False
-        for degree in range(1, depth):
-            rows, js, bound, rc = score(degree, *level, ranked=True)
-            keep = bound <= threshold + TOLERANCE
-            pruned += rows.size - int(np.count_nonzero(keep))
-            if not keep.any():
-                return dropped
-            rows, js, rc = rows[keep], js[keep], rc[keep]
-            if rows.size > width:
-                dropped = True
-                codes = level[0][rows] * radix + js + 1
-                # the best ``width``, put back in column order for ``score``
-                best = np.sort(np.lexsort((codes, rc))[:width])
-                rows, js = rows[best], js[best]
-            level = children(*level[:3], rows, js)
-        score(depth, *level)
-        return dropped
-
-    def exhaustive():
-        nonlocal pruned
+        dropped = False
         # an entry is a block not yet built: its parents' codes and covers,
         # the rows of those parents, the column each child adds and the
         # child's descent bound
         stack = []
 
         def expand(degree, codes, cov_p, cov_z, last):
-            found = score(degree, codes, cov_p, cov_z, last)
+            nonlocal pruned, dropped
+            found = score(degree, codes, cov_p, cov_z, last, ranked=width is not None)
             if found is None:
                 return
-            rows, js, bound, _ = found
+            rows, js, bound, rc = found
+            if width is not None:
+                keep = bound <= threshold + TOLERANCE
+                pruned += rows.size - int(np.count_nonzero(keep))
+                rows, js, bound, rc = rows[keep], js[keep], bound[keep], rc[keep]
+                if rows.size > width:
+                    dropped = True
+                    # the best ``width``, put back in column order for ``score``
+                    best = np.sort(np.lexsort((codes[rows] * radix + js + 1, rc))[:width])
+                    rows, js, bound = rows[best], js[best], bound[best]
             for s in range(0, rows.size, _PRICE_BLOCK):
                 part = slice(s, s + _PRICE_BLOCK)
                 stack.append((
@@ -659,17 +652,13 @@ def price(
             pruned += rows.size - int(np.count_nonzero(keep))
             if keep.any():
                 expand(degree, *children(*parents, rows[keep], js[keep]))
+        return dropped
 
-    capped_nodes, exact = 0, True
-    if width is None:
-        exhaustive()
-    else:
-        exact = not capped()
-        capped_nodes = nodes
-        if not exact and not held:
-            # nothing found, but a dropped node may lead to a hit
-            exhaustive()
-            exact = True
+    exact = not search(width)
+    capped_nodes = 0 if width is None else nodes
+    if not exact and not held:
+        # nothing found, but a dropped child may lead to a hit
+        exact = not search()
 
     rc, codes = np.concatenate(best_rc), np.concatenate(best_code)
     order = np.lexsort((codes, rc))[:limit]
@@ -717,8 +706,8 @@ def train(
     """Run the full column-generation loop and return the selected rule set.
 
     Seeds the pool with every provided rule or template plus all degree-1
-    conjunctions, alternates restricted LP solves with pricing (capped at
-    ``BEAM_WIDTH`` nodes a degree, exhaustive when that finds nothing) until
+    conjunctions, alternates restricted LP solves with pricing (of width
+    ``BEAM_WIDTH``, and exhaustive when that finds nothing) until
     no improving conjunction exists (or the round limit trips, or the LP
     ends other than optimal, each with a warning), then solves the
     pool-restricted binary problem.  ``TrainReport.stop_reason`` says which

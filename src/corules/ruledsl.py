@@ -308,27 +308,27 @@ class BoundRuleSet:
 
     At construction it notes the columns the conjunctions read and, per
     literal position, each conjunction's column among them.  A conjunction
-    repeats its first column past its degree; one with no column names a
-    column set on every row, which follows the columns read.
+    repeats its first column past its degree.  Every conjunction reads at
+    least one column; the rule set may hold none.
     """
 
     column_sets: tuple[frozenset[int], ...]
     n_columns: int
     _used: np.ndarray = field(init=False, repr=False, compare=False)
     _positions: np.ndarray = field(init=False, repr=False, compare=False)
-    _every_row: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(self.column_sets):
+            raise RuleError("a bound conjunction needs at least one column")
         used = sorted(set().union(*self.column_sets))
         at = {j: k for k, j in enumerate(used)}
         degree = max([len(cols) for cols in self.column_sets] + [1])
         positions = np.empty((degree, len(self.column_sets)), dtype=np.intp)
         for k, cols in enumerate(self.column_sets):
-            ks = [at[j] for j in sorted(cols)] or [len(used)]
+            ks = [at[j] for j in sorted(cols)]
             positions[:, k] = ks + ks[:1] * (degree - len(ks))
         object.__setattr__(self, "_used", np.array(used, dtype=np.intp))
         object.__setattr__(self, "_positions", positions)
-        object.__setattr__(self, "_every_row", not all(self.column_sets))
 
     def covers(self, matrix: np.ndarray) -> np.ndarray:
         """Who satisfies what, packed: a row of 64-row words per conjunction.
@@ -348,9 +348,6 @@ class BoundRuleSet:
                 f"{self.n_columns}"
             )
         words = pack_bits(matrix, self._used)
-        if self._every_row:
-            every_row = pack_bits(np.ones((matrix.shape[0], 1), dtype=bool), [0])
-            words = np.vstack([words, every_row])
         degree, conjunctions = self._positions.shape
         literals = words.take(self._positions, axis=0)
         covered = cover(literals.reshape(degree, -1).T, range(degree))

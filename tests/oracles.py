@@ -120,6 +120,47 @@ def brute_force_reduced_costs(matrix, labels, mu_full, lam, max_degree):
     return out
 
 
+def beam_search(matrix, labels, mu_full, lam, max_degree, width, tolerance, exclude=()):
+    """The level-by-level beam search of Dash, Gunluk & Wei, by direct
+    evaluation, with no limit on the hits kept.
+
+    A level is a list of column tuples; the root level holds the empty one.
+    Each child adds a column after its node's last.  A child is a hit when
+    its reduced cost is below ``-tolerance`` and it is not in ``exclude``.
+    It may be descended when it is not on the last column, it is below
+    ``max_degree``, and its descent bound ``lam * (degree + 1) - mu_mass``
+    is below ``-tolerance``.  Of those, the ``width`` with the lowest
+    reduced cost, ties by column tuple, form the next level.  Returns the
+    hits as a dict frozenset(cols) -> reduced cost, the number of nodes
+    whose children were evaluated, and whether a level dropped a child.
+    """
+    n_columns = matrix.shape[1]
+    depth = min(max_degree, n_columns)
+    neg = ~labels
+    level = [()]
+    hits, nodes, dropped = {}, 0, False
+    for degree in range(1, depth + 1):
+        nodes += len(level)
+        ranked = []
+        for node in level:
+            for j in range(node[-1] + 1 if node else 0, n_columns):
+                child = node + (j,)
+                cov = conjunction_cover(matrix, child)
+                mu_mass = float(mu_full[cov & labels].sum())
+                rc = int(np.count_nonzero(cov & neg)) - mu_mass + lam * degree
+                if rc < -tolerance and frozenset(child) not in exclude:
+                    hits[frozenset(child)] = rc
+                descend = lam * (degree + 1) - mu_mass < -tolerance
+                if degree < depth and j < n_columns - 1 and descend:
+                    ranked.append((rc, child))
+        ranked.sort()
+        dropped |= len(ranked) > width
+        level = sorted(child for _, child in ranked[:width])
+        if not level:
+            break
+    return hits, nodes, dropped
+
+
 def overlap_template_distance(literal_keys, template_key_sets):
     """Distance to the nearest template, from literal-key overlap alone.
 

@@ -34,6 +34,7 @@ from corules.ruledsl import RuleError, RuleSet, bind, parse_rules, print_rules
 from corules.solver import LiveLp, solve_lp
 
 from oracles import (
+    beam_search,
     brute_force_best_rule_set,
     brute_force_reduced_costs,
     conjunction_cover,
@@ -512,10 +513,9 @@ class TestPrice:
         matrix = np.array([[1], [0]], dtype=bool)
         labels = np.array([1, 0], dtype=bool)
         ds = BinaryDataset((Literal("a", "==", "x"),), matrix, labels)
-        out = price(
-            (np.array([2.0]), 0.0), ds, Params(max_degree=1),
-            exclude={frozenset({0})},
-        )
+        pool = ColumnPool(ds)
+        pool.add((0,))
+        out = price((np.array([2.0]), 0.0), ds, Params(max_degree=1), exclude=pool)
         assert out == []
 
     def test_limit_keeps_most_negative(self, ttt_dataset):
@@ -576,13 +576,13 @@ class TestPrice:
         )
         straddled = 0
         for ds, mu, lam in self.tie_heavy_instances(rng, mode):
-            exclude = set()
+            exclude = ColumnPool(ds)
             if with_exclude:
                 head = price((mu, lam), ds, params, templates=templates)
-                exclude = {c.cols for c in head[::3]}
-                exclude |= {frozenset({j}) for j in range(ds.n_columns)}
+                for cols in [c.cols for c in head[::3]] + [(j,) for j in range(ds.n_columns)]:
+                    exclude.add(cols)
             full = price((mu, lam), ds, params, templates=templates, exclude=exclude)
-            assert not exclude & {c.cols for c in full}
+            assert not {c.cols for c in exclude.columns} & {c.cols for c in full}
             for k in (1, 3, 7):
                 got = price(
                     (mu, lam), ds, params, templates=templates,
@@ -650,14 +650,8 @@ class TestPrice:
                 for limit in (None, 3):
                     got = price(
                         (mu_full[ds.P], lam), ds, params,
-                        exclude=exclude, limit=limit, width=width,
-                    )
-                    again = price(
-                        (mu_full[ds.P], lam), ds, params,
                         exclude=pool, limit=limit, width=width,
                     )
-                    assert [c.cols for c in again] == [c.cols for c in got]
-                    assert again.exact == got.exact
                     for cand in got:
                         assert cand.cols not in exclude
                         assert cand.reduced_cost < -TOLERANCE
@@ -669,8 +663,66 @@ class TestPrice:
                     seen["exact"] += 1
                     seen["fallback"] += got.nodes > 0
                     assert [c.reduced_cost for c in got] == pytest.approx(want[:limit], abs=1e-9)
-                    full = price((mu_full[ds.P], lam), ds, params, exclude=exclude, limit=limit)
+                    full = price((mu_full[ds.P], lam), ds, params, exclude=pool, limit=limit)
                     assert [c.cols for c in got] == [c.cols for c in full]
+        assert min(seen.values()) >= 5, seen
+
+    def test_capped_search_is_the_level_by_level_beam(self, monkeypatch):
+        # quarter-integral duals make most reduced costs exact, so ties at a
+        # level's cut are decided by column tuple; every fourth instance has
+        # fractional duals
+        rng = np.random.default_rng(9191)
+        params = Params(max_degree=3)
+        seen = {"exact": 0, "inexact": 0, "fallback": 0, "split exact": 0}
+        for trial in range(30):
+            ds = random_dataset(rng, n_cols=int(rng.integers(4, 10)))
+            mu_full = np.zeros(ds.n)
+            if trial % 4 == 3:
+                mu_full[ds.P] = rng.random(ds.P.size) * 3
+                lam = float(rng.random() * 0.5)
+            else:
+                mu_full[ds.P] = rng.integers(0, 12, size=ds.P.size) / 4
+                lam = float(rng.integers(0, 3)) / 4
+            duals = (mu_full[ds.P], lam)
+            # as in training, the pool holds every singleton, so the beam
+            # must find its hits deeper and may miss them all
+            pool = seeded_pool(ds)
+            for cols in brute_force_reduced_costs(
+                ds.matrix, ds.labels, mu_full, lam, params.max_degree
+            ):
+                if rng.random() < 0.2:
+                    pool.add(cols)
+            excluded = {col.cols for col in pool.columns}
+            full = price(duals, ds, params, exclude=pool)
+            for width in (1, 2, 4, 16):
+                hits, nodes, dropped = beam_search(
+                    ds.matrix, ds.labels, mu_full, lam, params.max_degree, width,
+                    TOLERANCE, excluded,
+                )
+                got = price(duals, ds, params, exclude=pool, width=width)
+                assert got.capped_nodes == nodes
+                fallback = dropped and not hits
+                assert got.exact == (not dropped or fallback)
+                assert (got.nodes > 0) == fallback
+                if got.exact:
+                    seen["fallback" if fallback else "exact"] += 1
+                    assert [c.cols for c in got] == [c.cols for c in full]
+                    continue
+                seen["inexact"] += 1
+                want = sorted((rc, tuple(sorted(cols))) for cols, rc in hits.items())
+                assert [tuple(sorted(c.cols)) for c in got] == [cols for _, cols in want]
+                for cand in got:
+                    assert cand.reduced_cost == pytest.approx(hits[cand.cols], abs=1e-9)
+            # split into blocks, a cut search is a depth-first one, but one
+            # that dropped nothing is still the exhaustive search
+            for block in (1, 3):
+                monkeypatch.setattr(colgen, "_PRICE_BLOCK", block)
+                for width in (1, 2, 4, 16):
+                    got = price(duals, ds, params, exclude=pool, width=width)
+                    if got.exact:
+                        seen["split exact"] += 1
+                        assert [c.cols for c in got] == [c.cols for c in full]
+                monkeypatch.undo()
         assert min(seen.values()) >= 5, seen
 
     def test_fallback_finds_the_branch_the_cap_dropped(self):

@@ -95,7 +95,7 @@ class TestScoresAgainstCoverOracle:
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
         ds = tiny_dataset(rng.random((n, m)) < 0.6, rng.random(n) < 0.5)
-        cols = st.frozensets(st.integers(0, m - 1), max_size=3)
+        cols = st.frozensets(st.integers(0, m - 1), min_size=1, max_size=3)
         column_sets = tuple(data.draw(st.lists(cols, max_size=6)))
         bound = BoundRuleSet(column_sets, m)
         want_hamming, want_accuracy = oracle_scores(ds.matrix, ds.labels, column_sets)
@@ -152,7 +152,7 @@ class TestPackedScoring:
         matrix = ds.matrix
         assert matrix.flags[f"{order}_CONTIGUOUS"]
         column_sets = tuple(data.draw(
-            st.lists(st.frozensets(st.integers(0, m - 1), max_size=3), max_size=6)
+            st.lists(st.frozensets(st.integers(0, m - 1), min_size=1, max_size=3), max_size=6)
         ))
         bound = BoundRuleSet(column_sets, m)
         # a matrix of fewer rows than the threshold packs column by column too
@@ -173,15 +173,9 @@ class TestPackedScoring:
         assert np.array_equal(predicted, np.any(want, axis=0) if want else np.zeros(n, bool))
         assert scores == oracle_scores(matrix, ds.labels, column_sets)
 
-    @pytest.mark.parametrize("n", EDGE_ROWS)
-    def test_an_empty_column_set_covers_every_row(self, n):
-        matrix = np.zeros((n, 2), dtype=bool)
-        bound = BoundRuleSet((frozenset(), frozenset({1})), 2)
-        covers = bound.covers(matrix)
-        assert np.array_equal(unpack_bits(covers[0], n), np.ones(n, bool))
-        assert not unpack_bits(covers[1], n).any()
-        assert int(np.bitwise_count(covers).sum()) == n
-        assert bound.predict(matrix).all()
+    def test_an_empty_column_set_is_rejected(self):
+        with pytest.raises(RuleError, match="at least one column"):
+            BoundRuleSet((frozenset({1}), frozenset()), 2)
 
     @pytest.mark.parametrize("n", EDGE_ROWS)
     def test_the_empty_rule_set_covers_nothing(self, n):
