@@ -173,9 +173,24 @@ class TestPackedScoring:
         assert np.array_equal(predicted, np.any(want, axis=0) if want else np.zeros(n, bool))
         assert scores == oracle_scores(matrix, ds.labels, column_sets)
 
-    def test_an_empty_column_set_is_rejected(self):
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    def test_an_empty_column_set_covers_every_row(self, n):
+        """An empty column set is rejected; a column true on every row covers every row.
+
+        Binding no longer maps an empty column set to the all-ones cover: it
+        raises.  The all-ones cover comes from a real column instead, and its
+        packed words hold exactly ``n`` set bits, none past the last row.
+        """
         with pytest.raises(RuleError, match="at least one column"):
             BoundRuleSet((frozenset({1}), frozenset()), 2)
+        matrix = np.zeros((n, 2), dtype=bool)
+        matrix[:, 0] = True
+        bound = BoundRuleSet((frozenset({0}), frozenset({1})), 2)
+        covers = bound.covers(matrix)
+        assert np.array_equal(unpack_bits(covers[0], n), np.ones(n, bool))
+        assert not unpack_bits(covers[1], n).any()
+        assert int(np.bitwise_count(covers).sum()) == n
+        assert bound.predict(matrix).all()
 
     @pytest.mark.parametrize("n", EDGE_ROWS)
     def test_the_empty_rule_set_covers_nothing(self, n):
