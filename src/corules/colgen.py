@@ -48,6 +48,10 @@ appends the new columns and re-solves from the last basis.  The loop ends
 with one binary solve restricted to the generated pool, by branch and bound
 on that same model that branches on the rules before any slack.
 
+The restricted problem is a :class:`ColumnPool`: the dataset, the
+templates' condition keys, the pool columns and their codes.
+:func:`build_master` and :func:`price` read everything from it, so a master
+and its pricing cannot disagree on the data, the templates or the pool.
 Inside the loop a conjunction is a set of column indices and nothing more;
 ``train`` builds a :class:`~corules.ruledsl.Conjunction` of the columns'
 literals only for the rules it returns and the human rules it reports on.
@@ -129,7 +133,7 @@ class Params:
     mip_node_limit: int = 200_000
 
     def __post_init__(self):
-        for name in ("max_degree", "max_cg_rounds", "mip_node_limit"):
+        for name in ("complexity_budget", "max_degree", "max_cg_rounds", "mip_node_limit"):
             # a float here fails deep inside train; numpy integers are fine
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
@@ -186,24 +190,39 @@ def _code(cols: Iterable[int], radix: int) -> int:
 
 
 class ColumnPool:
-    """The restricted candidate set, with cached coverage per column.
+    """The restricted problem that :func:`build_master` and :func:`price`
+    read: the dataset, the templates' condition keys and the candidate
+    columns, with cached coverage and template distance per column.
 
     ``codes`` holds each column's :func:`_code` in base ``n_columns + 1``,
     computed once when the column is added, in pool order; :func:`price`
-    reads them to leave pool members out.
+    reads them to leave pool members out.  :meth:`distance` is the one map
+    from a column set to its template distance: a column gets it when it is
+    added, and pricing charges it to its hits.  A dataset without a positive
+    sample has no covering row and raises :class:`NoPositivesError`.
     """
 
     def __init__(self, dataset: BinaryDataset, templates: RuleSet = RuleSet(())):
         self.dataset = dataset
+        self._pos = dataset.P
+        self._neg = dataset.Z
+        if self._pos.size == 0:
+            raise NoPositivesError("training data has no positive samples")
         self._template_keys = [t.keys() for t in templates.conjunctions]
+        self._col_keys = [lit.key() for lit in dataset.columns] if templates else []
         self.columns: list[PoolColumn] = []
         self.codes: list[int] = []
         self._index: dict[frozenset[int], int] = {}
-        self._pos = dataset.P
-        self._neg = dataset.Z
 
     def __len__(self):
         return len(self.columns)
+
+    def distance(self, cols: Iterable[int]) -> float:
+        """The columns' :func:`corules.metrics.key_distance` to the
+        templates, on condition keys; 0 without templates."""
+        if not self._template_keys:
+            return 0.0
+        return key_distance({self._col_keys[j] for j in cols}, self._template_keys)
 
     def add(self, cols: Iterable[int], is_human: bool = False) -> bool:
         key = frozenset(int(j) for j in cols)
@@ -214,10 +233,6 @@ class ColumnPool:
                 self.columns[self._index[key]].is_human = True
             return False
         covered = cover(self.dataset.matrix, tuple(key))
-        dist = 0.0
-        if self._template_keys:
-            keys = {self.dataset.columns[j].key() for j in key}
-            dist = key_distance(keys, self._template_keys)
         self._index[key] = len(self.columns)
         self.codes.append(_code(key, self.dataset.n_columns + 1))
         self.columns.append(
@@ -226,7 +241,7 @@ class ColumnPool:
                 pos_cover=covered[self._pos],
                 fp_count=int(np.count_nonzero(covered[self._neg])),
                 is_human=is_human,
-                distance=dist,
+                distance=self.distance(key),
             )
         )
         return True
@@ -244,7 +259,6 @@ class MasterModel:
 @dataclass
 class MasterSolution:
     w: np.ndarray
-    xi: np.ndarray
     mu: np.ndarray  # covering-row duals, clamped nonnegative
     lam: float      # budget dual, nonnegative
     objective: float  # LP value plus the constant offset
@@ -253,14 +267,14 @@ class MasterSolution:
 
 
 def build_master(
-    pool: ColumnPool,
-    dataset: BinaryDataset,
-    params: Params,
-    previous: MasterModel | None = None,
+    pool: ColumnPool, params: Params, previous: MasterModel | None = None
 ) -> MasterModel:
-    """The restricted covering LP of the current pool, as a live model.
+    """The restricted covering LP of the pool, as a live model.
 
-    Objective coefficient of ``w_k`` is its false-positive count, minus the
+    Everything comes from the pool: one covering row per positive sample of
+    its dataset, and one ``w_k`` per pool column with the coverage,
+    false-positive count and template distance the pool cached.  Objective
+    coefficient of ``w_k`` is its false-positive count, minus the
     soft human credit when k is a provided rule, plus the weighted template
     distance in templates mode.  The constant ``human_weight * n * |U|`` is
     tracked as an offset so reported objectives count every unselected rule.
@@ -272,11 +286,8 @@ def build_master(
     appended to its model, which keeps its basis for a warm re-solve; the
     earlier columns keep the costs and bounds they were added with.
     """
-    pos = dataset.P
-    n_pos = pos.size
-    if n_pos == 0:
-        raise NoPositivesError("dataset has no positive samples")
-    cu_n = params.human_weight * dataset.n
+    n_pos = pool.dataset.P.size
+    cu_n = params.human_weight * pool.dataset.n
 
     n_human = sum(col.is_human for col in pool.columns)
     if params.mode == MODE_HARD:
@@ -332,17 +343,13 @@ def solve_master(model: MasterModel) -> MasterSolution:
     sol = solve_lp(model.lp)
     if sol.status != solver.OPTIMAL:
         return MasterSolution(
-            np.zeros(model.n_pool), np.zeros(model.n_pos),
-            np.zeros(model.n_pos), 0.0,
+            np.zeros(model.n_pool), np.zeros(model.n_pos), 0.0,
             float("nan"), sol.status, sol.iterations,
         )
     w = sol.x[: model.n_pool]
-    xi = sol.x[model.n_pool :]
     mu = np.maximum(sol.duals[: model.n_pos], 0.0)
     lam = max(0.0, -float(sol.duals[model.n_pos]))
-    return MasterSolution(
-        w, xi, mu, lam, sol.objective + model.offset, sol.status, sol.iterations
-    )
+    return MasterSolution(w, mu, lam, sol.objective + model.offset, sol.status, sol.iterations)
 
 
 @dataclass(frozen=True)
@@ -398,14 +405,13 @@ _PRICE_SLAB_MIN = 64
 
 def price(
     duals: tuple[np.ndarray, float],
-    dataset: BinaryDataset,
+    pool: ColumnPool,
     params: Params,
-    templates: RuleSet = RuleSet(()),
-    exclude: ColumnPool | None = None,
     limit: int | None = None,
     width: int | None = None,
 ) -> PricedCandidates:
-    """The ``limit`` most negative reduced-cost conjunctions.
+    """The ``limit`` most negative reduced-cost conjunctions over the pool's
+    dataset that are not in the pool.
 
     With ``width=None`` the search is exhaustive and the list exact.  With
     a width, the search runs first with that width, and again without one
@@ -422,9 +428,8 @@ def price(
     it is cut into at most ``_PRICE_SLABS`` slabs, and a slab's products
     cover only the columns after its first node's last, which hold every
     fresh child of the slab.  A child is a hit when it is fresh, its
-    reduced cost is below ``-TOLERANCE`` and it is not in ``exclude``, a
-    :class:`ColumnPool` of this dataset's columns (pool members are still
-    searched through).
+    reduced cost is below ``-TOLERANCE`` and it is not a pool member (pool
+    members are still searched through).
 
     The hits so far are kept in a buffer sorted by reduced cost, ties by
     column tuple, and cut to ``limit``.  Its threshold is its ``limit``-th
@@ -456,10 +461,9 @@ def price(
     In templates mode the weighted template distance is computed only for
     a hit whose template-free reduced cost could enter the buffer.  That is
     exact: the distance is nonnegative, so no other node could qualify, and
-    the descent bound never uses it.  The distance is
-    :func:`corules.metrics.key_distance` of the hit's column keys
-    (``Literal.key``) to the templates' condition keys
-    (``Conjunction.keys``); no conjunction is built.
+    the descent bound never uses it.  The distance is the pool's
+    :meth:`ColumnPool.distance`, the one a column gets when it joins the
+    pool; no conjunction is built.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -468,6 +472,7 @@ def price(
     mu, lam = duals
     mu = np.maximum(np.asarray(mu, dtype=float), 0.0)
     lam = max(float(lam), 0.0)
+    dataset = pool.dataset
     m = dataset.n_columns
     depth = min(params.max_degree, m)
     if depth == 0:
@@ -498,16 +503,8 @@ def price(
                 cols.append(digit - 1)
         return frozenset(cols)
 
-    codes = []
-    if exclude is not None:
-        if exclude.dataset.n_columns != m:
-            raise ValueError("exclude is a pool over another set of columns")
-        codes = exclude.codes
-    pool = np.sort(np.array([c for c in codes if c < top], dtype=code_type))
+    members = np.sort(np.array([c for c in pool.codes if c < top], dtype=code_type))
     templated = params.mode == MODE_TEMPLATES and params.template_weight > 0.0
-    if templated:
-        col_keys = [lit.key() for lit in dataset.columns]
-        template_keys = [t.keys() for t in templates.conjunctions]
 
     # the buffer, in pieces: with a limit, merged and cut to the best
     # ``limit`` whenever it holds that many, and its last becomes the threshold
@@ -519,15 +516,12 @@ def price(
 
     def admit(rc, codes, degree):
         nonlocal held, threshold
-        if pool.size:
-            at = np.searchsorted(pool, codes)
-            keep = pool[np.minimum(at, pool.size - 1)] != codes
+        if members.size:
+            at = np.searchsorted(members, codes)
+            keep = members[np.minimum(at, members.size - 1)] != codes
             rc, codes = rc[keep], codes[keep]
         if templated:
-            distance = np.array([
-                key_distance({col_keys[j] for j in decode(code)}, template_keys)
-                for code in codes.tolist()
-            ])
+            distance = np.array([pool.distance(decode(code)) for code in codes.tolist()])
             rc = rc + params.template_weight * distance
             keep = (rc < -TOLERANCE) & (rc <= threshold)
             rc, codes = rc[keep], codes[keep]
@@ -564,8 +558,6 @@ def price(
             # ``last`` is sorted, so the slab's fresh children all lie in
             # the columns after its first node's last
             lo = int(last[s]) + 1
-            if lo == m:
-                break
             part = slice(s, s + step)
             mu_sum = cov_p[part] @ mass[:, lo:]
             rc = cov_z[part] @ fp_bits[:, lo:]
@@ -742,10 +734,7 @@ def train(
         bound, dataset = bind(given, dataset)
         seeds = bound.column_sets
 
-    if dataset.P.size == 0:
-        raise NoPositivesError("training data has no positive samples")
-
-    pool = ColumnPool(dataset, templates=templates)
+    pool = ColumnPool(dataset, templates)
     for cols in seeds:
         pool.add(cols, is_human=bool(rules))
     for j in range(dataset.n_columns):
@@ -753,7 +742,7 @@ def train(
 
     master = None
     for round_no in range(params.max_cg_rounds):
-        master = build_master(pool, dataset, params, master)
+        master = build_master(pool, params, master)
         t_lp = time.perf_counter()
         msol = solve_master(master)
         lp_seconds = time.perf_counter() - t_lp
@@ -766,13 +755,7 @@ def train(
             break
         t_price = time.perf_counter()
         candidates = price(
-            (msol.mu, msol.lam),
-            dataset,
-            params,
-            templates=templates,
-            exclude=pool,
-            limit=COLUMNS_PER_ROUND,
-            width=BEAM_WIDTH,
+            (msol.mu, msol.lam), pool, params, limit=COLUMNS_PER_ROUND, width=BEAM_WIDTH
         )
         row = {
             "round": round_no,
@@ -806,7 +789,7 @@ def train(
         report.warnings.append("column generation stopped at the round limit")
         report.stop_reason = STOP_ROUND_LIMIT
 
-    master = build_master(pool, dataset, params, master)
+    master = build_master(pool, params, master)
     # only the rules are decisions: each xi is the unit-cost slack of one
     # covering row, integral once w is, so branch and bound branches on the
     # pool first; every variable stays binary and integral objectives'

@@ -88,6 +88,8 @@ def seeded_pool(dataset, human_sets=(), templates=RuleSet(())):
         ("max_degree", 2.0),
         ("max_cg_rounds", 1.5),
         ("mip_node_limit", 2.5),
+        ("complexity_budget", math.nan),
+        ("complexity_budget", 24.5),
     ],
 )
 def test_params_reject_values_that_hang_or_mislead_train(name, value):
@@ -106,12 +108,13 @@ class TestBuildMaster:
         pool = ColumnPool(ds)
         for cols in bound.column_sets:
             pool.add(cols, is_human=True)
-        model = build_master(pool, ds, Params(mode=MODE_MACHINE))
+        model = build_master(pool, Params(mode=MODE_MACHINE))
         sol = solve_master(model)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert np.all(sol.w > 1 - 1e-9)
-        assert np.all(sol.xi < 1e-9)
+        xi = solve_lp(model.lp).x[model.n_pool :]
+        assert np.all(xi < 1e-9)
 
     def test_singleton_only_pool_costs_all_positives_when_empty(self):
         # a pool whose columns are useless forces every xi to one
@@ -120,7 +123,7 @@ class TestBuildMaster:
         cols = (Literal("a", "==", "x"), Literal("b", "==", "x"))
         ds = BinaryDataset(cols, matrix, labels)
         pool = seeded_pool(ds)
-        model = build_master(pool, ds, Params(mode=MODE_MACHINE))
+        model = build_master(pool, Params(mode=MODE_MACHINE))
         sol = solve_master(model)
         assert sol.objective == pytest.approx(4.0)
 
@@ -128,7 +131,7 @@ class TestBuildMaster:
         bound, ds = bind(eight_rules, ttt_dataset)
         pool = seeded_pool(ds, human_sets=bound.column_sets)
         params = Params(mode=MODE_SOFT, human_weight=0.05)
-        model = build_master(pool, ds, params)
+        model = build_master(pool, params)
         cu_n = 0.05 * ds.n
         assert model.offset == pytest.approx(cu_n * 8)
         for k, col in enumerate(pool.columns):
@@ -147,7 +150,7 @@ class TestBuildMaster:
         params = Params(mode=MODE_SOFT, human_weight=0.5, complexity_budget=1,
                         max_degree=1)
         pool = seeded_pool(ds, human_sets=[frozenset({1})])
-        model = build_master(pool, ds, params)
+        model = build_master(pool, params)
         mip_obj_offset = model.offset
         # budget 1 admits one column: either the human one (fp=1, covers no
         # positive -> loss 2 + 1) or the machine singleton 0 (loss 0) plus
@@ -160,7 +163,7 @@ class TestBuildMaster:
         pool = seeded_pool(ds, human_sets=bound.column_sets)
         params = Params(mode=MODE_HARD, complexity_budget=23)
         with pytest.raises(BudgetInfeasibleError, match="exceed"):
-            build_master(pool, ds, params)
+            build_master(pool, params)
 
     def test_no_positives_rejected(self):
         matrix = np.ones((3, 1), dtype=bool)
@@ -168,10 +171,10 @@ class TestBuildMaster:
             (Literal("a", "==", "x"),), matrix, np.zeros(3, dtype=bool)
         )
         with pytest.raises(NoPositivesError):
-            build_master(seeded_pool(ds), ds, Params())
+            ColumnPool(ds)
 
 
-def _check_interior_reduced_costs(pool, ds, params, templates=RuleSet(()), rounds=4):
+def _check_interior_reduced_costs(pool, ds, params, rounds=4):
     """Solve the master for a few column-generation rounds; every variable
     strictly inside (0, 1) must have a zero reduced cost under the duals.
     Returns how many such variables were checked."""
@@ -179,7 +182,7 @@ def _check_interior_reduced_costs(pool, ds, params, templates=RuleSet(()), round
     tol = TOLERANCE
     cu_n = params.human_weight * ds.n
     for _ in range(rounds):
-        model = build_master(pool, ds, params)
+        model = build_master(pool, params)
         sol = solve_master(model)
         assert sol.status == "optimal"
         for k, col in enumerate(pool.columns):
@@ -193,13 +196,11 @@ def _check_interior_reduced_costs(pool, ds, params, templates=RuleSet(()), round
             rc = cost - sol.mu @ col.pos_cover + sol.lam * col.complexity
             assert abs(rc) <= tol, (k, rc)
             checked += 1
-        inside = (sol.xi > tol) & (sol.xi < 1 - tol)
+        xi = solve_lp(model.lp).x[model.n_pool :]
+        inside = (xi > tol) & (xi < 1 - tol)
         assert np.all(np.abs(1.0 - sol.mu[inside]) <= tol)
         checked += int(inside.sum())
-        cands = price(
-            (sol.mu, sol.lam), ds, params, templates=templates,
-            exclude=pool, limit=COLUMNS_PER_ROUND,
-        )
+        cands = price((sol.mu, sol.lam), pool, params, limit=COLUMNS_PER_ROUND)
         for cand in cands:
             pool.add(cand.cols)
     return checked
@@ -242,7 +243,7 @@ class TestSolveMaster:
         params = Params(mode=MODE_TEMPLATES, template_weight=0.5, max_degree=3,
                         complexity_budget=10)
         pool = seeded_pool(ds, templates=templates)
-        assert _check_interior_reduced_costs(pool, ds, params, templates) > 0
+        assert _check_interior_reduced_costs(pool, ds, params) > 0
 
 
 def dense_master(pool, ds, params):
@@ -290,15 +291,12 @@ def test_live_master_matches_cold_dense_solve(ttt_dataset, eight_rules, mode):
     pool = seeded_pool(ds, human_sets=human_sets, templates=templates)
     master = None
     for _ in range(6):
-        master = build_master(pool, ds, params, master)
+        master = build_master(pool, params, master)
         live = solve_master(master)
         cold = solve_lp(dense_master(pool, ds, params))
         assert live.status == cold.status == "optimal"
         assert live.objective == pytest.approx(cold.objective + master.offset, abs=1e-9)
-        cands = price(
-            (live.mu, live.lam), ds, params, templates=templates,
-            exclude=pool, limit=COLUMNS_PER_ROUND,
-        )
+        cands = price((live.mu, live.lam), pool, params, limit=COLUMNS_PER_ROUND)
         if not cands:
             break
         for cand in cands:
@@ -309,12 +307,12 @@ def test_live_master_matches_cold_dense_solve(ttt_dataset, eight_rules, mode):
 class TestPrice:
     def test_zero_duals_yield_nothing(self, ttt_dataset):
         mu = np.zeros(ttt_dataset.P.size)
-        out = price((mu, 0.0), ttt_dataset, Params())
+        out = price((mu, 0.0), ColumnPool(ttt_dataset), Params())
         assert out == []
 
     def test_no_columns_yield_nothing(self):
         ds = BinaryDataset((), np.zeros((3, 0), dtype=bool), np.array([1, 0, 1], bool))
-        assert price((np.ones(2), 0.0), ds, Params()) == []
+        assert price((np.ones(2), 0.0), ColumnPool(ds), Params()) == []
 
     def test_single_positive_negative_reduced_cost(self):
         # one positive sample with mu=2; a degree-1 literal covering it and
@@ -322,7 +320,7 @@ class TestPrice:
         matrix = np.array([[1], [0]], dtype=bool)
         labels = np.array([1, 0], dtype=bool)
         ds = BinaryDataset((Literal("a", "==", "x"),), matrix, labels)
-        out = price((np.array([2.0]), 0.0), ds, Params(max_degree=1))
+        out = price((np.array([2.0]), 0.0), ColumnPool(ds), Params(max_degree=1))
         assert len(out) == 1
         assert out[0].reduced_cost == pytest.approx(-2.0)
         assert out[0].cols == frozenset({0})
@@ -338,7 +336,7 @@ class TestPrice:
             oracle = brute_force_reduced_costs(
                 ds.matrix, ds.labels, mu_full, lam, params.max_degree
             )
-            got = price((mu_full[ds.P], lam), ds, params)
+            got = price((mu_full[ds.P], lam), ColumnPool(ds), params)
             want = sorted(
                 (rc, tuple(sorted(cols))) for cols, rc in oracle.items()
                 if rc < -TOLERANCE
@@ -395,7 +393,7 @@ class TestPrice:
                 )
                 if rc < -TOLERANCE:
                     want[key] = rc
-            got = price((mu_full[ds.P], lam), ds, params, templates=templates)
+            got = price((mu_full[ds.P], lam), ColumnPool(ds, templates), params)
             assert {c.cols for c in got} == set(want)
             for cand in got:
                 assert cand.reduced_cost == pytest.approx(want[cand.cols], abs=1e-9)
@@ -412,8 +410,8 @@ class TestPrice:
                 ds.matrix, ds.labels, mu_full, lam, params.max_degree
             )
             want = sorted(rc for rc in oracle.values() if rc < -TOLERANCE)
-            full = price((mu_full[ds.P], lam), ds, params)
-            got = price((mu_full[ds.P], lam), ds, params, limit=7)
+            full = price((mu_full[ds.P], lam), ColumnPool(ds), params)
+            got = price((mu_full[ds.P], lam), ColumnPool(ds), params, limit=7)
             assert len(full) == len(want)
             assert [c.cols for c in got] == [c.cols for c in full[:7]]
             assert len(got) == min(7, len(want))
@@ -442,7 +440,7 @@ class TestPrice:
         )
         want = {cols: rc for cols, rc in oracle.items() if rc < -TOLERANCE}
         assert max(len(cols) for cols in want) >= 12
-        got = price((mu_full[ds.P], 0.01), ds, params)
+        got = price((mu_full[ds.P], 0.01), ColumnPool(ds), params)
         assert {c.cols for c in got} == set(want)
         for cand in got:
             assert cand.reduced_cost == pytest.approx(want[cand.cols], abs=1e-9)
@@ -457,11 +455,11 @@ class TestPrice:
             ds.matrix, ds.labels, mu_full, lam, params.max_degree
         )
         want = {cols: rc for cols, rc in oracle.items() if rc < -TOLERANCE}
-        full = price((mu, lam), ds, params)
+        full = price((mu, lam), ColumnPool(ds), params)
         assert {c.cols for c in full} == set(want)
         for cand in full:
             assert cand.reduced_cost == pytest.approx(want[cand.cols], abs=1e-9)
-        got = price((mu, lam), ds, params, limit=limit)
+        got = price((mu, lam), ColumnPool(ds), params, limit=limit)
         assert [c.cols for c in got] == [c.cols for c in full[:limit]]
         return full
 
@@ -515,13 +513,13 @@ class TestPrice:
         ds = BinaryDataset((Literal("a", "==", "x"),), matrix, labels)
         pool = ColumnPool(ds)
         pool.add((0,))
-        out = price((np.array([2.0]), 0.0), ds, Params(max_degree=1), exclude=pool)
+        out = price((np.array([2.0]), 0.0), pool, Params(max_degree=1))
         assert out == []
 
     def test_limit_keeps_most_negative(self, ttt_dataset):
         mu = np.ones(ttt_dataset.P.size)
-        full = price((mu, 0.0), ttt_dataset, Params(max_degree=2))
-        capped = price((mu, 0.0), ttt_dataset, Params(max_degree=2), limit=5)
+        full = price((mu, 0.0), ColumnPool(ttt_dataset), Params(max_degree=2))
+        capped = price((mu, 0.0), ColumnPool(ttt_dataset), Params(max_degree=2), limit=5)
         assert len(capped) == 5
         assert [c.cols for c in capped] == [c.cols for c in full[:5]]
 
@@ -576,18 +574,15 @@ class TestPrice:
         )
         straddled = 0
         for ds, mu, lam in self.tie_heavy_instances(rng, mode):
-            exclude = ColumnPool(ds)
+            exclude = ColumnPool(ds, templates)
             if with_exclude:
-                head = price((mu, lam), ds, params, templates=templates)
+                head = price((mu, lam), ColumnPool(ds, templates), params)
                 for cols in [c.cols for c in head[::3]] + [(j,) for j in range(ds.n_columns)]:
                     exclude.add(cols)
-            full = price((mu, lam), ds, params, templates=templates, exclude=exclude)
+            full = price((mu, lam), exclude, params)
             assert not {c.cols for c in exclude.columns} & {c.cols for c in full}
             for k in (1, 3, 7):
-                got = price(
-                    (mu, lam), ds, params, templates=templates,
-                    exclude=exclude, limit=k,
-                )
+                got = price((mu, lam), exclude, params, limit=k)
                 assert [c.cols for c in got] == [c.cols for c in full[:k]]
                 for cand, want in zip(got, full):
                     assert cand.reduced_cost == pytest.approx(want.reduced_cost, abs=1e-9)
@@ -598,13 +593,13 @@ class TestPrice:
     def test_limit_below_one_is_rejected(self, ttt_dataset):
         mu = np.ones(ttt_dataset.P.size)
         with pytest.raises(ValueError, match="limit"):
-            price((mu, 0.0), ttt_dataset, Params(max_degree=1), limit=0)
+            price((mu, 0.0), ColumnPool(ttt_dataset), Params(max_degree=1), limit=0)
 
     def test_bound_expands_fewer_nodes(self, ttt_dataset):
         mu = np.ones(ttt_dataset.P.size)
         params = Params(max_degree=3)
-        full = price((mu, 0.5), ttt_dataset, params)
-        capped = price((mu, 0.5), ttt_dataset, params, limit=20)
+        full = price((mu, 0.5), ColumnPool(ttt_dataset), params)
+        capped = price((mu, 0.5), ColumnPool(ttt_dataset), params, limit=20)
         assert [c.cols for c in capped] == [c.cols for c in full[:20]]
         assert full.pruned == 0
         assert capped.pruned > 0
@@ -618,10 +613,10 @@ class TestPrice:
             ds = random_dataset(rng)
             mu = rng.random(ds.P.size) * 3
             lam = float(rng.random() * 0.5)
-            width = price((mu, lam), ds, params).nodes
+            width = price((mu, lam), ColumnPool(ds), params).nodes
             for limit in (None, 5):
-                want = price((mu, lam), ds, params, limit=limit)
-                got = price((mu, lam), ds, params, limit=limit, width=width)
+                want = price((mu, lam), ColumnPool(ds), params, limit=limit)
+                got = price((mu, lam), ColumnPool(ds), params, limit=limit, width=width)
                 assert got.exact and got.nodes == 0 and got.capped_nodes >= 1
                 assert [c.cols for c in got] == [c.cols for c in want]
                 for cand, ref in zip(got, want):
@@ -648,10 +643,7 @@ class TestPrice:
             )
             for width in (1, 2, 4, 16):
                 for limit in (None, 3):
-                    got = price(
-                        (mu_full[ds.P], lam), ds, params,
-                        exclude=pool, limit=limit, width=width,
-                    )
+                    got = price((mu_full[ds.P], lam), pool, params, limit=limit, width=width)
                     for cand in got:
                         assert cand.cols not in exclude
                         assert cand.reduced_cost < -TOLERANCE
@@ -663,7 +655,7 @@ class TestPrice:
                     seen["exact"] += 1
                     seen["fallback"] += got.nodes > 0
                     assert [c.reduced_cost for c in got] == pytest.approx(want[:limit], abs=1e-9)
-                    full = price((mu_full[ds.P], lam), ds, params, exclude=pool, limit=limit)
+                    full = price((mu_full[ds.P], lam), pool, params, limit=limit)
                     assert [c.cols for c in got] == [c.cols for c in full]
         assert min(seen.values()) >= 5, seen
 
@@ -693,13 +685,13 @@ class TestPrice:
                 if rng.random() < 0.2:
                     pool.add(cols)
             excluded = {col.cols for col in pool.columns}
-            full = price(duals, ds, params, exclude=pool)
+            full = price(duals, pool, params)
             for width in (1, 2, 4, 16):
                 hits, nodes, dropped = beam_search(
                     ds.matrix, ds.labels, mu_full, lam, params.max_degree, width,
                     TOLERANCE, excluded,
                 )
-                got = price(duals, ds, params, exclude=pool, width=width)
+                got = price(duals, pool, params, width=width)
                 assert got.capped_nodes == nodes
                 fallback = dropped and not hits
                 assert got.exact == (not dropped or fallback)
@@ -718,7 +710,7 @@ class TestPrice:
             for block in (1, 3):
                 monkeypatch.setattr(colgen, "_PRICE_BLOCK", block)
                 for width in (1, 2, 4, 16):
-                    got = price(duals, ds, params, exclude=pool, width=width)
+                    got = price(duals, pool, params, width=width)
                     if got.exact:
                         seen["split exact"] += 1
                         assert [c.cols for c in got] == [c.cols for c in full]
@@ -749,23 +741,20 @@ class TestPrice:
         assert {cols for cols, rc in oracle.items() if rc < -TOLERANCE} == {
             frozenset({1, 2})
         }
-        got = price((mu, lam), ds, params, width=1)
+        got = price((mu, lam), ColumnPool(ds), params, width=1)
         assert got.exact
         assert got.capped_nodes == 2  # the root and a
         assert got.nodes > 0  # the exhaustive search ran
         assert [c.cols for c in got] == [frozenset({1, 2})]
         assert got[0].reduced_cost == pytest.approx(oracle[frozenset({1, 2})], abs=1e-9)
-        wide = price((mu, lam), ds, params, width=2)
+        wide = price((mu, lam), ColumnPool(ds), params, width=2)
         assert wide.exact and wide.nodes == 0
         assert [c.cols for c in wide] == [frozenset({1, 2})]
 
-    def test_width_below_one_and_foreign_pool_are_rejected(self, ttt_dataset):
+    def test_width_below_one_is_rejected(self, ttt_dataset):
         mu = np.ones(ttt_dataset.P.size)
         with pytest.raises(ValueError, match="width"):
-            price((mu, 0.0), ttt_dataset, Params(max_degree=1), width=0)
-        other = ColumnPool(random_dataset(np.random.default_rng(1)))
-        with pytest.raises(ValueError, match="pool"):
-            price((mu, 0.0), ttt_dataset, Params(max_degree=1), exclude=other)
+            price((mu, 0.0), ColumnPool(ttt_dataset), Params(max_degree=1), width=0)
 
 
 class TestTrain:
@@ -783,19 +772,28 @@ class TestTrain:
         objs = [row["lp_objective"] for row in report.rounds]
         assert all(a >= b - 1e-7 for a, b in zip(objs, objs[1:]))
 
-    def test_pricing_finds_nothing_at_termination(self, ttt_dataset, monkeypatch):
+    @pytest.mark.parametrize("mode", [MODE_MACHINE, MODE_TEMPLATES, MODE_HARD])
+    def test_pricing_finds_nothing_at_termination(self, ttt_dataset, monkeypatch, mode):
         calls = []
 
-        def recording_price(duals, dataset, params, **kwargs):
-            calls.append((duals, dataset, kwargs["exclude"]))
-            return price(duals, dataset, params, **kwargs)
+        def recording_price(duals, pool, params, **kwargs):
+            calls.append((duals, pool))
+            return price(duals, pool, params, **kwargs)
 
         monkeypatch.setattr(colgen, "price", recording_price)
         rng = np.random.default_rng(5)
         idx = rng.choice(ttt_dataset.n, size=100, replace=False)
         ds = ttt_dataset.subset(idx)
-        params = Params(max_degree=3)
-        rs, report = train(ds, None, params)
+        params = Params(mode=mode, max_degree=3)
+        # the final pool carries the templates or the forced rules
+        human = {
+            MODE_MACHINE: None,
+            MODE_TEMPLATES: HumanInput(templates=parse_rules(
+                "cell_r0_c0 == x AND cell_r0_c1 == x\nOR cell_r1_c1 == x"
+            )),
+            MODE_HARD: HumanInput(rules=parse_rules("cell_r1_c1 == x AND cell_r0_c0 == x")),
+        }[mode]
+        rs, report = train(ds, human, params)
         assert "round limit" not in " ".join(report.warnings)
         for row in report.rounds:
             assert row["price_seconds"] >= 0.0
@@ -809,8 +807,8 @@ class TestTrain:
         assert report.rounds[-1]["price_exact"]
         # exhaustive pricing under the final duals finds nothing either
         assert len(calls) == len(report.rounds)
-        duals, priced, pool = calls[-1]
-        assert price(duals, priced, params, exclude=pool) == []
+        duals, pool = calls[-1]
+        assert price(duals, pool, params) == []
         # the final master starts where column generation ended
         last_lp = report.rounds[-1]["lp_objective"]
         assert report.mip_relaxation == pytest.approx(last_lp, abs=1e-9)
