@@ -16,12 +16,21 @@ is the condition it tests, a :class:`Literal`, the same type a rule is made
 of, so any bit can be re-derived from the originating raw cell and any
 column printed as rule text.  One function, :func:`column_block`,
 computes bits from raw cells for binning, scoring, synthesized columns and
-the audit alike: it converts each feature's levels once with
-:func:`feature_values`, evaluates conditions on them with :func:`column_bits`
-and spreads the level bits to the rows with :func:`gather_bits`.
-:func:`cover` is the one kernel that intersects bit columns into a
-conjunction's cover, on bool columns or on columns packed 64 rows to a
-word by :func:`pack_bits`.
+the audit alike, a feature at a time.  It groups the columns by feature
+and kind (numeric threshold or categorical text) and converts that
+feature's levels once with :func:`feature_values`.  A threshold is
+compared with every level and :func:`gather_bits` spreads the level bits
+to the rows.  A categorical ``==`` or ``!=`` column finds its level in one
+text-to-level dict per feature and compares the codes with it; a text no
+level holds gives a constant column, and one that several levels hold
+(``1`` and ``"1"``) goes through :func:`gather_bits`.  Nothing sized
+columns by levels is built.  :func:`cover` is the one kernel that
+intersects bit columns into a conjunction's cover, on bool columns or on
+columns packed 64 rows to a word by :func:`pack_bits`.
+
+Distinct values are found by counting codes or deduplicating a sorted
+array, not with numpy's ``unique``, which in numpy 2.4 imports
+``numpy.ma``; binarizing and scoring load nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -301,19 +310,6 @@ def feature_values(raw: RawTable, feature: str, numeric: bool) -> np.ndarray:
     return np.array([str(c) for c in levels], dtype=str)
 
 
-def column_bits(lit: Literal, values: np.ndarray) -> np.ndarray:
-    """Evaluate one column condition on its feature's :func:`feature_values`."""
-    if lit.op == OP_EQ:
-        return values == str(lit.value)
-    if lit.op == OP_NE:
-        return values != str(lit.value)
-    if lit.op == OP_LE:
-        return values <= lit.value
-    if lit.op == OP_GT:
-        return values > lit.value
-    raise DataError(f"unknown column operator {lit.op!r}")
-
-
 def gather_bits(
     level_bits: np.ndarray, codes: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -434,7 +430,8 @@ def quantile_thresholds(values: np.ndarray, bins: int) -> list[float]:
     """
     if bins < 2:
         raise DataError("bins must be >= 2")
-    distinct = np.unique(values)
+    ordered = np.sort(values)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     if distinct.size < 2:
         return []
     thresholds = []
@@ -474,7 +471,8 @@ def binarize(raw: RawTable, bins: int = 10) -> BinaryDataset:
             cuts = quantile_thresholds(levels[codes], bins)
             columns += [Literal(name, op, t) for t in cuts for op in (OP_LE, OP_GT)]
         else:
-            distinct = sorted(set(levels[np.unique(codes)].tolist()))
+            present = np.bincount(codes, minlength=len(levels)) > 0
+            distinct = sorted(set(levels[present].tolist()))
             ops = (OP_EQ, OP_NE) if len(distinct) > 1 else ()
             columns += [Literal(name, op, v) for op in ops for v in distinct]
 
@@ -491,22 +489,51 @@ def column_block(
 ) -> np.ndarray:
     """Evaluate column conditions on the raw cells: a column-major bool block.
 
-    Each feature's levels are converted once with :func:`feature_values`
-    (or taken from ``values``, levels the caller already converted, keyed
-    by ``(feature, numeric)``); every column on the feature is evaluated on
-    them, and :func:`gather_bits` spreads its level bits to the rows.
+    Columns are taken a feature and kind at a time.  The feature's levels
+    are converted once with :func:`feature_values`, or taken from
+    ``values``, levels the caller already converted, keyed by ``(feature,
+    numeric)``.  A ``<=`` or ``>`` column compares every level with its
+    threshold and :func:`gather_bits` spreads the level bits to the rows.
+    An ``==`` or ``!=`` column looks its text up among the level texts:
+    held by one level, the column is one comparison of the codes with that
+    level; held by none, it is constant; held by several, their bits are
+    gathered.
     """
-    features = set(raw.schema.feature_names)
-    values = dict(values or {})
-    block = np.empty((raw.n_rows, len(columns)), dtype=bool, order="F")
+    groups: dict[tuple[str, bool], list[int]] = {}
     for j, lit in enumerate(columns):
-        if lit.feature not in features:
-            raise DataError(f"data has no feature {lit.feature!r}")
-        key = (lit.feature, lit.op in (OP_LE, OP_GT))
-        if key not in values:
-            values[key] = feature_values(raw, *key)
-        codes = raw.encoded(lit.feature)[1]
-        gather_bits(column_bits(lit, values[key]), codes, out=block[:, j])
+        groups.setdefault((lit.feature, lit.op in (OP_LE, OP_GT)), []).append(j)
+    values = values or {}
+    block = np.empty((raw.n_rows, len(columns)), dtype=bool, order="F")
+    for (feature, numeric), group in groups.items():
+        if feature == raw.label or feature not in raw.names:
+            raise DataError(f"data has no feature {feature!r}")
+        levels = values.get((feature, numeric))
+        if levels is None:
+            levels = feature_values(raw, feature, numeric)
+        codes = raw.encoded(feature)[1]
+        if numeric:
+            for j in group:
+                lit = columns[j]
+                bits = levels <= lit.value if lit.op == OP_LE else levels > lit.value
+                gather_bits(bits, codes, out=block[:, j])
+            continue
+        level_of: dict[str, int] = {}  # a text's level; -1 if several hold it
+        for k, text in enumerate(levels.tolist()):
+            level_of[text] = -1 if text in level_of else k
+        for j in group:
+            lit = columns[j]
+            if lit.op not in (OP_EQ, OP_NE):
+                raise DataError(f"unknown column operator {lit.op!r}")
+            text = str(lit.value)
+            k = level_of.get(text)
+            if k is None:
+                block[:, j] = lit.op == OP_NE
+            elif k >= 0:
+                compare = np.equal if lit.op == OP_EQ else np.not_equal
+                compare(codes, k, out=block[:, j])
+            else:
+                bits = levels == text
+                gather_bits(bits if lit.op == OP_EQ else ~bits, codes, out=block[:, j])
     return block
 
 

@@ -13,7 +13,8 @@ an assignment problem over pairwise Jaccard scores, then divides the best
 total by the larger set size, giving 1.0 for semantically identical sets
 and 0.0 for sets sharing no literal.  The assignment is scipy's
 ``linear_sum_assignment``, which ``solver`` loads from its compiled module
-so that ``scipy.optimize`` is never imported.
+on the first similarity computed, so that ``scipy.optimize`` is never
+imported and accuracy and Hamming loss load no part of scipy.
 """
 
 from __future__ import annotations

@@ -46,18 +46,24 @@ peaked 1.8-16.4 MB above its start against at most 0.7 MB for ours.
 Open nodes hold their fixings and their parent's basis, which siblings
 share, so memory grows with the open list that ``node_limit`` bounds.
 
-The HiGHS binding ``scipy.optimize._highspy._core`` and the assignment
-solver ``scipy.optimize._lsap`` (which ``metrics`` uses) are scipy's
-compiled modules, and ``_scipy_extension`` loads each straight from its
-file.  ``import scipy.optimize`` would run the package's ``__init__``,
-which pulls in ``scipy.linalg`` and the ``linprog`` family: about 0.6 s of
-the 0.7 s that ``import corules`` took on the 2-core VM, for two modules
-that need none of it.  The loaded modules are kept out of ``sys.modules``,
-so a later ``import scipy.optimize`` runs as usual; once it has run, they
-are taken from there.  Where scipy moved the files, the loader falls back
-to the ordinary import.  Both module paths are private to scipy; this
-module is the only one that names them, and ``tests/test_solver.py``
-checks that every HiGHS method used here is still there.
+Nothing of scipy loads when this module is imported, so a run that only
+binarizes and scores (``dataset``, ``ruledsl`` and ``metrics``' accuracy
+and Hamming loss) never loads it.  The HiGHS binding
+``scipy.optimize._highspy._core`` loads, with the model statuses it
+reports, when the first :class:`LiveLp` is built, and stays reachable as
+``solver.highs``.  The assignment solver ``scipy.optimize._lsap`` (which
+``metrics`` uses for rule-set similarity) loads on the first call of
+:func:`linear_sum_assignment`.  Both are scipy's compiled modules, and
+``_scipy_extension`` loads each straight from its file.  ``import
+scipy.optimize`` would run the package's ``__init__``, which pulls in
+``scipy.linalg`` and the ``linprog`` family: about 0.6 s of the 0.7 s
+that ``import corules`` took on the 2-core VM, for two modules that need
+none of it.  The loaded modules are kept out of ``sys.modules``, so a
+later ``import scipy.optimize`` runs as usual; once it has run, they are
+taken from there.  Where scipy moved the files, the loader falls back to
+the ordinary import.  Both module paths are private to scipy; this module
+is the only one that names them, and ``tests/test_solver.py`` checks that
+every HiGHS method used here is still there.
 """
 
 from __future__ import annotations
@@ -72,7 +78,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 
 def _scipy_extension(name: str):
@@ -81,6 +86,8 @@ def _scipy_extension(name: str):
     found."""
     if name in sys.modules:  # scipy.optimize is imported already
         return sys.modules[name]
+    import scipy
+
     path = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(path + suffix):
@@ -94,9 +101,6 @@ def _scipy_extension(name: str):
     return importlib.import_module(name)
 
 
-highs = _scipy_extension("scipy.optimize._highspy._core")
-linear_sum_assignment = _scipy_extension("scipy.optimize._lsap").linear_sum_assignment
-
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -105,12 +109,10 @@ ITERATION_LIMIT = "iteration-limit"  # branch and bound ran out of nodes
 INT_TOL = 1e-6
 GAP_TOL = 1e-6
 
-# HiGHS model statuses we report; any other one is a failure
-_HIGHS_STATUS = {
-    highs.HighsModelStatus.kOptimal: OPTIMAL,
-    highs.HighsModelStatus.kInfeasible: INFEASIBLE,
-    highs.HighsModelStatus.kUnbounded: UNBOUNDED,
-}
+# HiGHS model statuses we report, filled when HiGHS loads; any other one
+# is a failure
+_HIGHS_STATUS: dict = {}
+_lsap = None
 
 _OPTIONS = {
     "output_flag": False,
@@ -118,6 +120,33 @@ _OPTIONS = {
     "solver": "simplex",
     "simplex_strategy": 1,  # dual simplex
 }
+
+
+def _load_highs():
+    """The HiGHS binding, loaded with its status map on first need."""
+    global highs
+    if not _HIGHS_STATUS:
+        highs = _scipy_extension("scipy.optimize._highspy._core")
+        _HIGHS_STATUS.update({
+            highs.HighsModelStatus.kOptimal: OPTIMAL,
+            highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+            highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+        })
+    return highs
+
+
+def __getattr__(name: str):
+    if name == "highs":
+        return _load_highs()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def linear_sum_assignment(cost_matrix, maximize: bool = False):
+    """scipy's ``linear_sum_assignment``; its module loads on the first call."""
+    global _lsap
+    if _lsap is None:
+        _lsap = _scipy_extension("scipy.optimize._lsap")
+    return _lsap.linear_sum_assignment(cost_matrix, maximize)
 
 
 class SolverError(RuntimeError):
@@ -189,7 +218,7 @@ class LiveLp:
     """
 
     def __init__(self, row_lower, row_upper, cost, lower, upper, columns):
-        self._highs = highs._Highs()
+        self._highs = _load_highs()._Highs()
         for name, value in _OPTIONS.items():
             _check(self._highs.setOptionValue(name, value), f"option {name}")
         self.row_lower = np.asarray(row_lower, dtype=float)
@@ -406,7 +435,7 @@ def solve_binary_mip(
                     (node_bound(sol.objective), counter, child, None, nodes, basis),
                 )
     finally:
-        restore = np.union1d(np.fromiter(held, dtype=np.int32, count=len(held)), clipped)
+        restore = np.array(sorted({*held, *clipped.tolist()}), dtype=np.int32)
         lp.set_bounds(restore, own_lower[restore], own_upper[restore])
 
     if best_x is None:

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corules.dataset import (
@@ -17,6 +19,7 @@ from corules.dataset import (
     _as_float,
     _convert_levels,
     binarize,
+    column_block,
     cover,
     feature_values,
     gather_bits,
@@ -521,3 +524,84 @@ class TestPackedBits:
         assert np.array_equal(unpack_bits(words[1], n), matrix[:, 0])
         octets = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
         assert not octets[:, n:].any()
+
+
+def _thresholds_on_unique(values, bins):
+    """The reference: :func:`quantile_thresholds` on ``np.unique``."""
+    distinct = np.unique(values)
+    if distinct.size < 2:
+        return []
+    thresholds = []
+    for j in range(1, bins):
+        v = np.quantile(values, j / bins, method="lower")
+        above = distinct[distinct > v]
+        if above.size:
+            thresholds.append(float((distinct[distinct <= v][-1] + above[0]) / 2.0))
+    return sorted(set(thresholds))
+
+
+class TestDistinctValues:
+    """Distinct values are found without ``np.unique``, and agree with it."""
+
+    @pytest.mark.parametrize("n_levels, dtype", [(200, np.uint8), (700, np.uint16)])
+    @given(picked=st.lists(st.integers(0, 10**6), min_size=1, max_size=80))
+    @settings(max_examples=40, deadline=None)
+    def test_present_levels_match_unique(self, n_levels, dtype, picked):
+        rows = [[f"v{k % (n_levels - 1)}" if k else 1, ["no", "yes"][k % 2]]
+                for k in range(n_levels)]
+        rows[-1][0] = "1"  # one text, two levels
+        sub = RawTable(["a", "y"], [CATEGORICAL] * 2, rows, "y").subset(
+            [k % n_levels for k in picked]
+        )
+        assert sub.codes.dtype == dtype
+        levels, codes = sub.encoded("a")
+        want = sorted({str(levels[k]) for k in np.unique(codes).tolist()})
+        try:
+            columns = binarize(sub).columns
+        except DataError as err:  # a single distinct text is constant
+            assert "no usable features" in str(err)
+            columns = ()
+        got = [lit.value for lit in columns if lit.op == "=="]
+        assert got == (want if len(want) > 1 else [])
+
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([-0.0, 0.0, 1.5, -2.0]), st.floats(-1e6, 1e6)),
+            min_size=1, max_size=60,
+        ),
+        st.integers(2, 12),
+    )
+    @example([4.25], 5)
+    @example([-0.0, 0.0, -0.0, 3.0, 0.0], 4)
+    @example([0.0, -0.0, -1.0, 1.0, 0.0, 2.0], 3)
+    @settings(max_examples=200, deadline=None)
+    def test_thresholds_match_unique(self, xs, bins):
+        values = np.array(xs)
+        assert quantile_thresholds(values, bins) == _thresholds_on_unique(values, bins)
+
+
+def test_high_cardinality_categorical_matches_cell_oracle():
+    # 2,000 levels, two of them (1 and "1") with one text; 500 rows leave
+    # most levels unheld, and "absent" is held by no level at all
+    cells = [1, "1"] + [f"v{k}" for k in range(1998)]
+    rows = [[cell, ["no", "yes"][k % 2]] for k, cell in enumerate(cells)]
+    table = RawTable(["a", "y"], [CATEGORICAL] * 2, rows, "y")
+    picked = np.concatenate([[0, 1], np.random.default_rng(3).integers(2, 2000, 498)])
+    sub = table.subset(picked)
+    texts = ["1"] + cells[2:] + ["absent"]
+    cols = [Literal("a", op, text) for text in texts for op in ("==", "!=")]
+    cols.append(Literal("a", "==", 1))
+
+    tracemalloc.start()
+    try:
+        block = column_block(sub, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * block.nbytes, (peak, block.nbytes)
+
+    held = [cells[i] for i in picked.tolist()]
+    expected = [[cell_condition(lit, cell) for lit in cols] for cell in held]
+    assert np.array_equal(block, expected)
+    assert block[:2, 0].all() and block[:2, -1].all()  # 1 and "1" meet == "1"
+    assert not block[:, -3].any() and block[:, -2].all()  # == and != "absent"

@@ -86,13 +86,59 @@ print("ok")
 """
 
 
-def test_importing_corules_leaves_scipy_optimize_out():
+# scoring a rule set needs neither the LP backend nor numpy.ma; training
+# and rule-set similarity load scipy's modules when they first need them
+SCORE_THEN_TRAIN = """
+import pkgutil
+import sys
+
+import numpy as np
+
+import corules
+
+for name in [m.name for m in pkgutil.walk_packages(corules.__path__, "corules.")]:
+    __import__(name)
+from corules import colgen, dataset, metrics, ruledsl
+
+RULES = "(cell_r0_c0 == x AND cell_r0_c1 == x AND cell_r0_c2 == x) OR (cell_r1_c1 == x)"
+
+raw = dataset.generate_tictactoe()
+full = dataset.binarize(raw)
+rules = ruledsl.parse_rules(RULES)
+scored = dataset.apply_columns(raw.subset(range(0, raw.n_rows, 3)), full.columns)
+bound, scored = ruledsl.bind(rules, scored)
+predicted = bound.predict(scored.matrix)
+assert 0.5 < metrics.accuracy(bound, scored) < 1.0
+assert metrics.hamming_loss(bound, scored) > 0
+assert np.mean(predicted == scored.labels) == metrics.accuracy(bound, scored)
+loaded = [m for m in ("scipy", "numpy.ma") if m in sys.modules]
+assert not loaded, loaded
+
+rows = np.sort(np.random.default_rng(1).choice(full.n, 50, replace=False))
+learned, report = colgen.train(full.subset(rows), None, colgen.Params())
+assert report.mip_status == "optimal", report.mip_status
+assert "scipy" in sys.modules
+assert metrics.ruleset_similarity(rules, rules) == 1.0
+assert 0.0 <= metrics.ruleset_similarity(learned, rules) < 1.0
+print("ok")
+"""
+
+
+def _fresh_interpreter(script: str):
     # a fresh interpreter: pytest's own may already hold scipy.optimize
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     )}
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_ALL], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def test_importing_corules_leaves_scipy_optimize_out():
+    _fresh_interpreter(IMPORT_ALL)
+
+
+def test_scoring_loads_no_backend():
+    _fresh_interpreter(SCORE_THEN_TRAIN)
