@@ -49,7 +49,7 @@ with one binary solve restricted to the generated pool, by branch and bound
 on that same model that branches on the rules before any slack.
 
 The restricted problem is a :class:`ColumnPool`: the dataset, the
-templates' condition keys, the pool columns and their codes.
+templates' literal sets, the pool columns and their codes.
 :func:`build_master` and :func:`price` read everything from it, so a master
 and its pricing cannot disagree on the data, the templates or the pool.
 Inside the loop a conjunction is a set of column indices and nothing more;
@@ -65,9 +65,10 @@ Expert knowledge enters three ways, chosen by ``Params.mode``:
   selection variables at one (infeasible budgets are reported as such).
 * ``templates``: partial templates, a :class:`~corules.ruledsl.RuleSet`
   written in the rule syntax, act as attractors; every candidate pays
-  ``template_weight`` times its distance to the nearest template, on
-  condition keys (:func:`corules.metrics.key_distance`).  The templates
-  also seed the pool, at distance zero.
+  ``template_weight`` times its distance to the nearest template
+  (:func:`corules.metrics.template_distance`), which compares the
+  candidate's column literals with each template's literals as
+  conditions.  The templates also seed the pool, at distance zero.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ import numpy as np
 
 from .dataset import BinaryDataset, cover
 from . import metrics
-from .metrics import key_distance
+from .metrics import template_distance
 from .ruledsl import BoundRuleSet, Conjunction, RuleSet, bind
 from . import solver
 from .solver import CompressedColumns, LiveLp, solve_binary_mip, solve_lp
@@ -191,7 +192,7 @@ def _code(cols: Iterable[int], radix: int) -> int:
 
 class ColumnPool:
     """The restricted problem that :func:`build_master` and :func:`price`
-    read: the dataset, the templates' condition keys and the candidate
+    read: the dataset, the templates' literal sets and the candidate
     columns, with cached coverage and template distance per column.
 
     ``codes`` holds each column's :func:`_code` in base ``n_columns + 1``,
@@ -208,8 +209,7 @@ class ColumnPool:
         self._neg = dataset.Z
         if self._pos.size == 0:
             raise NoPositivesError("training data has no positive samples")
-        self._template_keys = [t.keys() for t in templates.conjunctions]
-        self._col_keys = [lit.key() for lit in dataset.columns] if templates else []
+        self._templates = [t.literals for t in templates.conjunctions]
         self.columns: list[PoolColumn] = []
         self.codes: list[int] = []
         self._index: dict[frozenset[int], int] = {}
@@ -218,11 +218,11 @@ class ColumnPool:
         return len(self.columns)
 
     def distance(self, cols: Iterable[int]) -> float:
-        """The columns' :func:`corules.metrics.key_distance` to the
-        templates, on condition keys; 0 without templates."""
-        if not self._template_keys:
+        """The :func:`corules.metrics.template_distance` of the columns'
+        literals to the templates; 0 without templates."""
+        if not self._templates:
             return 0.0
-        return key_distance({self._col_keys[j] for j in cols}, self._template_keys)
+        return template_distance({self.dataset.columns[j] for j in cols}, self._templates)
 
     def add(self, cols: Iterable[int], is_human: bool = False) -> bool:
         key = frozenset(int(j) for j in cols)
@@ -282,9 +282,10 @@ def build_master(
 
     Without ``previous`` a new model starts from the covering rows, the
     budget row and the xi block (an identity).  With it, the master an
-    earlier round built on this pool, the pool columns added since are
-    appended to its model, which keeps its basis for a warm re-solve; the
-    earlier columns keep the costs and bounds they were added with.
+    earlier round built on this pool, that master is grown and returned:
+    the pool columns added since are appended to its model, which keeps its
+    basis for a warm re-solve, and its pool size and offset are updated.
+    The earlier columns keep the costs and bounds they were added with.
     """
     n_pos = pool.dataset.P.size
     cu_n = params.human_weight * pool.dataset.n
@@ -310,12 +311,12 @@ def build_master(
                 np.arange(n_pos + 1), np.arange(n_pos), np.ones(n_pos)
             ),
         )
-        first = 0
+        master = MasterModel(lp, offset=0.0, n_pool=0, n_pos=n_pos, pool=pool)
     elif previous.pool is not pool:
         raise ValueError("previous master was built on another pool")
     else:
-        lp, first = previous.lp, previous.n_pool
-    new = pool.columns[first:]
+        master = previous
+    new = pool.columns[master.n_pool:]
     if new:
         cost = np.array([float(col.fp_count) for col in new])
         if params.mode == MODE_SOFT:
@@ -331,15 +332,14 @@ def build_master(
             [col.pos_cover for col in new],
             [col.complexity for col in new],
         ])
-        lp.add_columns(cost, lower, upper, columns.T)
+        master.lp.add_columns(cost, lower, upper, columns.T)
 
-    offset = cu_n * n_human if params.mode == MODE_SOFT else 0.0
-    return MasterModel(lp, offset, len(pool), n_pos, pool)
+    master.offset = cu_n * n_human if params.mode == MODE_SOFT else 0.0
+    master.n_pool = len(pool)
+    return master
 
 
 def solve_master(model: MasterModel) -> MasterSolution:
-    if model.lp.n_vars != model.n_pool + model.n_pos:
-        raise ValueError("a later build_master has grown this master's model")
     sol = solve_lp(model.lp)
     if sol.status != solver.OPTIMAL:
         return MasterSolution(
@@ -463,7 +463,8 @@ def price(
     exact: the distance is nonnegative, so no other node could qualify, and
     the descent bound never uses it.  The distance is the pool's
     :meth:`ColumnPool.distance`, the one a column gets when it joins the
-    pool; no conjunction is built.
+    pool: the hit's column literals against the templates' literals, with
+    no conjunction built.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")

@@ -84,10 +84,6 @@ class TableSchema:
         if len(self.names) < 2:
             raise DataError("at least one feature column is required")
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(n for n in self.names if n != self.label)
-
 
 class RawTable:
     """An in-memory table: header, per-column kinds, label column and cells.
@@ -237,15 +233,19 @@ def _as_float(value, feature: str, row: int) -> float:
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_KEYWORDS = ("AND", "OR", "NOT", "FALSE")  # the rule grammar's, in any case
+
+
+def _quote(text: str, reserved: tuple[str, ...] = ()) -> str:
+    """``text`` bare if it is an identifier not in ``reserved`` (in any
+    case), else as a quoted string of the rule grammar."""
+    if _IDENT_RE.match(text) and text.upper() not in reserved:
+        return text
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _render_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    text = str(value)
-    if _IDENT_RE.match(text):
-        return text
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return repr(value) if isinstance(value, float) else _quote(str(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,9 +253,12 @@ class Literal:
     """One condition on one raw feature: a binary column, or a rule's literal.
 
     ``op`` is one of ``==``/``!=`` (categorical value, compared as text) or
-    ``<=``/``>`` (numeric threshold).  Literals are equal when their
-    :meth:`key` is, so a rule's literal finds its column by key.  The key is
-    made once, when the literal is.
+    ``<=``/``>`` (numeric threshold).  Literals are equal, and hash alike,
+    when feature, operator and value text agree (a threshold's text at 12
+    significant digits, made once with the literal), so a literal is the
+    condition wherever conditions are compared: binding a rule to columns,
+    template distance, rule similarity.  :meth:`render` quotes a feature
+    name that is no plain identifier or is a keyword, so the text parses back.
     """
 
     feature: str
@@ -271,10 +274,6 @@ class Literal:
             value = float(f"{value:.12g}")
         object.__setattr__(self, "_key", (self.feature, self.op, str(value)))
 
-    def key(self) -> tuple:
-        """``(feature, op, value text)``: the identity of a column or literal."""
-        return self._key
-
     def __eq__(self, other):
         return isinstance(other, Literal) and self._key == other._key
 
@@ -285,7 +284,7 @@ class Literal:
         return (self.feature, self.op, str(self.value))
 
     def render(self) -> str:
-        return f"{self.feature} {self.op} {_render_value(self.value)}"
+        return f"{_quote(self.feature, _KEYWORDS)} {self.op} {_render_value(self.value)}"
 
 
 def feature_values(raw: RawTable, feature: str, numeric: bool) -> np.ndarray:
@@ -434,15 +433,12 @@ def quantile_thresholds(values: np.ndarray, bins: int) -> list[float]:
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     if distinct.size < 2:
         return []
-    thresholds = []
-    for j in range(1, bins):
-        v = np.quantile(values, j / bins, method="lower")
-        above = distinct[distinct > v]
-        if above.size == 0:
-            continue
-        below = distinct[distinct <= v][-1]
-        thresholds.append(float((below + above[0]) / 2.0))
-    return sorted(set(thresholds))
+    cuts = np.quantile(values, np.arange(1, bins) / bins, method="lower")
+    # a cut is an observed value: distinct[above - 1] is the cut, distinct[above]
+    # the next value up, if there is one
+    above = np.searchsorted(distinct, cuts, side="right")
+    above = above[above < distinct.size]
+    return sorted(set(((distinct[above - 1] + distinct[above]) / 2.0).tolist()))
 
 
 def binarize(raw: RawTable, bins: int = 10) -> BinaryDataset:

@@ -26,8 +26,8 @@ from typing import AbstractSet, Sequence
 
 import numpy as np
 
-from .dataset import BinaryDataset, pack_bits
-from .ruledsl import BoundRuleSet, Conjunction, RuleSet, bind
+from .dataset import BinaryDataset, Literal, pack_bits
+from .ruledsl import BoundRuleSet, RuleSet, bind
 from .solver import linear_sum_assignment
 
 
@@ -96,23 +96,13 @@ def accuracy(rule_set: RuleSet | BoundRuleSet, dataset: BinaryDataset) -> float:
     return hamming_and_accuracy(rule_set, dataset)[1]
 
 
-def _jaccard(ka: AbstractSet[tuple], kb: AbstractSet[tuple]) -> float:
-    return len(ka & kb) / len(ka | kb)
-
-
-def conjunction_similarity(a: Conjunction, b: Conjunction) -> float:
-    """Jaccard overlap of the two literal sets (1.0 iff identical)."""
-    return _jaccard(a.keys(), b.keys())
-
-
 def similarity_matrix(a: RuleSet, b: RuleSet) -> np.ndarray:
-    """:func:`conjunction_similarity` of every pair, each side's keys built once."""
-    keys_a = [c.keys() for c in a.conjunctions]
-    keys_b = [c.keys() for c in b.conjunctions]
+    """The Jaccard overlap of the literal sets of every pair of conjunctions,
+    1.0 iff the two are identical."""
     out = np.zeros((len(a), len(b)))
-    for i, ka in enumerate(keys_a):
-        for j, kb in enumerate(keys_b):
-            out[i, j] = _jaccard(ka, kb)
+    for i, ca in enumerate(a.conjunctions):
+        for j, cb in enumerate(b.conjunctions):
+            out[i, j] = len(ca.literals & cb.literals) / len(ca.literals | cb.literals)
     return out
 
 
@@ -131,16 +121,17 @@ def ruleset_similarity(a: RuleSet, b: RuleSet) -> float:
     return float(sims[rows, cols].sum() / max(len(a), len(b)))
 
 
-def key_distance(
-    keys: AbstractSet[tuple], template_keys: Sequence[AbstractSet[tuple]]
+def template_distance(
+    literals: AbstractSet[Literal], templates: Sequence[AbstractSet[Literal]]
 ) -> float:
-    """How far a set of condition keys is from the nearest template's keys.
+    """How far a set of literals is from the nearest template's literals.
 
-    Against one template the distance is one minus the share of its keys
-    that ``keys`` holds: zero iff ``keys`` contains every key of some
-    template, one when it shares no key with any of them.  Keys, not
-    columns, are compared, so two columns with one key count once.
+    Against one template the distance is one minus the share of its
+    literals that ``literals`` holds: zero iff ``literals`` contains every
+    literal of some template, one when it shares none with any of them.
+    Literals compare as conditions, so two columns that test one condition
+    count once.
     """
-    if not template_keys:
+    if not templates:
         raise ValueError("template set is empty")
-    return min(1.0 - len(keys & tk) / len(tk) for tk in template_keys)
+    return min(1.0 - len(literals & t) / len(t) for t in templates)

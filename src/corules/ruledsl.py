@@ -10,9 +10,13 @@ Grammar (keywords case-insensitive, feature names case-sensitive,
 
     ruleset  := clause { "OR" clause }
     clause   := [ "(" ] literal { "AND" literal } [ ")" ]
-    literal  := [ "NOT" ] ident op value
+    literal  := [ "NOT" ] feature op value
+    feature  := ident | quoted-string
     op       := "<=" | "<" | ">=" | ">" | "==" | "!="
     value    := number | ident | quoted-string
+
+:func:`print_rules` quotes a feature name that is no plain identifier or
+is a keyword; in a quoted string a backslash escapes ``"`` and ``\\``.
 
 Literals normalize onto four condition kinds: ``==`` / ``!=`` for
 categorical values and ``<=`` / ``>`` for numeric thresholds.  ``NOT``
@@ -118,10 +122,6 @@ class Conjunction:
     def complexity(self) -> int:
         return len(self.literals)
 
-    def keys(self) -> frozenset[tuple]:
-        """The condition keys of the literals."""
-        return frozenset(lit.key() for lit in self.literals)
-
     def sorted_literals(self) -> list[Literal]:
         return sorted(self.literals, key=Literal.sort_key)
 
@@ -224,6 +224,10 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "ident" and tok.text.upper() == word
 
+    def string(self) -> str:
+        """The text of the quoted string token next, unescaped."""
+        return self.next().text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+
     def parse_clauses(self) -> list[frozenset[Literal]]:
         if self.peek().kind == "eof":
             return []
@@ -261,9 +265,12 @@ class _Parser:
             self.next()
             flip = not flip
         tok = self.peek()
-        if tok.kind != "ident":
+        if tok.kind == "ident":
+            feature = self.next().text
+        elif tok.kind == "string":
+            feature = self.string()
+        else:
             self.error(f"expected feature name, found {tok.text!r}")
-        feature = self.next().text
         tok = self.peek()
         if tok.kind != "op":
             if tok.kind == "ident":
@@ -278,8 +285,7 @@ class _Parser:
         elif tok.kind == "ident":
             value = self.next().text
         elif tok.kind == "string":
-            raw = self.next().text[1:-1]
-            value = raw.replace('\\"', '"').replace("\\\\", "\\")
+            value = self.string()
         else:
             self.error(f"expected value, found {tok.text!r}")
         if op in (OP_LE, OP_GT) and not isinstance(value, float):
@@ -371,7 +377,7 @@ def bind(
     dataset.  Binding is stable: a literal that already matches a column,
     including one synthesized by an earlier bind, never adds another.
     """
-    by_key = {lit.key(): j for j, lit in enumerate(dataset.columns)}
+    index = {lit: j for j, lit in enumerate(dataset.columns)}
     new: list[Literal] = []
     raw = dataset.raw
     feature_kinds = None if raw is None else {
@@ -379,8 +385,8 @@ def bind(
     }
 
     def resolve(lit: Literal) -> int:
-        if lit.key() in by_key:
-            return by_key[lit.key()]
+        if lit in index:
+            return index[lit]
         if feature_kinds is None:
             raise UnknownFeatureError(
                 f"no column matches {lit.render()!r} and no raw table to synthesize from"
@@ -395,7 +401,7 @@ def bind(
         if lit.op in (OP_EQ, OP_NE) and kind != CATEGORICAL:
             raise RuleError(f"equality literal {lit.render()!r} on numeric feature")
         new.append(lit)
-        by_key[lit.key()] = j = dataset.n_columns + len(new) - 1
+        index[lit] = j = dataset.n_columns + len(new) - 1
         return j
 
     column_sets = tuple(

@@ -165,6 +165,24 @@ class TestBuildMaster:
         with pytest.raises(BudgetInfeasibleError, match="exceed"):
             build_master(pool, params)
 
+    def test_later_build_grows_the_master_it_is_given(self, ttt_dataset):
+        pool = seeded_pool(ttt_dataset)
+        params = Params(mode=MODE_SOFT, human_weight=0.05)
+        master = build_master(pool, params)
+        assert master.offset == 0.0
+        pool.add((0, 1), is_human=True)
+        assert build_master(pool, params, master) is master
+        assert master.n_pool == len(pool)
+        assert master.lp.n_vars == len(pool) + master.n_pos
+        assert master.offset == pytest.approx(0.05 * ttt_dataset.n)
+        assert solve_master(master).w.shape == (len(pool),)
+
+    def test_master_of_another_pool_rejected(self, ttt_dataset):
+        params = Params(mode=MODE_MACHINE)
+        master = build_master(seeded_pool(ttt_dataset), params)
+        with pytest.raises(ValueError, match="another pool"):
+            build_master(seeded_pool(ttt_dataset), params, master)
+
     def test_no_positives_rejected(self):
         matrix = np.ones((3, 1), dtype=bool)
         ds = BinaryDataset(

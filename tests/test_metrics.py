@@ -10,12 +10,11 @@ from corules.dataset import BinaryDataset, binarize, generate_tictactoe, unpack_
 from corules.metrics import (
     EvalReport,
     accuracy,
-    conjunction_similarity,
     hamming_and_accuracy,
     hamming_loss,
-    key_distance,
     ruleset_similarity,
     similarity_matrix,
+    template_distance,
     write_reports_csv,
 )
 from corules.ruledsl import (
@@ -221,6 +220,11 @@ class TestAccuracy:
                 score(RuleSet(()), ds)
 
 
+def conjunction_similarity(a: Conjunction, b: Conjunction) -> float:
+    (row,) = similarity_matrix(RuleSet((a,)), RuleSet((b,)))
+    return float(row[0])
+
+
 class TestConjunctionSimilarity:
     def test_identical(self):
         assert conjunction_similarity(conj("x1", "x2"), conj("x1", "x2")) == 1.0
@@ -291,21 +295,21 @@ class TestRulesetSimilarity:
 class TestTemplateDistance:
     def test_containment_is_zero(self):
         t = Conjunction(frozenset({Literal("a", "==", "x")}))
-        assert key_distance(keys_of(["a", "b"]), [t.keys()]) == 0.0
+        assert template_distance(literals_of(["a", "b"]), [t.literals]) == 0.0
 
     def test_disjoint_is_one(self):
         t = Conjunction(frozenset({Literal("q", "==", "x")}))
-        assert key_distance(keys_of(["a", "b"]), [t.keys()]) == 1.0
+        assert template_distance(literals_of(["a", "b"]), [t.literals]) == 1.0
 
     def test_half_shared(self):
         t = Conjunction(
             frozenset({Literal("a", "==", "x"), Literal("z", "==", "x")})
         )
-        assert key_distance(keys_of(["a", "b"]), [t.keys()]) == 0.5
+        assert template_distance(literals_of(["a", "b"]), [t.literals]) == 0.5
 
     def test_empty_template_set_errors(self):
         with pytest.raises(ValueError):
-            key_distance(keys_of(["a"]), [])
+            template_distance(literals_of(["a"]), [])
 
     @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True))
     @settings(max_examples=60)
@@ -315,13 +319,13 @@ class TestTemplateDistance:
         )
         prev = 1.0
         for k in range(1, len(names) + 1):
-            d = key_distance(keys_of(names[:k]), [t.keys()])
+            d = template_distance(literals_of(names[:k]), [t.literals])
             assert d <= prev + 1e-12
             prev = d
 
 
-def keys_of(names):
-    return {Literal(n, "==", "x").key() for n in names}
+def literals_of(names):
+    return {Literal(n, "==", "x") for n in names}
 
 
 def test_eval_report_csv(tmp_path):

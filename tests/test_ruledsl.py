@@ -82,11 +82,11 @@ class TestParse:
 
     def test_normalization(self):
         rs = parse_rules("a < 3 AND b >= 2 AND NOT c <= 1 AND NOT d == x")
-        lits = {l.key() for l in rs.conjunctions[0].literals}
+        lits = {(l.feature, l.op, l.value) for l in rs.conjunctions[0].literals}
         assert lits == {
-            ("a", "<=", "3.0"),
-            ("b", ">", "2.0"),
-            ("c", ">", "1.0"),
+            ("a", "<=", 3.0),
+            ("b", ">", 2.0),
+            ("c", ">", 1.0),
             ("d", "!=", "x"),
         }
 
@@ -138,7 +138,7 @@ class TestTemplates:
 
     def test_single_literal_template(self):
         ts = parse_rules("a > 5")
-        assert ts.conjunctions[0].keys() == {("a", ">", "5.0")}
+        assert ts.conjunctions[0].literals == {Literal("a", ">", 5.0)}
 
 
 class TestPrintRoundTrip:
@@ -157,6 +157,42 @@ class TestPrintRoundTrip:
         text = print_rules(parse_rules("a > 5.0"))
         assert "(" not in text
         assert parse_rules(text).conjunctions[0].complexity == 1
+
+    @pytest.mark.parametrize(
+        "feature", ["age group", "2nd", "NOT", "not", "FALSE", "false", "And", "or", 'a"b\\']
+    )
+    def test_feature_names_that_need_quotes_round_trip(self, feature):
+        rs = RuleSet((Conjunction(frozenset({Literal(feature, "==", "x")})),))
+        text = print_rules(rs)
+        assert parse_rules(text) == rs
+        assert text.startswith('"')
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.text(min_size=1),
+                    st.one_of(
+                        st.tuples(st.sampled_from(["==", "!="]), st.text()),
+                        st.tuples(
+                            st.sampled_from(["<=", ">"]),
+                            st.floats(allow_nan=False, allow_infinity=False),
+                        ),
+                    ),
+                ),
+                min_size=1,
+                max_size=3,
+                unique_by=lambda lit: lit[0],  # no contradiction within a rule
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_any_feature_name_round_trips(self, specs):
+        rs = make_ruleset(
+            Conjunction(frozenset(Literal(f, op, v) for f, (op, v) in spec)) for spec in specs
+        )
+        assert parse_rules(print_rules(rs)) == rs
 
     @given(
         st.lists(
@@ -320,8 +356,10 @@ class TestBind:
     def test_number_after_equality_round_trips(self):
         rs = parse_rules("grade == 1 OR NOT grade == 2.50 OR score <= 1")
         again = parse_rules(print_rules(rs))
-        assert [c.keys() for c in again.conjunctions] == [
-            {("grade", "==", "1")}, {("grade", "!=", "2.50")}, {("score", "<=", "1.0")},
+        # the text after == stays text, the threshold is a float
+        lits = [{(l.feature, l.op, l.value) for l in c.literals} for c in again.conjunctions]
+        assert lits == [
+            {("grade", "==", "1")}, {("grade", "!=", "2.50")}, {("score", "<=", 1.0)},
         ]
         assert [c.literals for c in again.conjunctions] == [
             c.literals for c in rs.conjunctions
