@@ -28,8 +28,8 @@ nonnegative, the mu term only shrinks as literals are added, and the
 degree term grows): a node is descended only while its bound is negative
 and no worse than the running ``COLUMNS_PER_ROUND``-th best reduced cost.
 The products read only what the answer depends on: the positive rows that
-carry dual weight (mu > 0), and for each slab of a block only the columns
-after its nodes' last literal, the fresh children.
+carry dual weight (mu > 0), and for each block only the columns after its
+first node's last literal, which hold every fresh child of the block.
 
 The search is depth first, over blocks of at most ``_PRICE_BLOCK`` nodes,
 with an optional width: of the children a block may descend, only the
@@ -392,15 +392,6 @@ class PricedCandidates(list):
 # pricing holds stay near max_degree * _PRICE_BLOCK * n bools whatever the
 # data size.
 _PRICE_BLOCK = 2048
-# A block's children are evaluated in at most _PRICE_SLABS slabs of at
-# least _PRICE_SLAB_MIN nodes, each over the columns after its first node's
-# last.  Replaying the 154 price calls of the machine-50 benchmark's seeds
-# 1-4 (320k nodes, 4.2M fresh children; 2-core VM, one BLAS thread), 4
-# slabs of 64 evaluate 5.5M children, one window per block 9.4M and 8
-# slabs 4.9M; 4 slabs took a median 0.211 s against 0.243 s for one
-# window, and 2 or 3 slabs or a minimum of 128 were within 3% of it.
-_PRICE_SLABS = 4
-_PRICE_SLAB_MIN = 64
 
 
 def price(
@@ -424,12 +415,11 @@ def price(
     with the mu-weighted positive bits gives every child's mu mass and one
     with the negative bits its false positives (exact integers in float64).
     Only positive rows with ``mu > 0`` are read, since the others add
-    nothing to any mu mass.  A block is sorted by its nodes' last column;
-    it is cut into at most ``_PRICE_SLABS`` slabs, and a slab's products
-    cover only the columns after its first node's last, which hold every
-    fresh child of the slab.  A child is a hit when it is fresh, its
-    reduced cost is below ``-TOLERANCE`` and it is not a pool member (pool
-    members are still searched through).
+    nothing to any mu mass.  A block is sorted by its nodes' last column,
+    so its products cover only the columns after its first node's last,
+    which hold every fresh child of the block.  A child is a hit when it is
+    fresh, its reduced cost is below ``-TOLERANCE`` and it is not a pool
+    member (pool members are still searched through).
 
     The hits so far are kept in a buffer sorted by reduced cost, ties by
     column tuple, and cut to ``limit``.  Its threshold is its ``limit``-th
@@ -455,7 +445,7 @@ def price(
     child, it has evaluated every node whose descendants could enter the
     full list, so its list is that list and ``exact`` is set.  Only the
     summation order of the mu mass differs from a one-by-one evaluation (it
-    follows the BLAS product over a slab's rows and columns), so reduced
+    follows the BLAS product over a block's rows and columns), so reduced
     costs agree with it to rounding.
 
     In templates mode the weighted template distance is computed only for
@@ -486,7 +476,6 @@ def price(
     fp_bits = bits_z.astype(float)
     col_bits_p = np.ascontiguousarray(bits_p.T)
     col_bits_z = np.ascontiguousarray(bits_z.T)
-    col_index = np.arange(m)
 
     # A node's code is its _code in base m + 1.  A hit's code in the buffer
     # is padded with zero digits to ``depth`` digits, so that codes order
@@ -538,57 +527,38 @@ def price(
             held = limit
             threshold = best_rc[0][-1]
 
-    def score(degree, codes, cov_p, cov_z, last, ranked=False):
+    def score(degree, codes, cov_p, cov_z, last):
         """Evaluate the fresh children, at ``degree``, of the nodes with
         these codes, covers and last columns (sorted), and admit the hits.
         Below ``depth``, return the children that may be descended, in
-        column order: their nodes' rows, their columns, bounds and, when
-        ``ranked``, reduced costs."""
+        column order: their nodes' rows, their columns, bounds and reduced
+        costs."""
         nonlocal nodes
-        n = codes.size
-        nodes += n
-        grow = degree < depth
-        if grow:
-            # child-major, so the children come out in column order
-            bound = np.empty((m, n))
-            reduced = np.empty((m, n)) if ranked else None
-            descend = np.zeros((m, n), dtype=bool)
-        hits = []
-        step = max(_PRICE_SLAB_MIN, -(-n // _PRICE_SLABS))
-        for s in range(0, n, step):
-            # ``last`` is sorted, so the slab's fresh children all lie in
-            # the columns after its first node's last
-            lo = int(last[s]) + 1
-            part = slice(s, s + step)
-            mu_sum = cov_p[part] @ mass[:, lo:]
-            rc = cov_z[part] @ fp_bits[:, lo:]
-            rc -= mu_sum
-            rc += lam * degree
-            # the threshold is at most -TOLERANCE, so these hold every hit;
-            # freshness and the tolerance are checked on them alone
-            at = np.flatnonzero(rc <= threshold)
-            if at.size:
-                rows, js = np.divmod(at, m - lo)
-                hits.append((rows + s, js + lo, rc.reshape(-1)[at]))
-            if grow:
-                window = bound[lo:, part].T
-                np.subtract(lam * (degree + 1), mu_sum, out=window)
-                np.less(window, -TOLERANCE, out=descend[lo:, part].T)
-                if ranked:
-                    reduced[lo:, part] = rc.T
-        if hits:
-            rows, js, rc = (np.concatenate(h) for h in zip(*hits))
-            keep = (rc < -TOLERANCE) & (js > last[rows])
+        nodes += codes.size
+        # ``last`` is sorted, so every fresh child lies in the columns after
+        # the first node's last
+        lo = int(last[0]) + 1
+        mu_sum = cov_p @ mass[:, lo:]
+        rc = cov_z @ fp_bits[:, lo:]
+        rc -= mu_sum
+        rc += lam * degree
+        # the threshold is at most -TOLERANCE, so these hold every hit;
+        # freshness and the tolerance are checked on them alone
+        rows, js = np.nonzero(rc <= threshold)
+        if rows.size:
+            hit = rc[rows, js]
+            js += lo
+            keep = (hit < -TOLERANCE) & (js > last[rows])
             rows, js = rows[keep], js[keep]
-            admit(rc[keep], codes[rows] * radix + js + 1, degree)
-        if not grow:
+            admit(hit[keep], codes[rows] * radix + js + 1, degree)
+        if degree == depth:
             return None
+        bound = np.subtract(lam * (degree + 1), mu_sum, out=mu_sum)
         # a child on the last column has no children of its own
-        descend &= col_index[:, None] > last
-        at = np.flatnonzero(descend[:-1])
-        js, rows = np.divmod(at, n)
-        rc = reduced.reshape(-1)[at] if ranked else None
-        return rows, js, bound.reshape(-1)[at], rc
+        descend = (bound[:, :-1] < -TOLERANCE) & (np.arange(lo, m - 1) > last[:, None])
+        # transposed, so the children come out in column order
+        js, rows = np.nonzero(descend.T)
+        return rows, js + lo, bound[rows, js], rc[rows, js]
 
     def children(codes, cov_p, cov_z, rows, js):
         """Codes, covers and last columns of the nodes' children ``js``."""
@@ -619,7 +589,7 @@ def price(
 
         def expand(degree, codes, cov_p, cov_z, last):
             nonlocal pruned, dropped
-            found = score(degree, codes, cov_p, cov_z, last, ranked=width is not None)
+            found = score(degree, codes, cov_p, cov_z, last)
             if found is None:
                 return
             rows, js, bound, rc = found

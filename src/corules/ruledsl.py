@@ -198,6 +198,10 @@ def _lex(text: str) -> list[_Token]:
             line_start = m.end()
         elif kind not in ("ws", "comment"):
             tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+            # a quoted string may hold newlines of its own
+            if "\n" in m.group():
+                line += m.group().count("\n")
+                line_start = m.start() + m.group().rindex("\n") + 1
         pos = m.end()
     tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens

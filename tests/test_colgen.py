@@ -506,8 +506,9 @@ class TestPrice:
 
     def test_wide_blocks_match_brute_force(self):
         # with 20 to 30 columns the root's children have hundreds of
-        # children between them, one block of more than one slab, so that
-        # block's children are priced in several column windows
+        # children between them: one degree-2 block of more than 64 nodes
+        # that end at different columns, so its one column window holds
+        # children that are not fresh, which pricing must discard
         rng = np.random.default_rng(3030)
         params = Params(max_degree=3)
         for _ in range(4):
@@ -515,15 +516,8 @@ class TestPrice:
             ds = random_dataset(rng, n_cols=n_cols, n_rows=int(rng.integers(20, 41)))
             mu = rng.random(ds.P.size) * 3
             full = self.assert_matches_brute_force(ds, mu, 0.1, params, limit=20)
-            assert full.nodes - 1 - n_cols > colgen._PRICE_SLAB_MIN
-
-    def test_small_slabs_match_brute_force(self, monkeypatch):
-        # every block of four nodes or more is cut into four slabs
-        monkeypatch.setattr(colgen, "_PRICE_SLAB_MIN", 1)
-        self.test_matches_brute_force_on_random_instances()
-        self.test_templates_mode_matches_brute_force()
-        self.test_degree_four_limit_matches_brute_force()
-        self.test_rows_without_dual_weight_match_brute_force()
+            # at most n_cols - 1 of the nodes after the root have degree 1
+            assert full.nodes - 1 - n_cols > 64
 
     def test_excluded_pool_members_not_returned(self):
         matrix = np.array([[1], [0]], dtype=bool)

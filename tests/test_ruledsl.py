@@ -76,6 +76,32 @@ class TestParse:
             parse_rules("a == x AND\nb ==")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ('a == "x\ny" AND\nb ==', 3, 5),
+            ("a == x AND\n\nb ==", 3, 5),
+            ('"a\nb" == x AND b == ', 2, 18),
+        ],
+    )
+    def test_syntax_error_counts_newlines_in_quoted_strings(self, text, line, column):
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_rules(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @given(
+        st.lists(st.text(), min_size=2).map("\n".join),
+        st.lists(st.text(), min_size=1).map("\n".join),
+    )
+    def test_syntax_error_position_after_quoted_newlines(self, feature, value):
+        # the error is at the end of the text: its line and column count
+        # every newline, those inside the quoted name and value included
+        text = Literal(feature, "==", value).render() + " AND b =="
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_rules(text)
+        assert err.value.line == text.count("\n") + 1
+        assert err.value.column == len(text) - text.rfind("\n")
+
     def test_unknown_operator(self):
         with pytest.raises(RuleSyntaxError, match="operator"):
             parse_rules("a equals x")
