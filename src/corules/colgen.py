@@ -763,8 +763,8 @@ def train(
     master = build_master(pool, params, master)
     # only the rules are decisions: each xi is the unit-cost slack of one
     # covering row, integral once w is, so branch and bound branches on the
-    # pool first; every variable stays binary and integral objectives'
-    # bounds are rounded up
+    # number of rules, then on the pool; every variable stays binary and
+    # integral objectives' bounds are rounded up
     t_mip = time.perf_counter()
     mip = solve_binary_mip(
         master.lp, node_limit=params.mip_node_limit, branch_first=master.n_pool

@@ -2,14 +2,14 @@
 
 Every LP is solved by HiGHS's dual simplex (Huangfu & Hall, Math. Prog.
 Comp. 2018) on a :class:`LiveLp`: one HiGHS instance that holds the model
-and is changed in place between solves.  Appending columns or changing
-column bounds keeps the last basis, so the next solve restarts from it
-instead of from scratch.  Presolve is off, so cold and warm solves run the
-same dual simplex on the same model.  HiGHS model statuses other than
-optimal, infeasible and unbounded raise :class:`SolverError` with HiGHS's
-message, and an optimal answer whose duality gap (recomputed from the row
-and column duals) exceeds ``GAP_TOL`` raises too, so no caller sees a
-half-filled solution.
+and is changed in place between solves.  Appending columns or rows or
+changing their bounds keeps the last basis, so the next solve restarts
+from it instead of from scratch.  Presolve is off, so cold and warm
+solves run the same dual simplex on the same model.  HiGHS model
+statuses other than optimal, infeasible and unbounded raise
+:class:`SolverError` with HiGHS's message, and an optimal answer whose
+duality gap (recomputed from the row and column duals) exceeds
+``GAP_TOL`` raises too, so no caller sees a half-filled solution.
 
 Solutions expose primal values, one dual per row, and the duality gap.
 Sign convention for duals of a minimization: a row held at its lower bound
@@ -19,18 +19,26 @@ bound (a ``<=`` row) a nonpositive one.
 ``solve_binary_mip`` runs our own best-bound branch-and-bound on one live
 model with every variable binary, so runs are deterministic:
 
-- **Branching.**  It branches on the most fractional of the first
-  ``branch_first`` variables while one of them is fractional, and on the
-  most fractional variable otherwise, ties to the lowest index.  A covering
-  master passes its pool size: only the rules are decisions, and each
-  slack is integral once the rules are.
+- **Branching.**  While the sum of the first ``branch_first`` variables
+  is fractional, it branches on that sum: one child caps it at its floor,
+  the other raises it to its ceiling, as branch-and-price branches on the
+  number of columns selected (Barnhart et al., Oper. Res. 1998;
+  Vanderbeck, Oper. Res. 2000).  Once the sum is integral, it branches on
+  the most fractional of those variables while one of them is
+  fractional, and on the most fractional variable otherwise, ties to the
+  lowest index.  A covering master passes its pool size: only the rules
+  are decisions, the sum is the number of rules, and each slack is
+  integral once the rules are.
 - **Order.**  Open nodes come off a heap by bound; among equal (rounded)
   bounds the one pushed last comes first, so the search dives to an
   incumbent instead of widening level by level.
 - **Bounds as a diff.**  The fixings on the model are tracked, and a node
   sends only those that differ from the node solved before it, new ones
-  and released ones in one bound change.  The model gets its own bounds
-  back on every exit, the node limit and an error included.
+  and released ones in one bound change.  The sum is one row, added free
+  when the root first branches and bounded to a node's count interval
+  only when that differs from the one on the model.  The model gets its
+  own bounds back, and loses the row, on every exit, the node limit and
+  an error included.
 - **Bases.**  A node restarts the dual simplex from its parent's basis,
   which a bound change leaves dual feasible.  When the parent is the node
   solved just before it, the model still holds that basis and its
@@ -43,6 +51,9 @@ for time and memory: on the sixteen budget-15 masters of ``soft-100``
 seeds 1 and 2 (about 130 variables each, rebuilt cold, 2-core VM), HiGHS's
 MILP took 6.9 s in all against 0.44 s for ours, and each of its solves
 peaked 1.8-16.4 MB above its start against at most 0.7 MB for ours.
+Those figures predate branching on the sum: timed inside ``train`` on the
+same sixteen trainings (best of three), ours took 0.59 s and 746 nodes
+before it and 0.08 s and 150 nodes after.
 Open nodes hold their fixings and their parent's basis, which siblings
 share, so memory grows with the open list that ``node_limit`` bounds.
 
@@ -221,8 +232,9 @@ class LiveLp:
         self._highs = _load_highs()._Highs()
         for name, value in _OPTIONS.items():
             _check(self._highs.setOptionValue(name, value), f"option {name}")
-        self.row_lower = np.asarray(row_lower, dtype=float)
-        self.row_upper = np.asarray(row_upper, dtype=float)
+        # copies, which set_row_bounds changes in place
+        self.row_lower = np.array(row_lower, dtype=float)
+        self.row_upper = np.array(row_upper, dtype=float)
         rows = highs.HighsLp()
         rows.num_row_ = rows.a_matrix_.num_row_ = self.row_lower.size
         rows.row_lower_ = self.row_lower
@@ -285,6 +297,29 @@ class LiveLp:
         self._lower[cols] = lower
         self._upper[cols] = upper
 
+    def add_row(self, lower: float, upper: float, index, values) -> int:
+        """Append ``lower <= sum_k values[k] * x[index[k]] <= upper`` and
+        return its row number; the basis stays, with the new row basic."""
+        cols = self._to_columns(index)
+        _check(self._highs.addRow(lower, upper, cols.size, cols,
+                                  np.asarray(values, dtype=float)), "the new row")
+        self.row_lower = np.append(self.row_lower, lower)
+        self.row_upper = np.append(self.row_upper, upper)
+        return self.row_lower.size - 1
+
+    def set_row_bounds(self, row: int, lower: float, upper: float):
+        """Change the bounds of row ``row``; the basis stays."""
+        _check(self._highs.changeRowBounds(row, lower, upper), "the row bounds")
+        self.row_lower[row] = lower
+        self.row_upper[row] = upper
+
+    def delete_row(self, row: int):
+        """Delete row ``row``; the rows after it move up by one."""
+        _check(self._highs.deleteRows(1, np.array([row], dtype=np.int32)),
+               "the row deletion")
+        self.row_lower = np.delete(self.row_lower, row)
+        self.row_upper = np.delete(self.row_upper, row)
+
     def basis(self):
         return self._highs.getBasis()
 
@@ -337,19 +372,27 @@ def solve_binary_mip(
 ) -> MipSolution:
     """Best-bound branch-and-bound forcing every variable to {0, 1}.
 
-    Branches on the most fractional of the first ``branch_first`` variables
-    while one of them is fractional, and on the most fractional variable
-    otherwise; ties go to the lowest index.  Open nodes of equal bound are
-    taken last pushed first, so the search dives to an incumbent.  Every
-    node is one dual simplex solve on the same live model, with the
-    duality-gap check of :meth:`LiveLp.solve`: the root starts from the
-    model's current basis; any other node changes, in one bound change, the
-    fixings that differ from the node solved before it, and starts from its
-    parent's basis: the one the model still holds when the parent was
-    solved just before it, else the one saved with the parent.  The model
-    gets its own bounds back on return, also from an error.  When every
-    cost is an integer, every solution's objective is an integer too, so a
-    node's LP bound is rounded up before it is compared with the incumbent.
+    While the sum of the first ``branch_first`` variables is fractional by
+    more than ``INT_TOL``, branches on it: one child caps it at its floor
+    and the other raises it to its ceiling, each within its parent's count
+    interval.  That sum is one row, added with free bounds when the root
+    first branches (a root that ends integral never adds it).  Once the sum
+    is integral, branches on the most fractional of the first
+    ``branch_first`` variables while one of them is fractional, and on the
+    most fractional variable otherwise; ties go to the lowest index.  Open
+    nodes of equal bound are taken last pushed first, so the search dives
+    to an incumbent, through the child that raises the count or fixes a
+    variable at one.  Every node is one dual simplex solve on the same live
+    model, with the duality-gap check of :meth:`LiveLp.solve`: the root
+    starts from the model's current basis; any other node changes, in one
+    bound change, the fixings that differ from the node solved before it,
+    sets the count row's bounds when its interval differs from that node's,
+    and starts from its parent's basis: the one the model still holds when
+    the parent was solved just before it, else the one saved with the
+    parent.  The model gets its own bounds back and loses the count row on
+    return, also from an error.  When every cost is an integer, every
+    solution's objective is an integer too, so a node's LP bound is rounded
+    up before it is compared with the incumbent.
     Exhausting the node budget reports ``iteration-limit`` together with the
     best incumbent found so far.
     """
@@ -365,8 +408,12 @@ def solve_binary_mip(
         return float(np.ceil(value - INT_TOL)) if integral else value
 
     held: dict[int, float] = {}  # the fixings on the model now
+    free = (-np.inf, np.inf)
+    count_row = None  # the row that sums the first branch_first variables
+    held_count = free  # its bounds on the model now
 
-    def solve_node(patch: dict, basis) -> LpSolution:
+    def solve_node(patch: dict, count: tuple, basis) -> LpSolution:
+        nonlocal held_count
         fix = [j for j, value in patch.items() if held.get(j) != value]
         release = [j for j in held if j not in patch]
         lp.set_bounds(
@@ -376,6 +423,9 @@ def solve_binary_mip(
         )
         held.clear()
         held.update(patch)
+        if count != held_count:
+            lp.set_row_bounds(count_row, *count)
+            held_count = count
         if basis is not None:
             lp.set_basis(basis)
         return lp.solve()
@@ -387,18 +437,18 @@ def solve_binary_mip(
             return MipSolution(root.status, None, None, 0)
         relaxation = root.objective
 
-        # an entry is (bound, minus a push counter, fixings, solution if
-        # known, parent's node number, parent's basis); a fixing maps a
-        # variable to the value it is held at
+        # an entry is (bound, minus a push counter, fixings, count interval,
+        # solution if known, parent's node number, parent's basis); a fixing
+        # maps a variable to the value it is held at
         counter = 0
-        heap: list[tuple] = [(node_bound(root.objective), counter, {}, root, 0, None)]
+        heap: list[tuple] = [(node_bound(root.objective), counter, {}, free, root, 0, None)]
         best_x: np.ndarray | None = None
         best_obj = np.inf
         nodes = 0
         hot = 1  # the node whose solve left its basis on the model: the root
         status = OPTIMAL
         while heap:
-            bound, _, patch, sol, parent, basis = heapq.heappop(heap)
+            bound, _, patch, count, sol, parent, basis = heapq.heappop(heap)
             if best_x is not None and bound >= best_obj - 1e-9:
                 break  # best-bound order: every open node is at least this bad
             if nodes >= node_limit:
@@ -406,7 +456,7 @@ def solve_binary_mip(
                 break
             nodes += 1
             if sol is None:
-                sol = solve_node(patch, None if parent == hot else basis)
+                sol = solve_node(patch, count, None if parent == hot else basis)
                 hot = nodes
             if sol.status == INFEASIBLE:
                 continue
@@ -416,27 +466,39 @@ def solve_binary_mip(
             if best_x is not None and node_bound(sol.objective) >= best_obj - 1e-9:
                 continue
             frac = np.abs(sol.x - np.round(sol.x))
-            head = frac[:branch_first]
-            var = int(np.argmax(head if head.max(initial=0.0) > INT_TOL else frac))
-            if frac[var] <= INT_TOL:
+            if frac.max() <= INT_TOL:
                 xi = np.round(sol.x)
                 obj = float(objective @ xi)
                 if obj < best_obj - 1e-12:
                     best_obj = obj
                     best_x = xi
                 continue
-            basis = lp.basis()
-            for value in (0.0, 1.0):
-                counter -= 1
-                child = dict(patch)
-                child[var] = value
-                heapq.heappush(
-                    heap,
-                    (node_bound(sol.objective), counter, child, None, nodes, basis),
+            total = float(sol.x[:branch_first].sum())
+            if abs(total - round(total)) > INT_TOL:
+                # the count at most its floor, or at least its ceiling
+                children = [
+                    (patch, (count[0], float(np.floor(total)))),
+                    (patch, (float(np.ceil(total)), count[1])),
+                ]
+            else:
+                head = frac[:branch_first]
+                var = int(np.argmax(head if head.max(initial=0.0) > INT_TOL else frac))
+                children = [({**patch, var: value}, count) for value in (0.0, 1.0)]
+            if count_row is None and branch_first:
+                count_row = lp.add_row(
+                    -np.inf, np.inf, np.arange(branch_first), np.ones(branch_first)
                 )
+            basis = lp.basis()
+            for child, interval in children:
+                counter -= 1
+                heapq.heappush(heap, (
+                    node_bound(sol.objective), counter, child, interval, None, nodes, basis,
+                ))
     finally:
         restore = np.array(sorted({*held, *clipped.tolist()}), dtype=np.int32)
         lp.set_bounds(restore, own_lower[restore], own_upper[restore])
+        if count_row is not None:
+            lp.delete_row(count_row)
 
     if best_x is None:
         return MipSolution(

@@ -777,6 +777,16 @@ class TestTrain:
         assert rs.total_complexity <= 24
         assert report.hamming == 0
 
+    def test_full_data_budget_twelve_branches_little(self, ttt_dataset):
+        # the final master of the full table at budget 12 took 313 nodes
+        # when branch and bound branched on single rules from the root; with
+        # the number of rules branched on first it takes 55, to the same
+        # optimum over the pool
+        _, report = train(ttt_dataset, None, Params(mode=MODE_MACHINE, complexity_budget=12))
+        assert report.mip_status == solver.OPTIMAL
+        assert report.mip_nodes <= 150, report.mip_nodes
+        assert report.mip_objective == 152
+
     def test_lp_objectives_non_increasing(self, ttt_dataset):
         rng = np.random.default_rng(11)
         idx = rng.choice(ttt_dataset.n, size=150, replace=False)

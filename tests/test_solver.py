@@ -370,6 +370,11 @@ def test_random_set_covers_match_enumeration():
     assert min(nodes) > 1 and sum(nodes) >= 60, nodes
 
 
+def rows_held(live):
+    """The rows HiGHS holds and the row bounds the model mirrors."""
+    return live._highs.getNumRow(), live.row_lower.tolist(), live.row_upper.tolist()
+
+
 def test_mip_gives_the_live_model_its_bounds_back():
     rng = np.random.default_rng(8)
     lp = random_set_cover(rng, 12)
@@ -377,59 +382,94 @@ def test_mip_gives_the_live_model_its_bounds_back():
     lower[3] = 1.0  # held in, as hard mode holds a person's rule
     upper[5] = 2.0  # clipped to 1 while branching; with positive costs the
     # covering LP never sets a variable above 1, so the root stays the same
-    live = lp._replace(lower=lower, upper=upper).live()
-    mip = solve_binary_mip(live)
-    assert mip.status == OPTIMAL and mip.nodes > 1
-    assert mip.x[3] == 1.0
-    assert np.array_equal(live.lower, lower)
-    assert np.array_equal(live.upper, upper)
-    root = solve_lp(live)
-    assert root.objective == pytest.approx(mip.relaxation_objective, abs=1e-9)
+    # with branch_first 12, the count row sums every variable
+    for branch_first in (0, 12):
+        live = lp._replace(lower=lower, upper=upper).live(BasisRecordingLp)
+        rows = rows_held(live)
+        mip = solve_binary_mip(live, branch_first=branch_first)
+        assert mip.status == OPTIMAL and mip.nodes > 1
+        assert mip.x[3] == 1.0
+        # the count row is on the model while it branches, and only then
+        assert max(node["rows"] for node in live.solves) == rows[0] + (branch_first > 0)
+        assert rows_held(live) == rows
+        assert np.array_equal(live.lower, lower)
+        assert np.array_equal(live.upper, upper)
+        root = solve_lp(live)
+        assert root.objective == pytest.approx(mip.relaxation_objective, abs=1e-9)
 
 
 @pytest.mark.parametrize("exit_by", ["node limit", "solver error"])
 def test_mip_gives_the_live_model_its_bounds_back_on_early_exits(exit_by, monkeypatch):
     # the instance above with a seed that branches well past four nodes:
-    # four nodes in, fixings of earlier nodes are on the model
+    # four nodes in, fixings of earlier nodes, and the count row when it
+    # branches on the count, are on the model
     rng = np.random.default_rng(10)
     lp = random_set_cover(rng, 12)
     lower, upper = lp.lower.copy(), lp.upper.copy()
     lower[3] = 1.0
     upper[5] = 2.0
     lp = lp._replace(lower=lower, upper=upper)
-    live = lp.live()
-    if exit_by == "node limit":
-        mip = solve_binary_mip(live, node_limit=4)
-        assert mip.status == ITERATION_LIMIT and mip.nodes == 4
-    else:
-        solve = LiveLp.solve
-        calls = []
+    for branch_first in (0, 12):
+        live = lp.live(BasisRecordingLp)
+        rows = rows_held(live)
+        if exit_by == "node limit":
+            mip = solve_binary_mip(live, node_limit=4, branch_first=branch_first)
+            assert mip.status == ITERATION_LIMIT and mip.nodes == 4
+        else:
+            solve = BasisRecordingLp.solve
+            calls = []
 
-        def failing_solve(self):
-            calls.append(None)
-            if len(calls) == 5:  # the root's, then four nodes'
-                raise SolverError("injected")
-            return solve(self)
+            def failing_solve(self):
+                calls.append(None)
+                if len(calls) == 5:  # the root's, then four nodes'
+                    raise SolverError("injected")
+                return solve(self)
 
-        monkeypatch.setattr(LiveLp, "solve", failing_solve)
-        with pytest.raises(SolverError, match="injected"):
-            solve_binary_mip(live)
-        monkeypatch.undo()
-    assert np.array_equal(live.lower, lower)
-    assert np.array_equal(live.upper, upper)
-    # what HiGHS holds, in variable order, not only the mirror LiveLp keeps
+            monkeypatch.setattr(BasisRecordingLp, "solve", failing_solve)
+            with pytest.raises(SolverError, match="injected"):
+                solve_binary_mip(live, branch_first=branch_first)
+            monkeypatch.undo()
+        assert max(node["rows"] for node in live.solves) == rows[0] + (branch_first > 0)
+        assert rows_held(live) == rows
+        assert np.array_equal(live.lower, lower)
+        assert np.array_equal(live.upper, upper)
+        # what HiGHS holds, in variable order, not only the mirror LiveLp keeps
+        held = live._highs.getLp()
+        assert np.array_equal(live._to_variables(np.array(held.col_lower_)), lower)
+        assert np.array_equal(live._to_variables(np.array(held.col_upper_)), upper)
+        assert np.array_equal(held.row_lower_, live.row_lower)
+        assert np.array_equal(held.row_upper_, live.row_upper)
+        want = solve_lp(lp.live()).objective
+        assert solve_lp(live).objective == pytest.approx(want, abs=1e-9)
+
+
+def test_row_operations_keep_the_mirror_and_the_basis():
+    # min x + y  s.t. x + y >= 1, 0 <= x, y <= 1; then a row x - y = 0.5
+    live = make_lp([1.0, 1.0], [[1.0, 1.0]], [">="], [1.0], [0.0, 0.0], [1.0, 1.0])
+    assert solve_lp(live).objective == pytest.approx(1.0)
+    row = live.add_row(-np.inf, np.inf, [0, 1], [1.0, -1.0])
+    assert row == 1 and live._highs.getNumRow() == 2
+    # a free row leaves the optimum, and its basis, as they were
+    free = solve_lp(live)
+    assert free.objective == pytest.approx(1.0) and free.iterations == 0
+    assert free.duals.size == 2 and free.duals[1] == pytest.approx(0.0)
+    live.set_row_bounds(row, 0.5, 0.5)
     held = live._highs.getLp()
-    assert np.array_equal(live._to_variables(np.array(held.col_lower_)), lower)
-    assert np.array_equal(live._to_variables(np.array(held.col_upper_)), upper)
-    want = solve_lp(lp.live()).objective
-    assert solve_lp(live).objective == pytest.approx(want, abs=1e-9)
+    assert list(held.row_lower_) == live.row_lower.tolist() == [1.0, 0.5]
+    assert list(held.row_upper_) == live.row_upper.tolist() == [np.inf, 0.5]
+    fixed = solve_lp(live)
+    assert fixed.x.tolist() == pytest.approx([0.75, 0.25])
+    live.delete_row(row)
+    assert live._highs.getNumRow() == 1
+    assert live.row_lower.tolist() == [1.0] and live.row_upper.tolist() == [np.inf]
+    assert solve_lp(live).objective == pytest.approx(1.0)
 
 
 # every _Highs method solver calls; scipy does not document this binding
 HIGHS_METHODS = (
-    "passModel", "addCols", "changeColsBounds", "getBasis", "setBasis",
-    "getSolution", "getInfoValue", "run", "getModelStatus", "modelStatusToString",
-    "setOptionValue",
+    "passModel", "addCols", "changeColsBounds", "addRow", "changeRowBounds",
+    "deleteRows", "getBasis", "setBasis", "getSolution", "getInfoValue", "run",
+    "getModelStatus", "modelStatusToString", "setOptionValue",
 )
 
 
@@ -520,12 +560,18 @@ def test_corules_and_scipy_optimize_coexist(corules_first):
     assert done.stdout.strip() == "ok"
 
 
+FREE = (-np.inf, np.inf)
+
+
 class BasisRecordingLp(LiveLp):
     """A live model that records, per solve, the variables held fixed, the
-    basis the solve starts from and the basis later handed out for it."""
+    rows HiGHS holds, the bounds of the count row (free while it is not on
+    the model), the basis the solve starts from and the basis later handed
+    out for it."""
 
     def __init__(self, *args):
         super().__init__(*args)
+        self.n_rows = self.row_lower.size
         self.solves = []
 
     def basis(self):
@@ -538,9 +584,15 @@ class BasisRecordingLp(LiveLp):
         fixed = frozenset(
             (j, lo) for j, (lo, up) in enumerate(zip(self.lower, self.upper)) if lo == up
         )
+        count = FREE
+        if self.row_lower.size > self.n_rows:
+            count = float(self.row_lower[-1]), float(self.row_upper[-1])
+        rows = self._highs.getNumRow()
         start = _statuses(super().basis())
         sol = super().solve()
-        self.solves.append({"fixed": fixed, "start": start, "handed": None})
+        self.solves.append(
+            {"fixed": fixed, "rows": rows, "count": count, "start": start, "handed": None}
+        )
         return sol
 
 
@@ -548,25 +600,50 @@ def _statuses(basis):
     return tuple(int(s) for s in basis.col_status), tuple(int(s) for s in basis.row_status)
 
 
+def _parents(handed, fixed, count):
+    """The solved nodes that a node keyed by ``fixed`` and ``count`` may
+    have branched from: those with the same count interval and the same
+    fixings but one, and the tightest of those with the same fixings and a
+    count interval that holds this one and shares one end with it."""
+    parents = [handed[fixed - {f}, count] for f in fixed if (fixed - {f}, count) in handed]
+    lo, hi = count
+    wider = [
+        (h, -l, key) for key in handed
+        for l, h in [key[1]]
+        if key[0] == fixed and key[1] != count and l <= lo and hi <= h and (l == lo or h == hi)
+    ]
+    return parents + ([handed[min(wider)[2]]] if wider else [])
+
+
 def test_every_node_starts_from_its_parents_basis():
-    rng = np.random.default_rng(606)
-    live = random_set_cover(rng, 12).live(BasisRecordingLp)
-    mip = solve_binary_mip(live)
-    assert mip.status == OPTIMAL and mip.nodes > 1
-    handed = {}  # fixings of a solved node -> its solve number, its children's basis
-    not_after_parent = 0
-    for k, node in enumerate(live.solves):
-        fixed = node["fixed"]
-        if fixed:
-            # a node's parent holds the same fixings but one
-            parents = [handed[fixed - {f}] for f in fixed if fixed - {f} in handed]
-            assert len(parents) == 1, sorted(fixed)
-            parent, basis = parents[0]
-            assert node["start"] == basis, sorted(fixed)
-            not_after_parent += parent != k - 1
-        handed[fixed] = k, node["handed"]
-    # without the parent's basis, these nodes would start from another node's
-    assert not_after_parent > 0
+    # with branch_first set, the count row sums the first variables, and a
+    # node is keyed by its fixings and its count interval: set cover seed
+    # 10 branches on the count in 36 of its 41 solves, and master seed 325
+    # has a ceiling child under a count cap, which must keep the cap
+    instances = [
+        (random_set_cover(np.random.default_rng(606), 12).live(BasisRecordingLp), 0),
+        (random_set_cover(np.random.default_rng(10), 12).live(BasisRecordingLp), 12),
+        random_master(np.random.default_rng(325), BasisRecordingLp)[:2],
+    ]
+    for live, branch_first in instances:
+        mip = solve_binary_mip(live, branch_first=branch_first)
+        assert mip.status == OPTIMAL and mip.nodes > 1
+        handed = {}  # a solved node's key -> its solve number, its children's basis
+        not_after_parent = 0
+        for k, node in enumerate(live.solves):
+            key = node["fixed"], node["count"]
+            if k:  # every solve after the root's is a node's
+                parents = _parents(handed, *key)
+                assert len(parents) == 1, key
+                parent, basis = parents[0]
+                assert node["start"] == basis, key
+                not_after_parent += parent != k - 1
+            assert key not in handed
+            handed[key] = k, node["handed"]
+        # without the parent's basis, these nodes would start from another node's
+        assert not_after_parent > 0, branch_first
+        # the count is branched on exactly when there is one
+        assert any(count != FREE for _, count in handed) == (branch_first > 0)
 
 
 def random_master(rng, cls=LiveLp):
@@ -595,7 +672,7 @@ def random_master(rng, cls=LiveLp):
 
 
 def test_rule_first_branching_matches_enumeration_over_the_rules():
-    branched = slack_fixings = 0
+    branched = counted = slack_fixings = 0
     for seed in range(30):
         live, n_pool, best = random_master(np.random.default_rng(seed), BasisRecordingLp)
         mip = solve_binary_mip(live, branch_first=n_pool)
@@ -603,10 +680,19 @@ def test_rule_first_branching_matches_enumeration_over_the_rules():
         assert mip.objective == pytest.approx(best)
         assert all(j < n_pool for node in live.solves for j, _ in node["fixed"])
         branched += mip.nodes > 1
+        # the number of rules is branched on first: some node solves under
+        # an integral cap or floor on it
+        counts = {node["count"] for node in live.solves} - {FREE}
+        assert all(float(b).is_integer() for count in counts for b in count if np.isfinite(b))
+        counted += bool(counts)
         # the same master, branching on every variable alike
         live, _, _ = random_master(np.random.default_rng(seed), BasisRecordingLp)
         mip = solve_binary_mip(live)
         assert mip.objective == pytest.approx(best)
+        assert all(node["count"] == FREE for node in live.solves)
         slack_fixings += any(j >= n_pool for node in live.solves for j, _ in node["fixed"])
-    # enough instances branch, and the default rule does fix some slacks
-    assert branched >= 10 and slack_fixings > 0, (branched, slack_fixings)
+    # enough instances branch, some on the count, and the default rule does
+    # fix some slacks
+    assert branched >= 10 and counted >= 10 and slack_fixings > 0, (
+        branched, counted, slack_fixings
+    )
