@@ -49,14 +49,15 @@ with one binary solve restricted to the generated pool, by branch and bound
 on that same model that branches on the rules before any slack.
 
 The restricted problem is a :class:`ColumnPool`: the dataset, the
-templates' literal sets, the pool columns and their codes.
+templates, the params and the pool columns with their codes and costs.
 :func:`build_master` and :func:`price` read everything from it, so a master
-and its pricing cannot disagree on the data, the templates or the pool.
+and its pricing cannot disagree on the data, the costs or the pool.
 Inside the loop a conjunction is a set of column indices and nothing more;
 ``train`` builds a :class:`~corules.ruledsl.Conjunction` of the columns'
 literals only for the rules it returns and the human rules it reports on.
 
-Expert knowledge enters three ways, chosen by ``Params.mode``:
+Expert knowledge enters three ways, chosen by ``Params.mode`` and read
+once, by :class:`ColumnPool`:
 
 * ``soft``: each provided rule left out of the model adds a penalty of
   ``human_weight * n``, so the optimizer pays a data-scaled price for
@@ -173,7 +174,8 @@ class PoolColumn:
     pos_cover: np.ndarray  # bool over positive samples, in dataset.P order
     fp_count: int
     is_human: bool
-    distance: float = 0.0  # to the nearest template, 0 when unused
+    cost: float  # objective coefficient of the column's w in the master
+    forced: bool  # w is fixed at one: a human rule in hard mode
 
     @property
     def complexity(self) -> int:
@@ -192,27 +194,33 @@ def _code(cols: Iterable[int], radix: int) -> int:
 
 class ColumnPool:
     """The restricted problem that :func:`build_master` and :func:`price`
-    read: the dataset, the templates' literal sets and the candidate
-    columns, with cached coverage and template distance per column.
+    read: the dataset, the templates' literal sets, the :class:`Params` and
+    the candidate columns with their coverage, cost and forced flag.
 
-    ``codes`` holds each column's :func:`_code` in base ``n_columns + 1``,
-    computed once when the column is added, in pool order; :func:`price`
-    reads them to leave pool members out.  :meth:`distance` is the one map
-    from a column set to its template distance: a column gets it when it is
-    added, and pricing charges it to its hits.  A dataset without a positive
+    Only the pool reads how ``params.mode`` treats human input: ``credit``
+    is a human rule's soft-mode credit (``human_weight * n``, else 0), a
+    human rule is forced in hard mode, and ``template_weight`` is 0 unless
+    templates mode has templates.  ``codes``, the one membership map, holds
+    each column's :func:`_code` in base ``n_columns + 1``; :func:`price`
+    reads it to leave pool members out.  A dataset without a positive
     sample has no covering row and raises :class:`NoPositivesError`.
     """
 
-    def __init__(self, dataset: BinaryDataset, templates: RuleSet = RuleSet(())):
+    def __init__(self, dataset: BinaryDataset, params: Params = Params(),
+                 templates: RuleSet = RuleSet(())):
         self.dataset = dataset
+        self.params = params
         self._pos = dataset.P
         self._neg = dataset.Z
         if self._pos.size == 0:
             raise NoPositivesError("training data has no positive samples")
         self._templates = [t.literals for t in templates.conjunctions]
+        self.credit = params.human_weight * dataset.n if params.mode == MODE_SOFT else 0.0
+        self._hard = params.mode == MODE_HARD
+        templated = params.mode == MODE_TEMPLATES and self._templates
+        self.template_weight = params.template_weight if templated else 0.0
         self.columns: list[PoolColumn] = []
-        self.codes: list[int] = []
-        self._index: dict[frozenset[int], int] = {}
+        self.codes: set[int] = set()
 
     def __len__(self):
         return len(self.columns)
@@ -224,24 +232,35 @@ class ColumnPool:
             return 0.0
         return template_distance({self.dataset.columns[j] for j in cols}, self._templates)
 
+    def template_cost(self, cols: Iterable[int]) -> float:
+        """``template_weight`` times the columns' :meth:`distance`: what a
+        column pays in the master, and pricing charges to a hit."""
+        if not self.template_weight:
+            return 0.0
+        return self.template_weight * self.distance(cols)
+
     def add(self, cols: Iterable[int], is_human: bool = False) -> bool:
+        """Add the conjunction of ``cols``, a human rule when ``is_human``;
+        whether it was new (a member keeps the treatment it was added with).
+        Its cost is its false positives, less ``credit`` if human, plus its
+        :meth:`template_cost`."""
         key = frozenset(int(j) for j in cols)
         if not key:
             raise ValueError("empty conjunction")
-        if key in self._index:
-            if is_human:
-                self.columns[self._index[key]].is_human = True
+        code = _code(key, self.dataset.n_columns + 1)
+        if code in self.codes:
             return False
+        self.codes.add(code)
         covered = cover(self.dataset.matrix, tuple(key))
-        self._index[key] = len(self.columns)
-        self.codes.append(_code(key, self.dataset.n_columns + 1))
+        fp_count = int(np.count_nonzero(covered[self._neg]))
         self.columns.append(
             PoolColumn(
                 cols=key,
                 pos_cover=covered[self._pos],
-                fp_count=int(np.count_nonzero(covered[self._neg])),
+                fp_count=fp_count,
                 is_human=is_human,
-                distance=self.distance(key),
+                cost=fp_count - self.credit * is_human + self.template_cost(key),
+                forced=self._hard and is_human,
             )
         )
         return True
@@ -266,43 +285,34 @@ class MasterSolution:
     iterations: int
 
 
-def build_master(
-    pool: ColumnPool, params: Params, previous: MasterModel | None = None
-) -> MasterModel:
+def build_master(pool: ColumnPool, previous: MasterModel | None = None) -> MasterModel:
     """The restricted covering LP of the pool, as a live model.
 
     Everything comes from the pool: one covering row per positive sample of
-    its dataset, and one ``w_k`` per pool column with the coverage,
-    false-positive count and template distance the pool cached.  Objective
-    coefficient of ``w_k`` is its false-positive count, minus the
-    soft human credit when k is a provided rule, plus the weighted template
-    distance in templates mode.  The constant ``human_weight * n * |U|`` is
-    tracked as an offset so reported objectives count every unselected rule.
-    In hard mode, provided rules get a fixed lower bound of one instead.
+    its dataset, the budget row of its params, and one ``w_k`` per pool
+    column with the coverage and cost the pool fixed when the column joined
+    (:meth:`ColumnPool.add`).  A forced column's ``w_k`` gets a lower bound
+    of one, and forced columns that alone exceed the budget raise
+    :class:`BudgetInfeasibleError`.  The constant ``credit`` of every human
+    column is tracked as an offset, so reported objectives count every
+    unselected rule.
 
     Without ``previous`` a new model starts from the covering rows, the
     budget row and the xi block (an identity).  With it, the master an
     earlier round built on this pool, that master is grown and returned:
     the pool columns added since are appended to its model, which keeps its
     basis for a warm re-solve, and its pool size and offset are updated.
-    The earlier columns keep the costs and bounds they were added with.
     """
     n_pos = pool.dataset.P.size
-    cu_n = params.human_weight * pool.dataset.n
-
-    n_human = sum(col.is_human for col in pool.columns)
-    if params.mode == MODE_HARD:
-        forced = sum(col.complexity for col in pool.columns if col.is_human)
-        if forced > params.complexity_budget:
-            raise BudgetInfeasibleError(
-                "human rules exceed complexity budget: "
-                f"{forced} > {params.complexity_budget}"
-            )
+    budget = pool.params.complexity_budget
+    forced = sum(col.complexity for col in pool.columns if col.forced)
+    if forced > budget:
+        raise BudgetInfeasibleError(f"human rules exceed complexity budget: {forced} > {budget}")
 
     if previous is None:
         lp = LiveLp(
             row_lower=np.append(np.ones(n_pos), -np.inf),
-            row_upper=np.append(np.full(n_pos, np.inf), params.complexity_budget),
+            row_upper=np.append(np.full(n_pos, np.inf), budget),
             cost=np.ones(n_pos),
             lower=np.zeros(n_pos),
             upper=np.ones(n_pos),  # xi <= 1 is tight anyway
@@ -318,23 +328,19 @@ def build_master(
         master = previous
     new = pool.columns[master.n_pool:]
     if new:
-        cost = np.array([float(col.fp_count) for col in new])
-        if params.mode == MODE_SOFT:
-            cost -= cu_n * np.array([col.is_human for col in new])
-        if params.mode == MODE_TEMPLATES:
-            cost += params.template_weight * np.array([col.distance for col in new])
-        lower = np.zeros(len(new))
-        if params.mode == MODE_HARD:
-            lower[[col.is_human for col in new]] = 1.0
-        upper = np.ones(len(new))  # w <= 1 matches binarity
         # each column covers its positives and spends its degree of the budget
         columns = np.column_stack([
             [col.pos_cover for col in new],
             [col.complexity for col in new],
         ])
-        master.lp.add_columns(cost, lower, upper, columns.T)
+        master.lp.add_columns(
+            [col.cost for col in new],
+            [col.forced for col in new],  # a forced w has a lower bound of one
+            np.ones(len(new)),  # w <= 1 matches binarity
+            columns.T,
+        )
 
-    master.offset = cu_n * n_human if params.mode == MODE_SOFT else 0.0
+    master.offset = pool.credit * sum(col.is_human for col in pool.columns)
     master.n_pool = len(pool)
     return master
 
@@ -397,7 +403,6 @@ _PRICE_BLOCK = 2048
 def price(
     duals: tuple[np.ndarray, float],
     pool: ColumnPool,
-    params: Params,
     limit: int | None = None,
     width: int | None = None,
 ) -> PricedCandidates:
@@ -448,13 +453,14 @@ def price(
     follows the BLAS product over a block's rows and columns), so reduced
     costs agree with it to rounding.
 
-    In templates mode the weighted template distance is computed only for
-    a hit whose template-free reduced cost could enter the buffer.  That is
-    exact: the distance is nonnegative, so no other node could qualify, and
-    the descent bound never uses it.  The distance is the pool's
-    :meth:`ColumnPool.distance`, the one a column gets when it joins the
-    pool: the hit's column literals against the templates' literals, with
-    no conjunction built.
+    The degree cap is the pool's ``params.max_degree``.  When the pool
+    charges a template term (``template_weight > 0``), it is computed only
+    for a hit whose template-free reduced cost could enter the buffer.
+    That is exact: the term is nonnegative, so no other node could qualify,
+    and the descent bound never uses it.  The term is the pool's
+    :meth:`ColumnPool.template_cost`, the one a column pays once it joins
+    the pool: the hit's column literals against the templates' literals,
+    with no conjunction built.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -465,7 +471,7 @@ def price(
     lam = max(float(lam), 0.0)
     dataset = pool.dataset
     m = dataset.n_columns
-    depth = min(params.max_degree, m)
+    depth = min(pool.params.max_degree, m)
     if depth == 0:
         return PricedCandidates()
     # a positive row with mu == 0 adds nothing to any mu mass
@@ -494,7 +500,6 @@ def price(
         return frozenset(cols)
 
     members = np.sort(np.array([c for c in pool.codes if c < top], dtype=code_type))
-    templated = params.mode == MODE_TEMPLATES and params.template_weight > 0.0
 
     # the buffer, in pieces: with a limit, merged and cut to the best
     # ``limit`` whenever it holds that many, and its last becomes the threshold
@@ -510,9 +515,8 @@ def price(
             at = np.searchsorted(members, codes)
             keep = members[np.minimum(at, members.size - 1)] != codes
             rc, codes = rc[keep], codes[keep]
-        if templated:
-            distance = np.array([pool.distance(decode(code)) for code in codes.tolist()])
-            rc = rc + params.template_weight * distance
+        if pool.template_weight > 0.0:
+            rc = rc + np.array([pool.template_cost(decode(code)) for code in codes.tolist()])
             keep = (rc < -TOLERANCE) & (rc <= threshold)
             rc, codes = rc[keep], codes[keep]
         if not rc.size:
@@ -705,7 +709,7 @@ def train(
         bound, dataset = bind(given, dataset)
         seeds = bound.column_sets
 
-    pool = ColumnPool(dataset, templates)
+    pool = ColumnPool(dataset, params, templates)
     for cols in seeds:
         pool.add(cols, is_human=bool(rules))
     for j in range(dataset.n_columns):
@@ -713,7 +717,7 @@ def train(
 
     master = None
     for round_no in range(params.max_cg_rounds):
-        master = build_master(pool, params, master)
+        master = build_master(pool, master)
         t_lp = time.perf_counter()
         msol = solve_master(master)
         lp_seconds = time.perf_counter() - t_lp
@@ -726,7 +730,7 @@ def train(
             break
         t_price = time.perf_counter()
         candidates = price(
-            (msol.mu, msol.lam), pool, params, limit=COLUMNS_PER_ROUND, width=BEAM_WIDTH
+            (msol.mu, msol.lam), pool, limit=COLUMNS_PER_ROUND, width=BEAM_WIDTH
         )
         row = {
             "round": round_no,
@@ -760,7 +764,7 @@ def train(
         report.warnings.append("column generation stopped at the round limit")
         report.stop_reason = STOP_ROUND_LIMIT
 
-    master = build_master(pool, params, master)
+    master = build_master(pool, master)
     # only the rules are decisions: each xi is the unit-cost slack of one
     # covering row, integral once w is, so branch and bound branches on the
     # number of rules, then on the pool; every variable stays binary and
@@ -799,16 +803,9 @@ def train(
     unselected = len(human_keys - selected_keys)
     report.hamming = hamming
     report.unselected_human_count = unselected
-    penalty = (
-        params.human_weight * dataset.n * unselected
-        if params.mode == MODE_SOFT else 0.0
-    )
+    penalty = pool.credit * unselected
     report.objective = hamming + penalty
-    report.template_penalty = (
-        params.template_weight * sum(col.distance for _, col in selected)
-        if params.mode == MODE_TEMPLATES
-        else 0.0
-    )
+    report.template_penalty = sum((pool.template_cost(col.cols) for _, col in selected), 0.0)
 
     consistency = report.mip_objective - (hamming + penalty + report.template_penalty)
     if abs(consistency) > 1e-6 * max(1.0, abs(report.mip_objective)):

@@ -64,8 +64,8 @@ def random_dataset(rng, n_cols=None, n_rows=None):
     return BinaryDataset(cols, matrix, labels)
 
 
-def seeded_pool(dataset, human_sets=(), templates=RuleSet(())):
-    pool = ColumnPool(dataset, templates=templates)
+def seeded_pool(dataset, params=Params(), human_sets=(), templates=RuleSet(())):
+    pool = ColumnPool(dataset, params, templates)
     for cols in human_sets:
         pool.add(cols, is_human=True)
     for j in range(dataset.n_columns):
@@ -105,10 +105,10 @@ def test_params_accept_numpy_integers():
 class TestBuildMaster:
     def test_eight_true_rules_full_data_lp_zero(self, ttt_dataset, eight_rules):
         bound, ds = bind(eight_rules, ttt_dataset)
-        pool = ColumnPool(ds)
+        pool = ColumnPool(ds, Params(mode=MODE_MACHINE))
         for cols in bound.column_sets:
             pool.add(cols, is_human=True)
-        model = build_master(pool, Params(mode=MODE_MACHINE))
+        model = build_master(pool)
         sol = solve_master(model)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
@@ -122,16 +122,15 @@ class TestBuildMaster:
         labels = np.array([1, 1, 1, 1, 0, 0], dtype=bool)
         cols = (Literal("a", "==", "x"), Literal("b", "==", "x"))
         ds = BinaryDataset(cols, matrix, labels)
-        pool = seeded_pool(ds)
-        model = build_master(pool, Params(mode=MODE_MACHINE))
+        pool = seeded_pool(ds, Params(mode=MODE_MACHINE))
+        model = build_master(pool)
         sol = solve_master(model)
         assert sol.objective == pytest.approx(4.0)
 
     def test_soft_mode_objective_coefficients_and_offset(self, ttt_dataset, eight_rules):
         bound, ds = bind(eight_rules, ttt_dataset)
-        pool = seeded_pool(ds, human_sets=bound.column_sets)
-        params = Params(mode=MODE_SOFT, human_weight=0.05)
-        model = build_master(pool, params)
+        pool = seeded_pool(ds, Params(mode=MODE_SOFT, human_weight=0.05), bound.column_sets)
+        model = build_master(pool)
         cu_n = 0.05 * ds.n
         assert model.offset == pytest.approx(cu_n * 8)
         for k, col in enumerate(pool.columns):
@@ -149,39 +148,51 @@ class TestBuildMaster:
         ds = BinaryDataset(cols, matrix, labels)
         params = Params(mode=MODE_SOFT, human_weight=0.5, complexity_budget=1,
                         max_degree=1)
-        pool = seeded_pool(ds, human_sets=[frozenset({1})])
-        model = build_master(pool, params)
-        mip_obj_offset = model.offset
+        pool = seeded_pool(ds, params, human_sets=[frozenset({1})])
+        assert build_master(pool).offset == 1.5  # 0.5 * 3
         # budget 1 admits one column: either the human one (fp=1, covers no
         # positive -> loss 2 + 1) or the machine singleton 0 (loss 0) plus
         # the dropped-rule penalty 0.5 * 3
-        rs, report = train(ds, HumanInput(rules=None), params)
-        assert report.objective == pytest.approx(hamming_loss(rs, ds))
+        rs, report = train(ds, HumanInput(rules=parse_rules("b == x")), params)
+        assert report.unselected_human_count == 1
+        assert report.hamming == hamming_loss(rs, ds) == 0
+        assert report.objective == pytest.approx(1.5)
 
     def test_hard_mode_budget_infeasible(self, ttt_dataset, eight_rules):
         bound, ds = bind(eight_rules, ttt_dataset)
-        pool = seeded_pool(ds, human_sets=bound.column_sets)
-        params = Params(mode=MODE_HARD, complexity_budget=23)
+        pool = seeded_pool(ds, Params(mode=MODE_HARD, complexity_budget=23), bound.column_sets)
         with pytest.raises(BudgetInfeasibleError, match="exceed"):
-            build_master(pool, params)
+            build_master(pool)
 
     def test_later_build_grows_the_master_it_is_given(self, ttt_dataset):
-        pool = seeded_pool(ttt_dataset)
-        params = Params(mode=MODE_SOFT, human_weight=0.05)
-        master = build_master(pool, params)
+        pool = seeded_pool(ttt_dataset, Params(mode=MODE_SOFT, human_weight=0.05))
+        master = build_master(pool)
         assert master.offset == 0.0
         pool.add((0, 1), is_human=True)
-        assert build_master(pool, params, master) is master
+        assert build_master(pool, master) is master
         assert master.n_pool == len(pool)
         assert master.lp.n_vars == len(pool) + master.n_pos
         assert master.offset == pytest.approx(0.05 * ttt_dataset.n)
         assert solve_master(master).w.shape == (len(pool),)
 
     def test_master_of_another_pool_rejected(self, ttt_dataset):
-        params = Params(mode=MODE_MACHINE)
-        master = build_master(seeded_pool(ttt_dataset), params)
+        master = build_master(seeded_pool(ttt_dataset))
         with pytest.raises(ValueError, match="another pool"):
-            build_master(seeded_pool(ttt_dataset), params, master)
+            build_master(seeded_pool(ttt_dataset), master)
+
+    @pytest.mark.parametrize("mode", [MODE_SOFT, MODE_HARD])
+    def test_a_column_keeps_the_treatment_it_was_added_with(self, ttt_dataset, mode):
+        # re-adding a pool column as a human rule changes nothing: a master
+        # that already holds it keeps its cost, bound and offset consistent
+        pool = seeded_pool(ttt_dataset, Params(mode=mode))
+        master = build_master(pool)
+        col = pool.columns[0]
+        assert not pool.add(col.cols, is_human=True)
+        assert len(pool) == ttt_dataset.n_columns and pool.columns[0] is col
+        assert not col.is_human and not col.forced
+        assert col.cost == reference_cost(pool, col)[0] == col.fp_count
+        assert build_master(pool, master).offset == 0.0
+        assert master.lp.lower[0] == 0.0
 
     def test_no_positives_rejected(self):
         matrix = np.ones((3, 1), dtype=bool)
@@ -192,25 +203,33 @@ class TestBuildMaster:
             ColumnPool(ds)
 
 
-def _check_interior_reduced_costs(pool, ds, params, rounds=4):
+def reference_cost(pool, col):
+    """A pool column's master cost and whether it is forced, worked out from
+    the model in the ``colgen`` docstring and the pool's params; the one
+    reference the tests hold ``col.cost`` and ``col.forced`` to."""
+    params = pool.params
+    cost = float(col.fp_count)
+    if params.mode == MODE_SOFT and col.is_human:
+        cost -= params.human_weight * pool.dataset.n
+    if params.mode == MODE_TEMPLATES:
+        cost += params.template_weight * pool.distance(col.cols)
+    return cost, params.mode == MODE_HARD and col.is_human
+
+
+def _check_interior_reduced_costs(pool, rounds=4):
     """Solve the master for a few column-generation rounds; every variable
     strictly inside (0, 1) must have a zero reduced cost under the duals.
     Returns how many such variables were checked."""
     checked = 0
     tol = TOLERANCE
-    cu_n = params.human_weight * ds.n
     for _ in range(rounds):
-        model = build_master(pool, params)
+        model = build_master(pool)
         sol = solve_master(model)
         assert sol.status == "optimal"
         for k, col in enumerate(pool.columns):
             if not tol < sol.w[k] < 1 - tol:
                 continue
-            cost = float(col.fp_count)
-            if params.mode == MODE_SOFT and col.is_human:
-                cost -= cu_n
-            if params.mode == MODE_TEMPLATES:
-                cost += params.template_weight * col.distance
+            cost, _ = reference_cost(pool, col)
             rc = cost - sol.mu @ col.pos_cover + sol.lam * col.complexity
             assert abs(rc) <= tol, (k, rc)
             checked += 1
@@ -218,7 +237,7 @@ def _check_interior_reduced_costs(pool, ds, params, rounds=4):
         inside = (xi > tol) & (xi < 1 - tol)
         assert np.all(np.abs(1.0 - sol.mu[inside]) <= tol)
         checked += int(inside.sum())
-        cands = price((sol.mu, sol.lam), pool, params, limit=COLUMNS_PER_ROUND)
+        cands = price((sol.mu, sol.lam), pool, limit=COLUMNS_PER_ROUND)
         for cand in cands:
             pool.add(cand.cols)
     return checked
@@ -237,20 +256,20 @@ class TestSolveMaster:
     def test_machine_mode(self, ttt_dataset):
         ds = self.draw(ttt_dataset, 1)
         params = Params(mode=MODE_MACHINE, max_degree=3, complexity_budget=10)
-        assert _check_interior_reduced_costs(seeded_pool(ds), ds, params) > 0
+        assert _check_interior_reduced_costs(seeded_pool(ds, params)) > 0
 
     def test_soft_mode_with_eight_rules(self, ttt_dataset, eight_rules):
         bound, ds = bind(eight_rules, self.draw(ttt_dataset, 2))
         params = Params(mode=MODE_SOFT, max_degree=3, complexity_budget=15)
-        pool = seeded_pool(ds, human_sets=bound.column_sets)
-        assert _check_interior_reduced_costs(pool, ds, params) > 0
+        pool = seeded_pool(ds, params, human_sets=bound.column_sets)
+        assert _check_interior_reduced_costs(pool) > 0
 
     def test_hard_mode(self, ttt_dataset):
         rule = parse_rules("cell_r1_c1 == x AND cell_r0_c0 == x")
         bound, ds = bind(rule, self.draw(ttt_dataset, 3))
         params = Params(mode=MODE_HARD, max_degree=3, complexity_budget=10)
-        pool = seeded_pool(ds, human_sets=bound.column_sets)
-        assert _check_interior_reduced_costs(pool, ds, params) > 0
+        pool = seeded_pool(ds, params, human_sets=bound.column_sets)
+        assert _check_interior_reduced_costs(pool) > 0
 
     def test_templates_mode(self, ttt_dataset):
         ds = self.draw(ttt_dataset, 4)
@@ -260,33 +279,26 @@ class TestSolveMaster:
         )
         params = Params(mode=MODE_TEMPLATES, template_weight=0.5, max_degree=3,
                         complexity_budget=10)
-        pool = seeded_pool(ds, templates=templates)
-        assert _check_interior_reduced_costs(pool, ds, params) > 0
+        pool = seeded_pool(ds, params, templates=templates)
+        assert _check_interior_reduced_costs(pool) > 0
 
 
-def dense_master(pool, ds, params):
+def dense_master(pool):
     """The restricted master written out densely, straight from the model
     in the ``colgen`` docstring: one w per pool column, then one xi per
     positive sample."""
-    n_pool, n_pos = len(pool), ds.P.size
-    cu_n = params.human_weight * ds.n
+    n_pool, n_pos = len(pool), pool.dataset.P.size
     cost = np.ones(n_pool + n_pos)
     lower = np.zeros(n_pool + n_pos)
     rows = np.zeros((n_pos + 1, n_pool + n_pos))
     for k, col in enumerate(pool.columns):
-        cost[k] = col.fp_count
-        if params.mode == MODE_SOFT and col.is_human:
-            cost[k] -= cu_n
-        if params.mode == MODE_TEMPLATES:
-            cost[k] += params.template_weight * col.distance
-        if params.mode == MODE_HARD and col.is_human:
-            lower[k] = 1.0
+        cost[k], lower[k] = reference_cost(pool, col)
         rows[:n_pos, k] = col.pos_cover
         rows[n_pos, k] = col.complexity
     rows[np.arange(n_pos), n_pool + np.arange(n_pos)] = 1.0
     return LiveLp(
         np.append(np.ones(n_pos), -np.inf),
-        np.append(np.full(n_pos, np.inf), params.complexity_budget),
+        np.append(np.full(n_pos, np.inf), pool.params.complexity_budget),
         cost, lower, np.ones(n_pool + n_pos), rows,
     )
 
@@ -294,7 +306,8 @@ def dense_master(pool, ds, params):
 @pytest.mark.parametrize("mode", MODES)
 def test_live_master_matches_cold_dense_solve(ttt_dataset, eight_rules, mode):
     # every round appends columns to one live model and re-solves it warm;
-    # each value must equal a cold solve of the whole master built afresh
+    # each value must equal a cold solve of the whole master built afresh,
+    # and every column's cost and forced flag the reference's
     ds = TestSolveMaster.draw(ttt_dataset, 5)
     params = Params(mode=mode, max_degree=3, complexity_budget=12)
     human_sets, templates = (), RuleSet(())
@@ -306,31 +319,34 @@ def test_live_master_matches_cold_dense_solve(ttt_dataset, eight_rules, mode):
         human_sets = bound.column_sets
     if mode == MODE_TEMPLATES:
         templates = parse_rules("cell_r0_c0 == x AND cell_r0_c1 == x")
-    pool = seeded_pool(ds, human_sets=human_sets, templates=templates)
+    pool = seeded_pool(ds, params, human_sets, templates)
     master = None
     for _ in range(6):
-        master = build_master(pool, params, master)
+        master = build_master(pool, master)
         live = solve_master(master)
-        cold = solve_lp(dense_master(pool, ds, params))
+        cold = solve_lp(dense_master(pool))
         assert live.status == cold.status == "optimal"
         assert live.objective == pytest.approx(cold.objective + master.offset, abs=1e-9)
-        cands = price((live.mu, live.lam), pool, params, limit=COLUMNS_PER_ROUND)
+        cands = price((live.mu, live.lam), pool, limit=COLUMNS_PER_ROUND)
         if not cands:
             break
         for cand in cands:
             pool.add(cand.cols)
     assert len(pool) > ds.n_columns + len(human_sets)  # some round added columns
+    for col in pool.columns:
+        assert (col.cost, col.forced) == reference_cost(pool, col), col.cols
+    assert any(col.forced for col in pool.columns) == (mode == MODE_HARD)
 
 
 class TestPrice:
     def test_zero_duals_yield_nothing(self, ttt_dataset):
         mu = np.zeros(ttt_dataset.P.size)
-        out = price((mu, 0.0), ColumnPool(ttt_dataset), Params())
+        out = price((mu, 0.0), ColumnPool(ttt_dataset))
         assert out == []
 
     def test_no_columns_yield_nothing(self):
         ds = BinaryDataset((), np.zeros((3, 0), dtype=bool), np.array([1, 0, 1], bool))
-        assert price((np.ones(2), 0.0), ColumnPool(ds), Params()) == []
+        assert price((np.ones(2), 0.0), ColumnPool(ds)) == []
 
     def test_single_positive_negative_reduced_cost(self):
         # one positive sample with mu=2; a degree-1 literal covering it and
@@ -338,7 +354,7 @@ class TestPrice:
         matrix = np.array([[1], [0]], dtype=bool)
         labels = np.array([1, 0], dtype=bool)
         ds = BinaryDataset((Literal("a", "==", "x"),), matrix, labels)
-        out = price((np.array([2.0]), 0.0), ColumnPool(ds), Params(max_degree=1))
+        out = price((np.array([2.0]), 0.0), ColumnPool(ds, Params(max_degree=1)))
         assert len(out) == 1
         assert out[0].reduced_cost == pytest.approx(-2.0)
         assert out[0].cols == frozenset({0})
@@ -354,7 +370,7 @@ class TestPrice:
             oracle = brute_force_reduced_costs(
                 ds.matrix, ds.labels, mu_full, lam, params.max_degree
             )
-            got = price((mu_full[ds.P], lam), ColumnPool(ds), params)
+            got = price((mu_full[ds.P], lam), ColumnPool(ds, params))
             want = sorted(
                 (rc, tuple(sorted(cols))) for cols, rc in oracle.items()
                 if rc < -TOLERANCE
@@ -411,7 +427,7 @@ class TestPrice:
                 )
                 if rc < -TOLERANCE:
                     want[key] = rc
-            got = price((mu_full[ds.P], lam), ColumnPool(ds, templates), params)
+            got = price((mu_full[ds.P], lam), ColumnPool(ds, params, templates))
             assert {c.cols for c in got} == set(want)
             for cand in got:
                 assert cand.reduced_cost == pytest.approx(want[cand.cols], abs=1e-9)
@@ -428,8 +444,8 @@ class TestPrice:
                 ds.matrix, ds.labels, mu_full, lam, params.max_degree
             )
             want = sorted(rc for rc in oracle.values() if rc < -TOLERANCE)
-            full = price((mu_full[ds.P], lam), ColumnPool(ds), params)
-            got = price((mu_full[ds.P], lam), ColumnPool(ds), params, limit=7)
+            full = price((mu_full[ds.P], lam), ColumnPool(ds, params))
+            got = price((mu_full[ds.P], lam), ColumnPool(ds, params), limit=7)
             assert len(full) == len(want)
             assert [c.cols for c in got] == [c.cols for c in full[:7]]
             assert len(got) == min(7, len(want))
@@ -458,7 +474,7 @@ class TestPrice:
         )
         want = {cols: rc for cols, rc in oracle.items() if rc < -TOLERANCE}
         assert max(len(cols) for cols in want) >= 12
-        got = price((mu_full[ds.P], 0.01), ColumnPool(ds), params)
+        got = price((mu_full[ds.P], 0.01), ColumnPool(ds, params))
         assert {c.cols for c in got} == set(want)
         for cand in got:
             assert cand.reduced_cost == pytest.approx(want[cand.cols], abs=1e-9)
@@ -473,11 +489,11 @@ class TestPrice:
             ds.matrix, ds.labels, mu_full, lam, params.max_degree
         )
         want = {cols: rc for cols, rc in oracle.items() if rc < -TOLERANCE}
-        full = price((mu, lam), ColumnPool(ds), params)
+        full = price((mu, lam), ColumnPool(ds, params))
         assert {c.cols for c in full} == set(want)
         for cand in full:
             assert cand.reduced_cost == pytest.approx(want[cand.cols], abs=1e-9)
-        got = price((mu, lam), ColumnPool(ds), params, limit=limit)
+        got = price((mu, lam), ColumnPool(ds, params), limit=limit)
         assert [c.cols for c in got] == [c.cols for c in full[:limit]]
         return full
 
@@ -523,15 +539,15 @@ class TestPrice:
         matrix = np.array([[1], [0]], dtype=bool)
         labels = np.array([1, 0], dtype=bool)
         ds = BinaryDataset((Literal("a", "==", "x"),), matrix, labels)
-        pool = ColumnPool(ds)
+        pool = ColumnPool(ds, Params(max_degree=1))
         pool.add((0,))
-        out = price((np.array([2.0]), 0.0), pool, Params(max_degree=1))
+        out = price((np.array([2.0]), 0.0), pool)
         assert out == []
 
     def test_limit_keeps_most_negative(self, ttt_dataset):
         mu = np.ones(ttt_dataset.P.size)
-        full = price((mu, 0.0), ColumnPool(ttt_dataset), Params(max_degree=2))
-        capped = price((mu, 0.0), ColumnPool(ttt_dataset), Params(max_degree=2), limit=5)
+        full = price((mu, 0.0), ColumnPool(ttt_dataset, Params(max_degree=2)))
+        capped = price((mu, 0.0), ColumnPool(ttt_dataset, Params(max_degree=2)), limit=5)
         assert len(capped) == 5
         assert [c.cols for c in capped] == [c.cols for c in full[:5]]
 
@@ -586,15 +602,15 @@ class TestPrice:
         )
         straddled = 0
         for ds, mu, lam in self.tie_heavy_instances(rng, mode):
-            exclude = ColumnPool(ds, templates)
+            exclude = ColumnPool(ds, params, templates)
             if with_exclude:
-                head = price((mu, lam), ColumnPool(ds, templates), params)
+                head = price((mu, lam), ColumnPool(ds, params, templates))
                 for cols in [c.cols for c in head[::3]] + [(j,) for j in range(ds.n_columns)]:
                     exclude.add(cols)
-            full = price((mu, lam), exclude, params)
+            full = price((mu, lam), exclude)
             assert not {c.cols for c in exclude.columns} & {c.cols for c in full}
             for k in (1, 3, 7):
-                got = price((mu, lam), exclude, params, limit=k)
+                got = price((mu, lam), exclude, limit=k)
                 assert [c.cols for c in got] == [c.cols for c in full[:k]]
                 for cand, want in zip(got, full):
                     assert cand.reduced_cost == pytest.approx(want.reduced_cost, abs=1e-9)
@@ -605,13 +621,13 @@ class TestPrice:
     def test_limit_below_one_is_rejected(self, ttt_dataset):
         mu = np.ones(ttt_dataset.P.size)
         with pytest.raises(ValueError, match="limit"):
-            price((mu, 0.0), ColumnPool(ttt_dataset), Params(max_degree=1), limit=0)
+            price((mu, 0.0), ColumnPool(ttt_dataset, Params(max_degree=1)), limit=0)
 
     def test_bound_expands_fewer_nodes(self, ttt_dataset):
         mu = np.ones(ttt_dataset.P.size)
         params = Params(max_degree=3)
-        full = price((mu, 0.5), ColumnPool(ttt_dataset), params)
-        capped = price((mu, 0.5), ColumnPool(ttt_dataset), params, limit=20)
+        full = price((mu, 0.5), ColumnPool(ttt_dataset, params))
+        capped = price((mu, 0.5), ColumnPool(ttt_dataset, params), limit=20)
         assert [c.cols for c in capped] == [c.cols for c in full[:20]]
         assert full.pruned == 0
         assert capped.pruned > 0
@@ -625,10 +641,10 @@ class TestPrice:
             ds = random_dataset(rng)
             mu = rng.random(ds.P.size) * 3
             lam = float(rng.random() * 0.5)
-            width = price((mu, lam), ColumnPool(ds), params).nodes
+            width = price((mu, lam), ColumnPool(ds, params)).nodes
             for limit in (None, 5):
-                want = price((mu, lam), ColumnPool(ds), params, limit=limit)
-                got = price((mu, lam), ColumnPool(ds), params, limit=limit, width=width)
+                want = price((mu, lam), ColumnPool(ds, params), limit=limit)
+                got = price((mu, lam), ColumnPool(ds, params), limit=limit, width=width)
                 assert got.exact and got.nodes == 0 and got.capped_nodes >= 1
                 assert [c.cols for c in got] == [c.cols for c in want]
                 for cand, ref in zip(got, want):
@@ -647,7 +663,7 @@ class TestPrice:
                 ds.matrix, ds.labels, mu_full, lam, params.max_degree
             )
             exclude = {cols for cols in oracle if rng.random() < 0.2}
-            pool = ColumnPool(ds)
+            pool = ColumnPool(ds, params)
             for cols in exclude:
                 pool.add(cols)
             want = sorted(
@@ -655,7 +671,7 @@ class TestPrice:
             )
             for width in (1, 2, 4, 16):
                 for limit in (None, 3):
-                    got = price((mu_full[ds.P], lam), pool, params, limit=limit, width=width)
+                    got = price((mu_full[ds.P], lam), pool, limit=limit, width=width)
                     for cand in got:
                         assert cand.cols not in exclude
                         assert cand.reduced_cost < -TOLERANCE
@@ -667,7 +683,7 @@ class TestPrice:
                     seen["exact"] += 1
                     seen["fallback"] += got.nodes > 0
                     assert [c.reduced_cost for c in got] == pytest.approx(want[:limit], abs=1e-9)
-                    full = price((mu_full[ds.P], lam), pool, params, limit=limit)
+                    full = price((mu_full[ds.P], lam), pool, limit=limit)
                     assert [c.cols for c in got] == [c.cols for c in full]
         assert min(seen.values()) >= 5, seen
 
@@ -690,20 +706,20 @@ class TestPrice:
             duals = (mu_full[ds.P], lam)
             # as in training, the pool holds every singleton, so the beam
             # must find its hits deeper and may miss them all
-            pool = seeded_pool(ds)
+            pool = seeded_pool(ds, params)
             for cols in brute_force_reduced_costs(
                 ds.matrix, ds.labels, mu_full, lam, params.max_degree
             ):
                 if rng.random() < 0.2:
                     pool.add(cols)
             excluded = {col.cols for col in pool.columns}
-            full = price(duals, pool, params)
+            full = price(duals, pool)
             for width in (1, 2, 4, 16):
                 hits, nodes, dropped = beam_search(
                     ds.matrix, ds.labels, mu_full, lam, params.max_degree, width,
                     TOLERANCE, excluded,
                 )
-                got = price(duals, pool, params, width=width)
+                got = price(duals, pool, width=width)
                 assert got.capped_nodes == nodes
                 fallback = dropped and not hits
                 assert got.exact == (not dropped or fallback)
@@ -722,7 +738,7 @@ class TestPrice:
             for block in (1, 3):
                 monkeypatch.setattr(colgen, "_PRICE_BLOCK", block)
                 for width in (1, 2, 4, 16):
-                    got = price(duals, pool, params, width=width)
+                    got = price(duals, pool, width=width)
                     if got.exact:
                         seen["split exact"] += 1
                         assert [c.cols for c in got] == [c.cols for c in full]
@@ -753,20 +769,20 @@ class TestPrice:
         assert {cols for cols, rc in oracle.items() if rc < -TOLERANCE} == {
             frozenset({1, 2})
         }
-        got = price((mu, lam), ColumnPool(ds), params, width=1)
+        got = price((mu, lam), ColumnPool(ds, params), width=1)
         assert got.exact
         assert got.capped_nodes == 2  # the root and a
         assert got.nodes > 0  # the exhaustive search ran
         assert [c.cols for c in got] == [frozenset({1, 2})]
         assert got[0].reduced_cost == pytest.approx(oracle[frozenset({1, 2})], abs=1e-9)
-        wide = price((mu, lam), ColumnPool(ds), params, width=2)
+        wide = price((mu, lam), ColumnPool(ds, params), width=2)
         assert wide.exact and wide.nodes == 0
         assert [c.cols for c in wide] == [frozenset({1, 2})]
 
     def test_width_below_one_is_rejected(self, ttt_dataset):
         mu = np.ones(ttt_dataset.P.size)
         with pytest.raises(ValueError, match="width"):
-            price((mu, 0.0), ColumnPool(ttt_dataset), Params(max_degree=1), width=0)
+            price((mu, 0.0), ColumnPool(ttt_dataset, Params(max_degree=1)), width=0)
 
 
 class TestTrain:
@@ -798,9 +814,9 @@ class TestTrain:
     def test_pricing_finds_nothing_at_termination(self, ttt_dataset, monkeypatch, mode):
         calls = []
 
-        def recording_price(duals, pool, params, **kwargs):
+        def recording_price(duals, pool, **kwargs):
             calls.append((duals, pool))
-            return price(duals, pool, params, **kwargs)
+            return price(duals, pool, **kwargs)
 
         monkeypatch.setattr(colgen, "price", recording_price)
         rng = np.random.default_rng(5)
@@ -830,7 +846,7 @@ class TestTrain:
         # exhaustive pricing under the final duals finds nothing either
         assert len(calls) == len(report.rounds)
         duals, pool = calls[-1]
-        assert price(duals, pool, params) == []
+        assert price(duals, pool) == []
         # the final master starts where column generation ended
         last_lp = report.rounds[-1]["lp_objective"]
         assert report.mip_relaxation == pytest.approx(last_lp, abs=1e-9)
@@ -1033,6 +1049,50 @@ class TestTrain:
         ]
 
 
+WRONG_RULE = "cell_r0_c0 == x AND cell_r0_c1 == x AND cell_r0_c2 == o"
+
+
+class TestChallenge:
+    """The paper's challenge on the full table: the eight true rules are
+    given with the first replaced by a wrong one, which covers 60 boards,
+    37 of them negative.  Soft mode may drop it, hard mode must keep it."""
+
+    @pytest.fixture(scope="class")
+    def challenge(self):
+        first = "(cell_r0_c0 == x AND cell_r0_c1 == x AND cell_r0_c2 == x)"
+        assert first in EIGHT_RULES
+        return HumanInput(rules=parse_rules(EIGHT_RULES.replace(first, f"({WRONG_RULE})")))
+
+    def test_the_wrong_rule_covers_sixty_boards(self, ttt_dataset):
+        bound, ds = bind(parse_rules(WRONG_RULE), ttt_dataset)
+        covered = conjunction_cover(ds.matrix, bound.column_sets[0])
+        assert covered.sum() == 60 and (covered & ~ds.labels).sum() == 37
+
+    def test_soft_mode_drops_the_wrong_rule(self, ttt_dataset, challenge):
+        _, report = train(ttt_dataset, challenge, Params(mode=MODE_SOFT, complexity_budget=24))
+        dropped = [rule for rule, kept in report.human_selected.items() if not kept]
+        assert dropped == [parse_rules(WRONG_RULE).conjunctions[0].render()]
+        assert len(report.human_selected) == 8
+        assert report.objective == pytest.approx(0.05 * 958)  # hamming 0 and one rule dropped
+        assert report.train_accuracy == 1.0
+
+    def test_hard_mode_keeps_the_wrong_rule(self, ttt_dataset, challenge):
+        _, report = train(ttt_dataset, challenge, Params(mode=MODE_HARD, complexity_budget=24))
+        assert len(report.human_selected) == 8 and all(report.human_selected.values())
+        assert report.objective == report.hamming == 110
+        assert report.train_accuracy == pytest.approx(848 / 958)
+
+    def test_templates_mode_pays_the_template_penalty(self, ttt_dataset):
+        templates = parse_rules("cell_r1_c1 == x OR cell_r0_c0 == x AND cell_r2_c2 == x")
+        _, report = train(
+            ttt_dataset, HumanInput(templates=templates),
+            Params(mode=MODE_TEMPLATES, complexity_budget=12),
+        )
+        assert report.objective == report.hamming == 127
+        assert report.template_penalty == pytest.approx(2.0)
+        assert report.mip_objective == pytest.approx(129)
+
+
 class TestPredict:
     def test_main_diagonal_board(self, ttt_dataset, eight_rules):
         bound, ds = bind(eight_rules, ttt_dataset)
@@ -1096,7 +1156,8 @@ def test_templates_pool_distances_match_oracle(ttt_dataset, monkeypatch):
     assert {frozenset({dup}), frozenset({j, dup})} <= {col.cols for col in pool.columns}
     for col in pool.columns:
         want = overlap_template_distance([col_keys[k] for k in col.cols], template_keys)
-        assert col.distance == want, col.cols
+        assert pool.distance(col.cols) == want, col.cols
+        assert col.cost == col.fp_count + 1.5 * want, col.cols
 
 
 def age_income_dataset():
@@ -1149,7 +1210,7 @@ def test_templates_mode_on_a_numeric_table(monkeypatch):
     assert pool.dataset.columns == ds.columns + (synthesized,)
     seeded = frozenset({ds.columns.index(Literal("age", ">", 38.5)), ds.n_columns})
     (col,) = [col for col in pool.columns if col.cols == seeded]
-    assert col.distance == 0.0
+    assert pool.distance(col.cols) == 0.0 and col.cost == col.fp_count
     assert not col.is_human
 
 
