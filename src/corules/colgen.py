@@ -43,15 +43,15 @@ conjunction that could make the cut.  So an empty result always certifies
 that no bounded-degree conjunction can improve the relaxation, and only
 the rounds that add columns may add heuristic ones.
 
-A training keeps the restricted LP as one live HiGHS model: each round
-appends the new columns and re-solves from the last basis.  The loop ends
-with one binary solve restricted to the generated pool, by branch and bound
-on that same model that branches on the rules before any slack.
-
-The restricted problem is a :class:`ColumnPool`: the dataset, the
-templates, the params and the pool columns with their codes and costs.
-:func:`build_master` and :func:`price` read everything from it, so a master
-and its pricing cannot disagree on the data, the costs or the pool.
+The restricted problem is one object, a :class:`ColumnPool`: the dataset,
+the templates, the params, the pool columns with their codes and costs, and
+the restricted LP itself, ``pool.master``, one live HiGHS model.
+:func:`build_master` builds that model on its first call and afterwards
+appends the columns added since, so each round re-solves it from the last
+basis; :func:`price` reads the same pool, so a master and its pricing
+cannot disagree on the data, the costs or the pool.  The loop ends with one
+binary solve restricted to the generated pool, by branch and bound on that
+same model that branches on the rules before any slack.
 Inside the loop a conjunction is a set of column indices and nothing more;
 ``train`` builds a :class:`~corules.ruledsl.Conjunction` of the columns'
 literals only for the rules it returns and the human rules it reports on.
@@ -194,16 +194,20 @@ def _code(cols: Iterable[int], radix: int) -> int:
 
 class ColumnPool:
     """The restricted problem that :func:`build_master` and :func:`price`
-    read: the dataset, the templates' literal sets, the :class:`Params` and
-    the candidate columns with their coverage, cost and forced flag.
+    read: the dataset, the templates' literal sets, the :class:`Params`, the
+    candidate columns with their coverage, cost and forced flag, and
+    ``master``, the live LP over them (None until the first
+    :func:`build_master`).
 
     Only the pool reads how ``params.mode`` treats human input: ``credit``
     is a human rule's soft-mode credit (``human_weight * n``, else 0), a
     human rule is forced in hard mode, and ``template_weight`` is 0 unless
-    templates mode has templates.  ``codes``, the one membership map, holds
-    each column's :func:`_code` in base ``n_columns + 1``; :func:`price`
-    reads it to leave pool members out.  A dataset without a positive
-    sample has no covering row and raises :class:`NoPositivesError`.
+    templates mode has templates.  ``offset`` is ``credit`` times the human
+    columns, the constant the master's LP objective leaves out.  ``codes``,
+    the one membership map, holds each column's :func:`_code` in base
+    ``n_columns + 1``; :func:`price` reads it to leave pool members out.  A
+    dataset without a positive sample has no covering row and raises
+    :class:`NoPositivesError`.
     """
 
     def __init__(self, dataset: BinaryDataset, params: Params = Params(),
@@ -221,9 +225,15 @@ class ColumnPool:
         self.template_weight = params.template_weight if templated else 0.0
         self.columns: list[PoolColumn] = []
         self.codes: set[int] = set()
+        self._n_human = 0
+        self.master: LiveLp | None = None
 
     def __len__(self):
         return len(self.columns)
+
+    @property
+    def offset(self) -> float:
+        return self.credit * self._n_human
 
     def distance(self, cols: Iterable[int]) -> float:
         """The :func:`corules.metrics.template_distance` of the columns'
@@ -243,14 +253,19 @@ class ColumnPool:
         """Add the conjunction of ``cols``, a human rule when ``is_human``;
         whether it was new (a member keeps the treatment it was added with).
         Its cost is its false positives, less ``credit`` if human, plus its
-        :meth:`template_cost`."""
+        :meth:`template_cost`.  A column index outside ``[0, n_columns)``
+        raises ``ValueError`` before anything is recorded."""
         key = frozenset(int(j) for j in cols)
+        m = self.dataset.n_columns
         if not key:
             raise ValueError("empty conjunction")
-        code = _code(key, self.dataset.n_columns + 1)
+        if min(key) < 0 or max(key) >= m:
+            raise ValueError(f"column index outside [0, {m}): {sorted(key)}")
+        code = _code(key, m + 1)
         if code in self.codes:
             return False
         self.codes.add(code)
+        self._n_human += is_human
         covered = cover(self.dataset.matrix, tuple(key))
         fp_count = int(np.count_nonzero(covered[self._neg]))
         self.columns.append(
@@ -266,42 +281,21 @@ class ColumnPool:
         return True
 
 
-@dataclass
-class MasterModel:
-    lp: LiveLp  # pool columns first, in pool order, then the xi block
-    offset: float  # constant penalty mass excluded from the LP objective
-    n_pool: int
-    n_pos: int
-    pool: ColumnPool
-
-
-@dataclass
-class MasterSolution:
-    w: np.ndarray
-    mu: np.ndarray  # covering-row duals, clamped nonnegative
-    lam: float      # budget dual, nonnegative
-    objective: float  # LP value plus the constant offset
-    status: str
-    iterations: int
-
-
-def build_master(pool: ColumnPool, previous: MasterModel | None = None) -> MasterModel:
-    """The restricted covering LP of the pool, as a live model.
+def build_master(pool: ColumnPool) -> LiveLp:
+    """The restricted covering LP of the pool, ``pool.master``: built on the
+    first call from the covering rows, the budget row and the xi block (an
+    identity), then grown on every call by the pool columns it does not hold
+    yet.  Each call returns that same model, which keeps its basis for a
+    warm re-solve and any bounds set on it.
 
     Everything comes from the pool: one covering row per positive sample of
-    its dataset, the budget row of its params, and one ``w_k`` per pool
-    column with the coverage and cost the pool fixed when the column joined
-    (:meth:`ColumnPool.add`).  A forced column's ``w_k`` gets a lower bound
-    of one, and forced columns that alone exceed the budget raise
-    :class:`BudgetInfeasibleError`.  The constant ``credit`` of every human
-    column is tracked as an offset, so reported objectives count every
-    unselected rule.
-
-    Without ``previous`` a new model starts from the covering rows, the
-    budget row and the xi block (an identity).  With it, the master an
-    earlier round built on this pool, that master is grown and returned:
-    the pool columns added since are appended to its model, which keeps its
-    basis for a warm re-solve, and its pool size and offset are updated.
+    its dataset, then the budget row of its params; one ``w_k`` per pool
+    column, in pool order, with the coverage and cost the pool fixed when
+    the column joined (:meth:`ColumnPool.add`), then one ``xi_i`` per
+    positive sample.  A forced column's ``w_k`` gets a lower bound of one,
+    and forced columns that alone exceed the budget raise
+    :class:`BudgetInfeasibleError`.  The LP objective leaves out the
+    constant ``pool.offset``, which reported objectives add back.
     """
     n_pos = pool.dataset.P.size
     budget = pool.params.complexity_budget
@@ -309,8 +303,8 @@ def build_master(pool: ColumnPool, previous: MasterModel | None = None) -> Maste
     if forced > budget:
         raise BudgetInfeasibleError(f"human rules exceed complexity budget: {forced} > {budget}")
 
-    if previous is None:
-        lp = LiveLp(
+    if pool.master is None:
+        pool.master = LiveLp(
             row_lower=np.append(np.ones(n_pos), -np.inf),
             row_upper=np.append(np.full(n_pos, np.inf), budget),
             cost=np.ones(n_pos),
@@ -321,41 +315,21 @@ def build_master(pool: ColumnPool, previous: MasterModel | None = None) -> Maste
                 np.arange(n_pos + 1), np.arange(n_pos), np.ones(n_pos)
             ),
         )
-        master = MasterModel(lp, offset=0.0, n_pool=0, n_pos=n_pos, pool=pool)
-    elif previous.pool is not pool:
-        raise ValueError("previous master was built on another pool")
-    else:
-        master = previous
-    new = pool.columns[master.n_pool:]
+    lp = pool.master
+    new = pool.columns[lp.n_vars - n_pos:]
     if new:
         # each column covers its positives and spends its degree of the budget
         columns = np.column_stack([
             [col.pos_cover for col in new],
             [col.complexity for col in new],
         ])
-        master.lp.add_columns(
+        lp.add_columns(
             [col.cost for col in new],
             [col.forced for col in new],  # a forced w has a lower bound of one
             np.ones(len(new)),  # w <= 1 matches binarity
             columns.T,
         )
-
-    master.offset = pool.credit * sum(col.is_human for col in pool.columns)
-    master.n_pool = len(pool)
-    return master
-
-
-def solve_master(model: MasterModel) -> MasterSolution:
-    sol = solve_lp(model.lp)
-    if sol.status != solver.OPTIMAL:
-        return MasterSolution(
-            np.zeros(model.n_pool), np.zeros(model.n_pos), 0.0,
-            float("nan"), sol.status, sol.iterations,
-        )
-    w = sol.x[: model.n_pool]
-    mu = np.maximum(sol.duals[: model.n_pos], 0.0)
-    lam = max(0.0, -float(sol.duals[model.n_pos]))
-    return MasterSolution(w, mu, lam, sol.objective + model.offset, sol.status, sol.iterations)
+    return lp
 
 
 @dataclass(frozen=True)
@@ -715,31 +689,33 @@ def train(
     for j in range(dataset.n_columns):
         pool.add((j,))
 
-    master = None
+    n_pos = dataset.P.size
     for round_no in range(params.max_cg_rounds):
-        master = build_master(pool, master)
+        lp = build_master(pool)
         t_lp = time.perf_counter()
-        msol = solve_master(master)
+        sol = solve_lp(lp)
         lp_seconds = time.perf_counter() - t_lp
-        if msol.status != solver.OPTIMAL:
+        if sol.status != solver.OPTIMAL:
             report.warnings.append(
-                f"restricted LP stopped with status {msol.status}; "
+                f"restricted LP stopped with status {sol.status}; "
                 "proceeding to the binary solve"
             )
-            report.stop_reason = STOP_LP_STATUS + msol.status
+            report.stop_reason = STOP_LP_STATUS + sol.status
             break
         t_price = time.perf_counter()
+        # the budget row is an upper bound, so its dual is negated
         candidates = price(
-            (msol.mu, msol.lam), pool, limit=COLUMNS_PER_ROUND, width=BEAM_WIDTH
+            (sol.duals[:n_pos], -sol.duals[n_pos]), pool,
+            limit=COLUMNS_PER_ROUND, width=BEAM_WIDTH,
         )
         row = {
             "round": round_no,
-            "lp_objective": msol.objective,
+            "lp_objective": sol.objective + pool.offset,
             "pool_size": len(pool),
             "columns_added": len(candidates),
             "min_reduced_cost": candidates[0].reduced_cost if candidates else 0.0,
             "lp_seconds": lp_seconds,
-            "lp_iterations": msol.iterations,
+            "lp_iterations": sol.iterations,
             "price_seconds": time.perf_counter() - t_price,
             "price_exact": candidates.exact,
             "price_capped_nodes": candidates.capped_nodes,
@@ -764,20 +740,18 @@ def train(
         report.warnings.append("column generation stopped at the round limit")
         report.stop_reason = STOP_ROUND_LIMIT
 
-    master = build_master(pool, master)
+    lp = build_master(pool)
     # only the rules are decisions: each xi is the unit-cost slack of one
     # covering row, integral once w is, so branch and bound branches on the
     # number of rules, then on the pool; every variable stays binary and
     # integral objectives' bounds are rounded up
     t_mip = time.perf_counter()
-    mip = solve_binary_mip(
-        master.lp, node_limit=params.mip_node_limit, branch_first=master.n_pool
-    )
+    mip = solve_binary_mip(lp, node_limit=params.mip_node_limit, branch_first=len(pool))
     report.mip_seconds = time.perf_counter() - t_mip
     report.mip_status = mip.status
     report.mip_nodes = mip.nodes
     if mip.relaxation_objective is not None:
-        report.mip_relaxation = mip.relaxation_objective + master.offset
+        report.mip_relaxation = mip.relaxation_objective + pool.offset
     if mip.x is None:
         raise TrainingError(
             f"final binary master ended with status {mip.status} and no incumbent"
@@ -786,7 +760,7 @@ def train(
         report.warnings.append(
             "branch and bound hit the node budget; keeping the best incumbent"
         )
-    report.mip_objective = float(mip.objective + master.offset)
+    report.mip_objective = float(mip.objective + pool.offset)
 
     selected = [
         (Conjunction(frozenset(dataset.columns[j] for j in col.cols)), col)

@@ -63,6 +63,17 @@ class DataError(ValueError):
     """Malformed table, schema, or cell."""
 
 
+def _row_index(indices, n: int) -> np.ndarray:
+    """Row numbers from integer indices, or the True rows of a boolean mask
+    over all ``n`` rows."""
+    idx = np.asarray(indices)
+    if idx.dtype != bool:
+        return idx.astype(np.intp, copy=False)
+    if idx.shape != (n,):
+        raise DataError(f"a row mask needs one entry per row, {n}, not shape {idx.shape}")
+    return np.flatnonzero(idx)
+
+
 @dataclass(frozen=True)
 class TableSchema:
     """Column names/kinds and the label column of a raw table."""
@@ -145,7 +156,7 @@ class RawTable:
         out = copy.copy(self)
         out.names, out.kinds = list(self.names), list(self.kinds)
         # row-major like the constructor's, so each column's codes stay contiguous
-        out.codes = np.take(self.codes, np.asarray(indices, dtype=np.intp), axis=1)
+        out.codes = np.take(self.codes, _row_index(indices, self.n_rows), axis=1)
         return out
 
     def __eq__(self, other) -> bool:
@@ -409,8 +420,8 @@ class BinaryDataset:
         """Indices of negative samples."""
         return np.flatnonzero(~self.labels)
 
-    def subset(self, indices: Sequence[int]) -> "BinaryDataset":
-        idx = np.asarray(indices, dtype=np.intp)
+    def subset(self, indices: Sequence[int] | np.ndarray) -> "BinaryDataset":
+        idx = _row_index(indices, self.n)
         raw = self.raw.subset(idx) if self.raw is not None else None
         return BinaryDataset(self.columns, self.matrix[idx], self.labels[idx], raw)
 

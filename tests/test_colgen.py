@@ -24,14 +24,13 @@ from corules.colgen import (
     TrainReport,
     build_master,
     price,
-    solve_master,
     train,
 )
 from corules.dataset import BinaryDataset, Literal, binarize, generate_tictactoe
 from corules.metrics import accuracy, hamming_loss, ruleset_similarity
 from corules.dataset import CATEGORICAL, NUMERIC, RawTable
 from corules.ruledsl import RuleError, RuleSet, bind, parse_rules, print_rules
-from corules.solver import LiveLp, solve_lp
+from corules.solver import LiveLp, solve_binary_mip, solve_lp
 
 from oracles import (
     beam_search,
@@ -73,6 +72,15 @@ def seeded_pool(dataset, params=Params(), human_sets=(), templates=RuleSet(())):
     return pool
 
 
+def solve_pool(pool):
+    """Build and solve the pool's master: the LP solution, the pool columns'
+    w and the duals (mu, lam) that ``price`` reads, clamped nonnegative."""
+    sol = solve_lp(build_master(pool))
+    n_pos = pool.dataset.P.size
+    mu, lam = np.maximum(sol.duals[:n_pos], 0.0), max(0.0, -sol.duals[n_pos])
+    return sol, sol.x[: len(pool)], (mu, lam)
+
+
 @pytest.mark.parametrize(
     "name, value",
     [
@@ -108,12 +116,11 @@ class TestBuildMaster:
         pool = ColumnPool(ds, Params(mode=MODE_MACHINE))
         for cols in bound.column_sets:
             pool.add(cols, is_human=True)
-        model = build_master(pool)
-        sol = solve_master(model)
+        sol, w, _ = solve_pool(pool)
         assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(0.0, abs=1e-9)
-        assert np.all(sol.w > 1 - 1e-9)
-        xi = solve_lp(model.lp).x[model.n_pool :]
+        assert sol.objective + pool.offset == pytest.approx(0.0, abs=1e-9)
+        assert np.all(w > 1 - 1e-9)
+        xi = sol.x[len(pool) :]
         assert np.all(xi < 1e-9)
 
     def test_singleton_only_pool_costs_all_positives_when_empty(self):
@@ -123,21 +130,20 @@ class TestBuildMaster:
         cols = (Literal("a", "==", "x"), Literal("b", "==", "x"))
         ds = BinaryDataset(cols, matrix, labels)
         pool = seeded_pool(ds, Params(mode=MODE_MACHINE))
-        model = build_master(pool)
-        sol = solve_master(model)
-        assert sol.objective == pytest.approx(4.0)
+        sol, _, _ = solve_pool(pool)
+        assert sol.objective + pool.offset == pytest.approx(4.0)
 
     def test_soft_mode_objective_coefficients_and_offset(self, ttt_dataset, eight_rules):
         bound, ds = bind(eight_rules, ttt_dataset)
         pool = seeded_pool(ds, Params(mode=MODE_SOFT, human_weight=0.05), bound.column_sets)
-        model = build_master(pool)
+        lp = build_master(pool)
         cu_n = 0.05 * ds.n
-        assert model.offset == pytest.approx(cu_n * 8)
+        assert pool.offset == pytest.approx(cu_n * 8)
         for k, col in enumerate(pool.columns):
             expected = col.fp_count - (cu_n if col.is_human else 0.0)
-            assert model.lp.objective[k] == pytest.approx(expected)
+            assert lp.objective[k] == pytest.approx(expected)
         # xi coefficients are one
-        assert np.all(model.lp.objective[len(pool) :] == 1.0)
+        assert np.all(lp.objective[len(pool) :] == 1.0)
 
     def test_unselected_human_rule_costs_cu_n(self):
         # one human rule that covers nothing positive: selecting it is a
@@ -149,7 +155,7 @@ class TestBuildMaster:
         params = Params(mode=MODE_SOFT, human_weight=0.5, complexity_budget=1,
                         max_degree=1)
         pool = seeded_pool(ds, params, human_sets=[frozenset({1})])
-        assert build_master(pool).offset == 1.5  # 0.5 * 3
+        assert pool.offset == 1.5  # 0.5 * 3
         # budget 1 admits one column: either the human one (fp=1, covers no
         # positive -> loss 2 + 1) or the machine singleton 0 (loss 0) plus
         # the dropped-rule penalty 0.5 * 3
@@ -166,33 +172,52 @@ class TestBuildMaster:
 
     def test_later_build_grows_the_master_it_is_given(self, ttt_dataset):
         pool = seeded_pool(ttt_dataset, Params(mode=MODE_SOFT, human_weight=0.05))
+        assert pool.master is None
         master = build_master(pool)
-        assert master.offset == 0.0
+        assert pool.master is master
+        assert pool.offset == 0.0
         pool.add((0, 1), is_human=True)
-        assert build_master(pool, master) is master
-        assert master.n_pool == len(pool)
-        assert master.lp.n_vars == len(pool) + master.n_pos
-        assert master.offset == pytest.approx(0.05 * ttt_dataset.n)
-        assert solve_master(master).w.shape == (len(pool),)
+        assert build_master(pool) is master
+        assert master.n_vars == len(pool) + ttt_dataset.P.size
+        assert pool.offset == pytest.approx(0.05 * ttt_dataset.n)
+        added = pool.columns[-1]
+        assert master.objective[len(pool) - 1] == added.fp_count - pool.credit
 
-    def test_master_of_another_pool_rejected(self, ttt_dataset):
-        master = build_master(seeded_pool(ttt_dataset))
-        with pytest.raises(ValueError, match="another pool"):
-            build_master(seeded_pool(ttt_dataset), master)
+    def test_bounds_set_on_the_pools_master_hold(self, ttt_dataset):
+        # the pool's master is the handle a dive or a refit fixes rules on:
+        # its bounds survive growth and bind the binary solve, which hands
+        # them back afterwards
+        pool = seeded_pool(TestComplementarySlackness.draw(ttt_dataset, 6),
+                           Params(max_degree=2, complexity_budget=10))
+        lp = build_master(pool)
+        x = solve_binary_mip(lp, branch_first=len(pool)).x
+        off, on = int(np.flatnonzero(x[: len(pool)] > 0.5)[0]), int(np.argmin(x[: len(pool)]))
+        lp.set_bounds([off, on], [0.0, 1.0], [0.0, 1.0])
+        _, _, duals = solve_pool(pool)
+        n = len(pool)
+        for cand in price(duals, pool, limit=COLUMNS_PER_ROUND):
+            pool.add(cand.cols)
+        assert len(pool) > n
+        assert build_master(pool) is lp is pool.master
+        assert (lp.lower[off], lp.upper[off], lp.lower[on], lp.upper[on]) == (0, 0, 1, 1)
+        mip = solve_binary_mip(lp, branch_first=len(pool))
+        assert mip.status == solver.OPTIMAL
+        assert (mip.x[off], mip.x[on]) == (0.0, 1.0)
+        assert (lp.lower[off], lp.upper[off], lp.lower[on], lp.upper[on]) == (0, 0, 1, 1)
 
     @pytest.mark.parametrize("mode", [MODE_SOFT, MODE_HARD])
     def test_a_column_keeps_the_treatment_it_was_added_with(self, ttt_dataset, mode):
         # re-adding a pool column as a human rule changes nothing: a master
         # that already holds it keeps its cost, bound and offset consistent
         pool = seeded_pool(ttt_dataset, Params(mode=mode))
-        master = build_master(pool)
+        build_master(pool)
         col = pool.columns[0]
         assert not pool.add(col.cols, is_human=True)
         assert len(pool) == ttt_dataset.n_columns and pool.columns[0] is col
         assert not col.is_human and not col.forced
         assert col.cost == reference_cost(pool, col)[0] == col.fp_count
-        assert build_master(pool, master).offset == 0.0
-        assert master.lp.lower[0] == 0.0
+        assert build_master(pool).lower[0] == 0.0
+        assert pool.offset == 0.0
 
     def test_no_positives_rejected(self):
         matrix = np.ones((3, 1), dtype=bool)
@@ -223,27 +248,26 @@ def _check_interior_reduced_costs(pool, rounds=4):
     checked = 0
     tol = TOLERANCE
     for _ in range(rounds):
-        model = build_master(pool)
-        sol = solve_master(model)
+        sol, w, (mu, lam) = solve_pool(pool)
         assert sol.status == "optimal"
         for k, col in enumerate(pool.columns):
-            if not tol < sol.w[k] < 1 - tol:
+            if not tol < w[k] < 1 - tol:
                 continue
             cost, _ = reference_cost(pool, col)
-            rc = cost - sol.mu @ col.pos_cover + sol.lam * col.complexity
+            rc = cost - mu @ col.pos_cover + lam * col.complexity
             assert abs(rc) <= tol, (k, rc)
             checked += 1
-        xi = solve_lp(model.lp).x[model.n_pool :]
+        xi = sol.x[len(pool) :]
         inside = (xi > tol) & (xi < 1 - tol)
-        assert np.all(np.abs(1.0 - sol.mu[inside]) <= tol)
+        assert np.all(np.abs(1.0 - mu[inside]) <= tol)
         checked += int(inside.sum())
-        cands = price((sol.mu, sol.lam), pool, limit=COLUMNS_PER_ROUND)
+        cands = price((mu, lam), pool, limit=COLUMNS_PER_ROUND)
         for cand in cands:
             pool.add(cand.cols)
     return checked
 
 
-class TestSolveMaster:
+class TestComplementarySlackness:
     """Complementary slackness of the master: the covering-row duals ``mu``
     and the budget dual ``lam`` must price every fractional variable at
     zero, counting the soft credit and the template term."""
@@ -308,7 +332,7 @@ def test_live_master_matches_cold_dense_solve(ttt_dataset, eight_rules, mode):
     # every round appends columns to one live model and re-solves it warm;
     # each value must equal a cold solve of the whole master built afresh,
     # and every column's cost and forced flag the reference's
-    ds = TestSolveMaster.draw(ttt_dataset, 5)
+    ds = TestComplementarySlackness.draw(ttt_dataset, 5)
     params = Params(mode=mode, max_degree=3, complexity_budget=12)
     human_sets, templates = (), RuleSet(())
     if mode == MODE_SOFT:
@@ -320,14 +344,12 @@ def test_live_master_matches_cold_dense_solve(ttt_dataset, eight_rules, mode):
     if mode == MODE_TEMPLATES:
         templates = parse_rules("cell_r0_c0 == x AND cell_r0_c1 == x")
     pool = seeded_pool(ds, params, human_sets, templates)
-    master = None
     for _ in range(6):
-        master = build_master(pool, master)
-        live = solve_master(master)
+        live, _, duals = solve_pool(pool)
         cold = solve_lp(dense_master(pool))
         assert live.status == cold.status == "optimal"
-        assert live.objective == pytest.approx(cold.objective + master.offset, abs=1e-9)
-        cands = price((live.mu, live.lam), pool, limit=COLUMNS_PER_ROUND)
+        assert live.objective == pytest.approx(cold.objective, abs=1e-9)
+        cands = price(duals, pool, limit=COLUMNS_PER_ROUND)
         if not cands:
             break
         for cand in cands:
@@ -988,17 +1010,17 @@ class TestTrain:
         assert report.stop_reason == colgen.STOP_ROUND_LIMIT
 
     def test_lp_status_stops_the_loop(self, ttt_dataset, monkeypatch):
-        solve = colgen.solve_master
+        solve = colgen.solve_lp
         calls = []
 
-        def failing_second_round(model):
-            calls.append(model)
-            sol = solve(model)
+        def failing_second_round(lp):
+            calls.append(lp)
+            sol = solve(lp)
             if len(calls) == 2:
                 sol = dataclasses.replace(sol, status=solver.INFEASIBLE)
             return sol
 
-        monkeypatch.setattr(colgen, "solve_master", failing_second_round)
+        monkeypatch.setattr(colgen, "solve_lp", failing_second_round)
         ds = ttt_dataset.subset(np.arange(0, ttt_dataset.n, 20))
         rs, report = train(ds, None, Params(max_degree=2))
         assert report.stop_reason == "lp-status:" + solver.INFEASIBLE
@@ -1212,6 +1234,16 @@ def test_templates_mode_on_a_numeric_table(monkeypatch):
     (col,) = [col for col in pool.columns if col.cols == seeded]
     assert pool.distance(col.cols) == 0.0 and col.cost == col.fp_count
     assert not col.is_human
+
+
+def test_pool_add_rejects_a_column_index_out_of_range(ttt_dataset):
+    pool = seeded_pool(ttt_dataset)
+    m = ttt_dataset.n_columns
+    for cols in [(-1,), (0, m)]:
+        with pytest.raises(ValueError, match="outside"):
+            pool.add(cols)
+    assert len(pool.codes) == len(pool) == m
+    assert not pool.add((m - 1,))  # still a member, once
 
 
 def test_pool_audit_and_dedup(ttt_dataset):

@@ -303,6 +303,19 @@ def test_subset_keeps_raw_in_sync(ttt):
     assert sub.verify_against_raw()
 
 
+def test_subset_by_a_boolean_mask_takes_its_true_rows(ttt):
+    ds = binarize(ttt)
+    by_mask, by_index = ds.subset(ds.labels), ds.subset(ds.P)
+    assert by_mask.n == ds.P.size == 626
+    assert np.array_equal(by_mask.matrix, by_index.matrix)
+    assert np.array_equal(by_mask.labels, by_index.labels)
+    assert by_mask.raw == by_index.raw
+    assert ttt.subset(ds.labels) == by_index.raw
+    for table in (ds, ttt):
+        with pytest.raises(DataError, match="one entry per row"):
+            table.subset(ds.labels[:-1])
+
+
 def test_apply_columns_on_a_large_sample_matches_cell_oracle(ttt):
     idx = np.random.default_rng(20_000).integers(0, ttt.n_rows, 20_000)
     cols = binarize(ttt).columns
